@@ -1,8 +1,9 @@
 """Self-convergence ladders on the Brownian band instance.
 
-Runs the grid-size and Gaver-depth ladders and prints the successive
-differences; exposes the double-precision GWR plateau described in the
-README defaults table.
+Runs the grid-size, Gaver-depth and outer-tolerance ladders through
+`rsbarrier convergence` and prints the successive differences.  The Gaver
+ladder shows where double-precision GWR stops improving; the README's
+defaults table lists the settings each ladder starts from.
 """
 
 import io

@@ -10,8 +10,8 @@ histories through one cache.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
-import json
 import math
 import sys
 import time
@@ -19,25 +19,28 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__
-from .config import DEFAULTS, ProblemConfig, config_to_dict, load_config
+from .config import ProblemConfig, parse_config, read_document
 from .engine import QPricer
 from .errors import ConfigError, RsBarrierError
-from .grids import build_grid
+from .grids import DualGrid, build_grid
 from .histories import encode
-from .inversion import gwr_invert, gwr_nodes, sinh_invert, sinh_nodes
+from .inversion import gwr_invert, gwr_nodes, sinh_invert, sinh_nodes, sinh_plan
 from .models import sinh_inversion_admissible
 from .montecarlo import simulate_price
 from .wiener_hopf import factorize
 
 
+def _grid(cfg: ProblemConfig) -> DualGrid:
+    g = cfg.grid
+    return build_grid(cfg.problem.lower, cfg.problem.upper,
+                      m_power=g.m_power, domain_factor=g.domain_factor,
+                      models=[r.model for r in cfg.problem.regimes],
+                      damping_scale=g.damping_scale, damping_cap=g.damping_cap,
+                      decay_tol=g.decay_tol)
+
+
 def _make_pricer(cfg: ProblemConfig) -> QPricer:
-    models = [r.model for r in cfg.problem.regimes]
-    grid = build_grid(cfg.problem.lower, cfg.problem.upper,
-                      m_power=cfg.grid.m_power, domain_factor=cfg.grid.domain_factor,
-                      models=models, damping_scale=cfg.grid.damping_scale,
-                      damping_cap=cfg.grid.damping_cap, decay_tol=cfg.grid.decay_tol)
-    return QPricer(cfg.problem, grid=grid,
+    return QPricer(cfg.problem, grid=_grid(cfg),
                    tol_inner=cfg.tolerances.inner, tol_outer=cfg.tolerances.outer,
                    max_outer=cfg.tolerances.max_outer,
                    max_sweeps=cfg.tolerances.max_sweeps)
@@ -69,10 +72,10 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
     problem = cfg.problem
     tau = problem.maturity
     start = time.perf_counter()
+    codes = range(problem.chain.size) if all_histories else \
+        [encode(problem.chain.m, problem.initial_history)]
     if not problem.lower < problem.spot < problem.upper:
-        codes = range(problem.chain.size) if all_histories else \
-            [encode(problem.chain.m, problem.initial_history)]
-        rows = [dict(history=c, price=0.0) for c in codes]
+        rows = [dict(history=int(c), price=0.0) for c in codes]
         return rows, {"outer": 0, "sweeps": 0,
                       "wall": time.perf_counter() - start, "warning": "spot outside band"}
 
@@ -86,17 +89,13 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
                       file=sys.stderr)
         splan = plan.materialize(tau)
         qs, _ = sinh_nodes(splan)
-        half = (splan.n_nodes + 1) // 2
-        eval_nodes = list(qs[half:])  # conjugate symmetry halves the work
+        # sinh_invert evaluates only the upper half of the symmetric node set
+        eval_nodes = list(qs[(splan.n_nodes + 1) // 2:])
         values, outer, sweeps = _evaluate_nodes(pricer, eval_nodes, threads)
 
         def invert_history(idx):
-            def evaluator(q):
-                qq = complex(q)
-                if qq in values:
-                    return complex(values[qq][idx])
-                return complex(np.conj(values[np.conj(qq)][idx]))
-            return sinh_invert(evaluator, tau, splan).value
+            return sinh_invert(lambda q: complex(values[complex(q)][idx]),
+                               tau, splan).value
         depth = splan.n_nodes
     else:
         qs = gwr_nodes(tau, plan.n_gaver)
@@ -108,12 +107,30 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
                               plan.extended_precision).value
         depth = plan.n_gaver
 
-    codes = range(problem.chain.size) if all_histories else \
-        [encode(problem.chain.m, problem.initial_history)]
     rows = [dict(history=int(c), price=invert_history(int(c))) for c in codes]
     meta = {"backend": plan.backend, "depth": depth, "outer": outer,
             "sweeps": sweeps, "wall": time.perf_counter() - start}
     return rows, meta
+
+
+# flag -> (document section it overrides, None for the top level; argparse
+# options); each subcommand takes only the flags it reads
+_OVERRIDES = {
+    "threads": (None, dict(type=int, help="threads over spectral values")),
+    "seed": (None, dict(type=int, help="Monte Carlo seed")),
+    "backend": ("inversion", dict(choices=["gwr", "sinh"],
+                                  help="Laplace inversion back end")),
+}
+
+
+def _document(args) -> dict:
+    """The config document with the command line's overrides applied."""
+    doc = read_document(args.config)
+    for flag, (section, _) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            (doc.setdefault(section, {}) if section else doc)[flag] = value
+    return doc
 
 
 def _write_csv(path, header, rows):
@@ -128,8 +145,10 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_price(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = parse_config(_document(args))
     rows, meta = run_price(cfg, all_histories=args.all_histories)
+    if "warning" in meta:
+        print(f"warning: {meta['warning']}", file=sys.stderr)
     header = ["history", "price", "backend", "depth", "outer_terms",
               "max_inner_sweeps", "wall_time"]
     csv_rows = [[r["history"], repr(r["price"]), meta.get("backend", cfg.inversion.backend),
@@ -140,7 +159,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = parse_config(_document(args))
     res = simulate_price(cfg.problem, cfg.mc)
     _write_csv(args.out, ["estimate", "stderr", "paths", "dt", "seed", "wall_time"],
                [[repr(res.estimate), repr(res.stderr), res.paths, res.dt,
@@ -149,17 +168,12 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_factors(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = parse_config(_document(args))
     model = cfg.problem.regimes[args.regime - 1].model
-    grid = build_grid(cfg.problem.lower, cfg.problem.upper,
-                      m_power=cfg.grid.m_power,
-                      domain_factor=cfg.grid.domain_factor,
-                      models=[r.model for r in cfg.problem.regimes])
-    q_value = complex(args.q_value)
-    fact = factorize(model, q_value, grid)
+    grid = _grid(cfg)
+    fact = factorize(model, complex(args.q_value), grid)
     cs = fact.contour_symbols(0.0)
-    sym = cs.e_symbol
-    resid = np.abs(cs.phi_plus * cs.phi_minus / sym - 1.0)
+    resid = np.abs(cs.phi_plus * cs.phi_minus / cs.e_symbol - 1.0)
     order = np.argsort(grid.xi)
     rows = [[grid.xi[i], cs.phi_plus[i].real, cs.phi_plus[i].imag,
              cs.phi_minus[i].real, cs.phi_minus[i].imag, resid[i]]
@@ -179,73 +193,55 @@ def _cmd_invert_demo(args) -> int:
     for name, fn, tau, truth in pairs:
         samples = fn(gwr_nodes(tau, 8))
         gwr = gwr_invert(list(np.atleast_1d(samples)), tau, 8).value
-        from .inversion import sinh_plan
-        plan = sinh_plan(tau, n_nodes=64)
-        snh = sinh_invert(fn, tau, plan).value
+        snh = sinh_invert(fn, tau, sinh_plan(tau, n_nodes=64)).value
         rows.append([name, repr(abs(gwr - truth)), repr(abs(snh - truth))])
     _write_csv(args.out, ["pair", "gwr_error", "sinh_error"], rows)
     return 0
 
 
+# ladder parameter -> (document section, key, type); memoryN is handled apart
+_LADDERS = {
+    "mPower": ("grid", "mPower", int),
+    "nGaver": ("inversion", "nGaver", int),
+    "tolOuter": ("tolerances", "outer", float),
+}
+
+
+def _check_memory_ladder(rates) -> None:
+    """A depth ladder compares like with like only if no rate reads the past."""
+    rule_form = isinstance(rates, dict) and "rules" in rates
+    if not rule_form and not isinstance(rates, (int, float)):
+        raise ConfigError("memoryN ladders need rule-form (history-prefix) rates")
+    if rule_form and any(len(r.get("history", [])) > 1 for r in rates["rules"]):
+        raise ConfigError("memoryN ladders need history-independent rates "
+                          "(rule histories of length <= 1)")
+
+
 def _cmd_convergence(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    base = _document(args)
+    parse_config(base)  # a bad document fails before the first price
+    if args.param == "memoryN":
+        _check_memory_ladder(base["chain"]["rates"])
     rows = []
     prev = None
-    for v in values:
-        doc = json.loads(json.dumps(config_to_dict(cfg)))
-        if args.param == "mPower":
-            doc.setdefault("grid", {})["mPower"] = int(v)
-        elif args.param == "nGaver":
-            doc.setdefault("inversion", {})["nGaver"] = int(v)
-        elif args.param == "tolOuter":
-            doc.setdefault("tolerances", {})["outer"] = float(v)
-        elif args.param == "memoryN":
+    for v in [v.strip() for v in args.values.split(",") if v.strip()]:
+        doc = copy.deepcopy(base)
+        if args.param == "memoryN":
             doc["chain"]["N"] = int(v)
-            rates = cfg.raw.get("chain", {}).get("rates")
-            rule_form = isinstance(rates, dict) and "rules" in rates
-            if not rule_form and not isinstance(rates, (int, float)):
-                raise ConfigError(
-                    "memoryN ladders need rule-form (history-prefix) rates")
-            if rule_form and any(len(r.get("history", [])) > 1
-                                 for r in rates["rules"]):
-                raise ConfigError(
-                    "memoryN ladders need history-independent rates "
-                    "(rule histories of length <= 1)")
-            doc["chain"]["rates"] = rates
-            init = doc["initialHistory"]
-            head = init[0]
-            labels = [head]
+            labels = [doc["initialHistory"][0]]
             for _ in range(int(v)):
                 labels.append(1 if labels[-1] != 1 else 2)
             doc["initialHistory"] = labels
         else:
-            raise ConfigError(f"unknown ladder parameter {args.param!r}")
-        from .config import parse_config
-
-        sub = parse_config(doc)
-        out_rows, _ = run_price(sub)
+            section, key, kind = _LADDERS[args.param]
+            doc.setdefault(section, {})[key] = kind(v)
+        out_rows, _ = run_price(parse_config(doc))
         price = out_rows[0]["price"]
         diff = "" if prev is None else repr(abs(price - prev))
         rows.append([args.param, v, repr(price), diff])
         prev = price
     _write_csv(args.out, ["parameter", "value", "price", "successive_diff"], rows)
     return 0
-
-
-def _apply_overrides(cfg: ProblemConfig, args) -> ProblemConfig:
-    doc = config_to_dict(cfg)
-    if getattr(args, "threads", None) is not None:
-        doc["threads"] = args.threads
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "backend", None) is not None:
-        doc.setdefault("inversion", {})["backend"] = args.backend
-    from .config import parse_config
-
-    out = parse_config(doc)
-    out.raw = cfg.raw  # keep the user's document (preserves the rates form)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,39 +251,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "Levy models with memory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
+    def command(name, func, help, config=True, overrides=()):
+        """A subcommand with --out, --config unless told otherwise, and only
+        the config overrides it reads."""
+        p = sub.add_parser(name, help=help)
+        if config:
             p.add_argument("--config", required=True, help="JSON problem file")
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--backend", choices=["gwr", "sinh"], default=None)
+        for flag in overrides:
+            p.add_argument(f"--{flag}", default=None, **_OVERRIDES[flag][1])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("price", help="price via transform inversion")
-    common(p)
+    p = command("price", _cmd_price, "price via transform inversion",
+                overrides=("threads", "backend"))
     p.add_argument("--all-histories", action="store_true")
-    p.set_defaults(func=_cmd_price)
-
-    p = sub.add_parser("mc", help="Monte Carlo oracle estimate")
-    common(p)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("factors", help="dump Wiener-Hopf factors on the grid")
-    common(p)
+    command("mc", _cmd_mc, "Monte Carlo oracle estimate", overrides=("seed",))
+    p = command("factors", _cmd_factors, "dump Wiener-Hopf factors on the grid")
     p.add_argument("--regime", type=int, default=1)
     p.add_argument("--q-value", default="1.0", help="spectral value, e.g. 2.0 or 3+4j")
-    p.set_defaults(func=_cmd_factors)
-
-    p = sub.add_parser("invert-demo", help="known-pair inversion error table")
-    common(p, needs_config=False)
-    p.set_defaults(func=_cmd_invert_demo)
-
-    p = sub.add_parser("convergence", help="price ladder in one parameter")
-    common(p)
-    p.add_argument("--param", required=True,
-                   choices=["mPower", "nGaver", "tolOuter", "memoryN"])
+    command("invert-demo", _cmd_invert_demo, "known-pair inversion error table",
+            config=False)
+    p = command("convergence", _cmd_convergence, "price ladder in one parameter",
+                overrides=("threads", "backend"))
+    p.add_argument("--param", required=True, choices=[*_LADDERS, "memoryN"])
     p.add_argument("--values", required=True, help="comma-separated ladder")
-    p.set_defaults(func=_cmd_convergence)
     return parser
 
 

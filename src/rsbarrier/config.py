@@ -1,4 +1,4 @@
-"""Problem configuration: JSON schema, validation, round-trip serialization.
+"""Problem configuration: JSON schema and validation.
 
 Model objects use the exact wire names "type", "mu", "sigma2", "lambdaJ",
 "p", "alphaPlus", "alphaMinus", "nu", "c", "lambdaPlus", "lambdaMinus".
@@ -11,19 +11,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .engine import BarrierProblem, RegimeSpec
-from .histories import HistoryIndex, MemoryChain, space_size
+from .histories import HistoryIndex, MemoryChain
 from .inversion import InversionPlan
 from .models import BrownianDrift, KoBoL, KouJumpDiffusion, LevyModel
 from .montecarlo import McConfig
 
-__all__ = ["GridConfig", "Tolerances", "ProblemConfig", "load_config",
-           "parse_config", "config_to_dict", "DEFAULTS"]
+__all__ = ["GridConfig", "Tolerances", "ProblemConfig", "read_document",
+           "load_config", "parse_config", "DEFAULTS"]
 
 THREADS_ENV = "RSBARRIER_THREADS"
 
@@ -80,8 +80,6 @@ class ProblemConfig:
     inversion: InversionPlan
     mc: McConfig
     threads: int | None
-    seed: int
-    raw: dict = field(repr=False, default_factory=dict)
 
     def resolve_threads(self) -> int:
         if self.threads is not None:
@@ -113,18 +111,6 @@ def _model_from_dict(d: dict) -> LevyModel:
     raise ConfigError(f"unknown model type {kind!r}")
 
 
-def _model_to_dict(model: LevyModel) -> dict:
-    if isinstance(model, BrownianDrift):
-        return {"type": "BrownianDrift", "mu": model.mu, "sigma2": model.sigma2}
-    if isinstance(model, KouJumpDiffusion):
-        return {"type": "KouJumpDiffusion", "mu": model.mu, "sigma2": model.sigma2,
-                "lambdaJ": model.lambda_j, "p": model.p,
-                "alphaPlus": model.alpha_plus, "alphaMinus": model.alpha_minus}
-    return {"type": "KoBoL", "nu": model.nu, "c": model.c,
-            "lambdaPlus": model.lambda_plus, "lambdaMinus": model.lambda_minus,
-            "mu": model.mu}
-
-
 def _chain_from_dict(d: dict) -> MemoryChain:
     try:
         m = int(d["m"])
@@ -147,11 +133,10 @@ def _chain_from_dict(d: dict) -> MemoryChain:
     raise ConfigError("chain rates must be a number, a dense table, or a rule table")
 
 
-def _chain_to_dict(chain: MemoryChain) -> dict:
-    out = {"m": chain.m, "N": chain.n_memory,
-           "rates": {"dense": chain.rates.tolist()}}
-    if chain.lambda0_override is not None:
-        out["lambda0"] = chain.lambda0_override
+def _finite(value, name: str) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {out}")
     return out
 
 
@@ -159,14 +144,15 @@ def parse_config(doc: dict) -> ProblemConfig:
     try:
         regimes = tuple(
             RegimeSpec(model=_model_from_dict(r["model"]),
-                       rate=float(r["r"]), payoff=float(r["G"]))
+                       rate=_finite(r["r"], "r"), payoff=_finite(r["G"], "G"))
             for r in doc["regimes"]
         )
         chain = _chain_from_dict(doc["chain"])
         barriers = doc["barriers"]
-        lower, upper = float(barriers["lower"]), float(barriers["upper"])
-        x0 = float(doc["x0"])
-        maturity = float(doc["maturity"])
+        lower = _finite(barriers["lower"], "barriers.lower")
+        upper = _finite(barriers["upper"], "barriers.upper")
+        x0 = _finite(doc["x0"], "x0")
+        maturity = _finite(doc["maturity"], "maturity")
         init = tuple(int(v) for v in doc["initialHistory"])
     except KeyError as exc:
         raise ConfigError(f"config field missing: {exc}") from exc
@@ -225,44 +211,20 @@ def parse_config(doc: dict) -> ProblemConfig:
     threads = doc.get("threads")
     return ProblemConfig(problem=problem, grid=grid, tolerances=tol,
                          inversion=plan, mc=mc,
-                         threads=None if threads is None else int(threads),
-                         seed=int(doc.get("seed", DEFAULTS["seed"])), raw=doc)
+                         threads=None if threads is None else int(threads))
 
 
-def config_to_dict(cfg: ProblemConfig) -> dict:
-    p = cfg.problem
-    return {
-        "regimes": [{"model": _model_to_dict(r.model), "r": r.rate, "G": r.payoff}
-                    for r in p.regimes],
-        "chain": _chain_to_dict(p.chain),
-        "barriers": {"lower": p.lower, "upper": p.upper},
-        "x0": p.spot,
-        "maturity": p.maturity,
-        "initialHistory": list(p.initial_history.labels),
-        "grid": {"mPower": cfg.grid.m_power, "domainFactor": cfg.grid.domain_factor,
-                 "dampingScale": cfg.grid.damping_scale,
-                 "dampingCap": cfg.grid.damping_cap, "decayTol": cfg.grid.decay_tol},
-        "tolerances": {"inner": cfg.tolerances.inner, "outer": cfg.tolerances.outer,
-                       "maxOuter": cfg.tolerances.max_outer,
-                       "maxSweeps": cfg.tolerances.max_sweeps},
-        "inversion": {"backend": cfg.inversion.backend,
-                      "nGaver": cfg.inversion.n_gaver,
-                      "extendedPrecision": cfg.inversion.extended_precision,
-                      "sinhNodes": cfg.inversion.sinh_nodes,
-                      "sinhSigma0": cfg.inversion.sinh_sigma0,
-                      "sinhGamma": cfg.inversion.sinh_gamma,
-                      "sinhTargetTol": cfg.inversion.sinh_target_tol},
-        "mc": {"paths": cfg.mc.paths, "dt": cfg.mc.dt, "bridge": cfg.mc.bridge,
-               "antithetic": cfg.mc.antithetic},
-        "threads": cfg.threads,
-        "seed": cfg.seed,
-    }
-
-
-def load_config(path: str) -> ProblemConfig:
+def read_document(path: str) -> dict:
+    """The JSON document at ``path``, unvalidated."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
+
+
+def load_config(path: str) -> ProblemConfig:
+    return parse_config(read_document(path))

@@ -22,9 +22,9 @@ from .errors import (
     SpectralParameterError,
 )
 from .grids import DualGrid, Region, SampledFunction, build_grid, indicator_soft
-from .histories import HistoryIndex, MemoryChain, encode
+from .histories import HistoryIndex, MemoryChain
 from .models import LevyModel
-from .epv import apply_epv, apply_multiplier, effective_omega, first_touch_above, first_touch_below, residual_window
+from .epv import apply_epv, first_touch_above, first_touch_below
 from .wiener_hopf import factorize
 
 __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",

@@ -14,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContourError, GridResolutionError, IllPosedApplicationError
-from .grids import Region, SampledFunction, indicator_soft
+from .grids import Region, SampledFunction
 from .wiener_hopf import WHFactorization
 
 __all__ = [
     "apply_epv",
     "apply_epv_inverse",
-    "apply_resolvent",
     "apply_multiplier",
     "effective_omega",
 ]
@@ -137,13 +136,6 @@ def apply_epv_inverse(factors: WHFactorization, side: str, u: SampledFunction) -
     return apply_multiplier(u, 1.0 / symbol, 1.0, omega,
                             error_cls=IllPosedApplicationError,
                             window=residual_window(factors))
-
-
-def apply_resolvent(factors: WHFactorization, u: SampledFunction,
-                    omega: float = 0.0) -> SampledFunction:
-    """E_Q = E+ E-: the single multiplier Q/(Q + psi) (identity check helper)."""
-    cs = factors.contour_symbols(omega)
-    return apply_multiplier(u, cs.e_symbol, 1.0, omega)
 
 
 def _boundary_value(u: SampledFunction, node: int, direction: int) -> np.ndarray:

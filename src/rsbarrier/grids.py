@@ -6,22 +6,21 @@ pair of far-field constants plus an array of residual samples
 
     u(x) = c_lo * 1_{x < x_ref} + c_hi * 1_{x >= x_ref} + res(x)
 
-with res decaying inside the grid.  This makes every transformed object
-integrable after damping and lets the multiplier machinery act on constants
-exactly.  Residual arrays may carry leading batch dimensions (one row per
-history).
+with x_ref the node at ``ref_index`` and res decaying inside the grid.  This
+makes every transformed object integrable after damping and lets the
+multiplier machinery act on constants exactly.  Residual arrays may carry
+leading batch dimensions (one row per history).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import math
 
 import numpy as np
 
-from .errors import ContourError, GridResolutionError
 from .models import analyticity_strip
 
 __all__ = [
@@ -29,10 +28,12 @@ __all__ = [
     "SampledFunction",
     "Region",
     "build_grid",
-    "indicator_multiply",
     "indicator_soft",
     "soft_mask",
 ]
+
+ROLL_START = 0.85      # spectral_roll is 1 below this fraction of Nyquist
+WINDOW_ROLLOFF = 0.5   # Gaussian width of window_mask beyond its margin
 
 
 class Region(Enum):
@@ -81,16 +82,8 @@ class DualGrid:
     def upper(self) -> float:
         return self.x_min + self.dx * self.upper_index
 
-    @property
-    def x_ref(self) -> float:
-        return self.x_min + self.dx * self.ref_index
-
-    @property
-    def snap_distance(self) -> float:
-        return 0.0  # dx is derived so both barriers land exactly on nodes
-
-    def spectral_roll(self, start: float = 0.85) -> np.ndarray:
-        """Smooth frequency roll-off over the top (1-start) of the band.
+    def spectral_roll(self) -> np.ndarray:
+        """Smooth frequency roll-off over the top (1-ROLL_START) of the band.
 
         Multiplier symbols are not periodic across the Nyquist wrap; applying
         them raw gives convolution kernels with O(1/(xi_max * x)) sidelobes
@@ -99,7 +92,7 @@ class DualGrid:
         several orders.  fft-ordered.
         """
         axi = np.abs(np.fft.fftfreq(self.size))  # |freq| in cycles, max 0.5
-        edge = start * 0.5
+        edge = ROLL_START * 0.5
         t = np.clip((axi - edge) / (0.5 - edge), 0.0, 1.0)
         # C-infinity transition: all derivatives vanish at both ends, so the
         # roll contributes no algebraic ringing of its own
@@ -129,7 +122,7 @@ class DualGrid:
     def interior(self) -> slice:
         return slice(self.guard, self.size - self.guard)
 
-    def window_mask(self, margin: float, rolloff: float = 0.5) -> np.ndarray:
+    def window_mask(self, margin: float) -> np.ndarray:
         """Smooth cutoff of residuals beyond ``margin`` outside the band.
 
         Residual values far from the band cannot be computed through damped
@@ -144,22 +137,9 @@ class DualGrid:
         w = np.ones(self.size)
         left = x < lo
         right = x > hi
-        w[left] = np.exp(-((x[left] - lo) / rolloff) ** 2)
-        w[right] = np.exp(-((x[right] - hi) / rolloff) ** 2)
+        w[left] = np.exp(-((x[left] - lo) / WINDOW_ROLLOFF) ** 2)
+        w[right] = np.exp(-((x[right] - hi) / WINDOW_ROLLOFF) ** 2)
         return w
-
-    def core_region(self, widths: float = 2.0) -> np.ndarray:
-        """Mask of the band plus ``widths`` band-widths on each side.
-
-        Pointwise accuracy statements live here: near the guard the circular
-        truncation of the operator kernels contributes O(exp(-beta * dist))
-        errors that have no bearing on values around the band.
-        """
-        band = self.upper - self.lower
-        lo = self.lower - widths * band
-        hi = self.upper + widths * band
-        x = self.x
-        return (x >= lo) & (x <= hi)
 
 
 def build_grid(lower: float, upper: float, m_power: int = 14,
@@ -270,10 +250,6 @@ class SampledFunction:
                 + self.c_lo[..., None] * (~mask_hi)
                 + self.c_hi[..., None] * mask_hi)
 
-    def copy(self) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values.copy(),
-                               self.c_lo.copy(), self.c_hi.copy())
-
     def __add__(self, other):
         self._check(other)
         return SampledFunction(self.grid, self.values + other.values,
@@ -337,8 +313,7 @@ def soft_mask(grid: DualGrid, region: Region) -> np.ndarray:
 def indicator_soft(u: SampledFunction, region: Region) -> SampledFunction:
     """Indicator multiplication with the spectral (mid-value) node convention.
 
-    Used inside the operator pipelines; the literal-bracket variant below is
-    the public pointwise operation.
+    The barrier node keeps half of u, as ``soft_mask`` weights it.
     """
     grid = u.grid
     w = soft_mask(grid, region)
@@ -351,31 +326,3 @@ def indicator_soft(u: SampledFunction, region: Region) -> SampledFunction:
     res = masked - c_lo[..., None] * (~mask_hi) - c_hi[..., None] * mask_hi
     return SampledFunction(grid, res, c_lo, c_hi)
 
-
-def indicator_multiply(u: SampledFunction, region: Region) -> SampledFunction:
-    """Pointwise multiplication by a half-line indicator.
-
-    The barrier node itself follows the closed/open bracket of the region;
-    far-field constants are updated exactly (one side zeroed) and the
-    residual re-split against the unchanged reference point.
-    """
-    grid = u.grid
-    idx = np.arange(grid.size)
-    if region is Region.BELOW_UPPER:
-        keep = idx < grid.upper_index
-        c_lo, c_hi = u.c_lo, np.zeros_like(u.c_hi)
-    elif region is Region.AT_OR_ABOVE_UPPER:
-        keep = idx >= grid.upper_index
-        c_lo, c_hi = np.zeros_like(u.c_lo), u.c_hi
-    elif region is Region.ABOVE_LOWER:
-        keep = idx > grid.lower_index
-        c_lo, c_hi = np.zeros_like(u.c_lo), u.c_hi
-    elif region is Region.AT_OR_BELOW_LOWER:
-        keep = idx <= grid.lower_index
-        c_lo, c_hi = u.c_lo, np.zeros_like(u.c_hi)
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    masked = u.full() * keep
-    mask_hi = idx >= grid.ref_index
-    res = masked - c_lo[..., None] * (~mask_hi) - c_hi[..., None] * mask_hi
-    return SampledFunction(grid, res, c_lo, c_hi)

@@ -8,6 +8,7 @@ integer code is mixed-radix: h0 in base m, every later entry in base m-1
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,6 @@ __all__ = [
     "encode",
     "decode",
     "space_size",
-    "q_of_history",
-    "q_uniform",
 ]
 
 MAX_HISTORIES = 100_000
@@ -151,8 +150,8 @@ class MemoryChain:
                 f"rate table must have shape ({size}, {self.m - 1}), "
                 f"got {self.rates.shape}"
             )
-        if np.any(self.rates < 0.0):
-            raise ValueError("transition rates must be >= 0")
+        if not np.all(np.isfinite(self.rates) & (self.rates >= 0.0)):
+            raise ValueError("transition rates must be finite and >= 0")
         self.codes_after_shift = np.empty((size, self.m - 1), dtype=np.intp)
         for i, h in enumerate(self.histories):
             for j, s in enumerate(_targets(self.m, h.head)):
@@ -162,10 +161,10 @@ class MemoryChain:
         if self.lambda0_override is None:
             self.lambda0 = lam_max
         else:
-            if self.lambda0_override < lam_max:
+            if not math.isfinite(self.lambda0_override) or self.lambda0_override < lam_max:
                 raise ValueError(
-                    f"lambda0 override {self.lambda0_override} below max "
-                    f"Lambda_h = {lam_max}"
+                    f"lambda0 override {self.lambda0_override} must be finite "
+                    f"and >= max Lambda_h = {lam_max}"
                 )
             self.lambda0 = float(self.lambda0_override)
 
@@ -178,9 +177,6 @@ class MemoryChain:
             return 0.0
         j = _targets(self.m, h.head).index(s)
         return float(self.rates[encode(self.m, h), j])
-
-    def targets_of(self, head: int) -> list[int]:
-        return _targets(self.m, head)
 
     def heads(self) -> np.ndarray:
         return np.array([h.head for h in self.histories], dtype=np.intp)
@@ -214,14 +210,3 @@ class MemoryChain:
                     table[i, _targets(m, h.head).index(s)] = rate
         return cls(m, n_memory, table, lambda0)
 
-
-def q_of_history(chain: MemoryChain, r: np.ndarray, h, q):
-    """Q_h(q) = q + Lambda_h + r_{h0}."""
-    code = h if isinstance(h, (int, np.integer)) else encode(chain.m, h)
-    head = chain.histories[code].head
-    return q + chain.lam_total[code] + r[head - 1]
-
-
-def q_uniform(chain: MemoryChain, r: np.ndarray, s: int, q):
-    """Q(s; q) = q + Lambda_0 + r_s  (uniformized rate)."""
-    return q + chain.lambda0 + r[s - 1]

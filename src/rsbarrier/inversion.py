@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +158,6 @@ class SinhPlan:
     b: float
     step: float
     n_nodes: int
-    use_conjugate_symmetry: bool = True
 
     def __post_init__(self):
         if not math.pi / 2 < self.gamma < math.pi:
@@ -182,15 +181,14 @@ class SinhPlan:
 
 
 def sinh_plan(tau: float, n_nodes: int = 64, sigma0: float | None = None,
-              gamma: float = 0.75 * math.pi, target_tol: float = 1e-10,
-              apex_fraction: float | None = None) -> SinhPlan:
+              gamma: float = 0.75 * math.pi, target_tol: float = 1e-10) -> SinhPlan:
     """Balance truncation, discretization and roundoff for the target tolerance.
 
     The tilt omega sits mid-margin; shifting the contour up by v keeps it
     clear of singularities on the negative real axis only while
     sin(omega+v) <= sin(omega)/apex_fraction, so the balanced apex fraction
-    is 1/(2 cos omega), giving a y-strip of half-width d = omega on both
-    sides.  The step follows from equating exp(-2*pi*d/step) with the
+    is 1/(2 cos omega), used here with a 5% margin, giving a y-strip of
+    half-width d = omega on both sides.  The step follows from equating exp(-2*pi*d/step) with the
     target; the scale b is capped so the contour apex
     sigma0*(1 - apex_fraction) stays right of the origin, which forces
     sigma0 up when the node budget is generous.  exp(sigma0*tau) amplifies
@@ -202,8 +200,7 @@ def sinh_plan(tau: float, n_nodes: int = 64, sigma0: float | None = None,
     margin = gamma - math.pi / 2
     omega = 0.5 * margin
     d_strip = 0.5 * margin
-    if apex_fraction is None:
-        apex_fraction = 0.95 / (2.0 * math.cos(omega))
+    apex_fraction = 0.95 / (2.0 * math.cos(omega))
     round_cap = math.log(max(target_tol / 3.0, 3e-15) / 2.3e-16)
     depth = -math.log(target_tol) + 2.0
     floor_depth = 3.0
@@ -257,31 +254,26 @@ def sinh_invert(evaluator, tau: float, plan: SinhPlan) -> SinhResult:
     """Trapezoid sum over the deformed contour.
 
     ``evaluator`` maps complex q to F(q) and must be analytic in the plan's
-    sector.  With ``use_conjugate_symmetry`` only the upper half of the
-    (conjugate-symmetric) node set is evaluated.
+    sector.  The node set is conjugate-symmetric and F(conj q) = conj F(q)
+    for a real f, so ``evaluator`` is called only on the upper half, nodes
+    (n_nodes + 1) // 2 onward.
     """
     if tau <= 0.0:
         raise PlanError("tau must be > 0")
     q, w = sinh_nodes(plan)
     n = plan.n_nodes
+    half = (n + 1) // 2
     terms = np.empty(n, dtype=np.complex128)
-    if plan.use_conjugate_symmetry:
-        half = (n + 1) // 2
-        for i in range(half, n):
-            terms[i] = w[i] * np.exp(q[i] * tau) * evaluator(q[i])
-        for i in range(0, half):
-            terms[i] = np.conj(terms[n - 1 - i])
-        n_eval = n - half
-    else:
-        for i in range(n):
-            terms[i] = w[i] * np.exp(q[i] * tau) * evaluator(q[i])
-        n_eval = n
+    for i in range(half, n):
+        terms[i] = w[i] * np.exp(q[i] * tau) * evaluator(q[i])
+    for i in range(0, half):
+        terms[i] = np.conj(terms[n - 1 - i])
     total = 0.0 + 0.0j
     for t in terms:  # fixed summation order for bit reproducibility
         total += t
     tail = max(abs(terms[0]), abs(terms[-1]))
     return SinhResult(value=float(total.real), error_estimate=float(tail),
-                      min_re_q=float(q.real.min()), n_evaluations=n_eval)
+                      min_re_q=float(q.real.min()), n_evaluations=n - half)
 
 
 @dataclass(frozen=True)
@@ -302,28 +294,7 @@ class InversionPlan:
         if self.backend == "gwr":
             _check_n_gaver(self.n_gaver)
 
-    def nodes(self, tau: float) -> np.ndarray:
-        if self.backend == "gwr":
-            return gwr_nodes(tau, self.n_gaver)
-        q, _ = sinh_nodes(self.materialize(tau))
-        return q
-
     def materialize(self, tau: float) -> SinhPlan:
         return sinh_plan(tau, n_nodes=self.sinh_nodes, sigma0=self.sinh_sigma0,
                          gamma=self.sinh_gamma, target_tol=self.sinh_target_tol)
 
-    def invert(self, evaluator, tau: float) -> float:
-        """Run the configured back end on a q -> F(q) evaluator (memoized)."""
-        cache: dict[complex, complex] = {}
-
-        def cached(q):
-            key = complex(q)
-            if key not in cache:
-                cache[key] = evaluator(q)
-            return cache[key]
-
-        if self.backend == "gwr":
-            samples = [cached(q).real if isinstance(cached(q), complex) else float(cached(q))
-                       for q in gwr_nodes(tau, self.n_gaver)]
-            return gwr_invert(samples, tau, self.n_gaver, self.extended_precision).value
-        return sinh_invert(cached, tau, self.materialize(tau)).value

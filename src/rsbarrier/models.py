@@ -25,13 +25,19 @@ __all__ = [
     "KoBoL",
     "LevyModel",
     "char_exponent",
-    "char_exponent_deriv",
+    "psi_unchecked",
+    "psi_deriv_rational",
     "analyticity_strip",
-    "contour_margin",
     "sinh_inversion_admissible",
 ]
 
 _POLE_TOL = 1e-12
+
+
+def _check_finite(model) -> None:
+    for name, value in vars(model).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +48,9 @@ class BrownianDrift:
     sigma2: float
 
     def __post_init__(self):
-        if not (self.sigma2 >= 0.0 and math.isfinite(self.sigma2)):
-            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
+        _check_finite(self)
+        if self.sigma2 < 0.0:
+            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,7 @@ class KouJumpDiffusion:
     alpha_minus: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be >= 0")
         if self.lambda_j < 0.0:
@@ -89,6 +95,7 @@ class KoBoL:
     mu: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not 0.0 < self.nu < 2.0 or self.nu == 1.0:
             raise ValueError("nu must lie in (0,2) with nu != 1")
         if self.c <= 0.0:
@@ -113,14 +120,6 @@ def analyticity_strip(model: LevyModel) -> tuple[float, float]:
     raise TypeError(f"not a LevyModel: {model!r}")
 
 
-def contour_margin(model: LevyModel) -> tuple[float, float]:
-    """Safety margins from each strip edge: 10% of the half-width, capped at 1."""
-    lo, hi = analyticity_strip(model)
-    m_lo = 0.0 if math.isinf(lo) else min(1.0, 0.1 * abs(lo))
-    m_hi = 0.0 if math.isinf(hi) else min(1.0, 0.1 * abs(hi))
-    return m_lo, m_hi
-
-
 def _check_strip(model: LevyModel, im: np.ndarray) -> None:
     lo, hi = analyticity_strip(model)
     if isinstance(model, KoBoL):
@@ -143,62 +142,56 @@ def char_exponent(model: LevyModel, xi):
     scalar = arr.ndim == 0
     z = np.atleast_1d(arr)
     _check_strip(model, z.imag)
-
-    if isinstance(model, BrownianDrift):
-        out = 0.5 * model.sigma2 * z * z - 1j * model.mu * z
-    elif isinstance(model, KouJumpDiffusion):
+    if isinstance(model, KouJumpDiffusion):
         ap, am = model.alpha_plus, model.alpha_minus
-        dplus = ap - 1j * z
-        dminus = am + 1j * z
-        near = np.minimum(np.abs(dplus) / (1 + ap), np.abs(dminus) / (1 + am))
+        near = np.minimum(np.abs(ap - 1j * z) / (1 + ap),
+                          np.abs(am + 1j * z) / (1 + am))
         if np.any(near < _POLE_TOL):
             raise PoleError("xi hits a Kou jump-transform pole")
-        jump = model.lambda_j * (
-            1.0 - model.p * ap / dplus - (1.0 - model.p) * am / dminus
-        )
-        out = 0.5 * model.sigma2 * z * z - 1j * model.mu * z + jump
-    elif isinstance(model, KoBoL):
-        nu, c = model.nu, model.c
-        lp, lm = model.lambda_plus, -model.lambda_minus
-        g = c * math.gamma(-nu)
-        out = -1j * model.mu * z + g * (
-            lp**nu - (lp + 1j * z) ** nu + lm**nu - (lm - 1j * z) ** nu
-        )
-    else:
-        raise TypeError(f"not a LevyModel: {model!r}")
+    out = psi_unchecked(model, z)
     return out[0] if scalar else out
 
 
-def char_exponent_deriv(model: LevyModel, xi):
-    """d psi / d xi, same domain rules as char_exponent."""
-    arr = np.asarray(xi, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    z = np.atleast_1d(arr)
-    _check_strip(model, z.imag)
+def psi_unchecked(model: LevyModel, z):
+    """psi(z) with no strip or pole check.
 
+    For the rational models (Brownian, Kou) this is the meromorphic
+    continuation of psi to the whole plane, which the Wiener-Hopf root
+    polish needs beyond the jump poles.  Contour evaluations go through
+    ``char_exponent``.
+    """
     if isinstance(model, BrownianDrift):
-        out = model.sigma2 * z - 1j * model.mu
-    elif isinstance(model, KouJumpDiffusion):
+        return 0.5 * model.sigma2 * z * z - 1j * model.mu * z
+    if isinstance(model, KouJumpDiffusion):
         ap, am = model.alpha_plus, model.alpha_minus
-        out = (
+        jump = model.lambda_j * (
+            1.0 - model.p * ap / (ap - 1j * z) - (1.0 - model.p) * am / (am + 1j * z)
+        )
+        return 0.5 * model.sigma2 * z * z - 1j * model.mu * z + jump
+    if isinstance(model, KoBoL):
+        nu, c = model.nu, model.c
+        lp, lm = model.lambda_plus, -model.lambda_minus
+        g = c * math.gamma(-nu)
+        return -1j * model.mu * z + g * (
+            lp**nu - (lp + 1j * z) ** nu + lm**nu - (lm - 1j * z) ** nu
+        )
+    raise TypeError(f"not a LevyModel: {model!r}")
+
+
+def psi_deriv_rational(model: LevyModel, z):
+    """d psi / d z for the rational models, with no strip or pole check."""
+    if isinstance(model, BrownianDrift):
+        return model.sigma2 * z - 1j * model.mu
+    if isinstance(model, KouJumpDiffusion):
+        ap, am = model.alpha_plus, model.alpha_minus
+        return (
             model.sigma2 * z
             - 1j * model.mu
             + model.lambda_j
-            * (
-                -model.p * ap * 1j / (ap - 1j * z) ** 2
-                + (1.0 - model.p) * am * 1j / (am + 1j * z) ** 2
-            )
+            * (-model.p * ap * 1j / (ap - 1j * z) ** 2
+               + (1.0 - model.p) * am * 1j / (am + 1j * z) ** 2)
         )
-    elif isinstance(model, KoBoL):
-        nu, c = model.nu, model.c
-        lp, lm = model.lambda_plus, -model.lambda_minus
-        g = c * math.gamma(-nu)
-        out = -1j * model.mu + g * nu * 1j * (
-            (lm - 1j * z) ** (nu - 1.0) - (lp + 1j * z) ** (nu - 1.0)
-        )
-    else:
-        raise TypeError(f"not a LevyModel: {model!r}")
-    return out[0] if scalar else out
+    raise TypeError(f"not a rational LevyModel: {model!r}")
 
 
 def sinh_inversion_admissible(model: LevyModel) -> bool:

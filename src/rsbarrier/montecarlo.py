@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import BarrierProblem
 from .histories import encode
-from .models import BrownianDrift, KouJumpDiffusion
+from .models import KouJumpDiffusion
 
 __all__ = ["McConfig", "McResult", "simulate_price", "brownian_band_series"]
 

@@ -15,9 +15,7 @@ normalization phi+-(0) = 1.
   the growth of Q + psi so the remainder decays, and split the remainder
   into up/down analytic parts by its spectral support (components exp(i v
   eta) with v > 0 extend upward).  The split is exactly complementary, so
-  the product identity holds to machine precision on the contour.  The
-  literal Cauchy-integral construction with sinh-clustered trapezoid nodes
-  ships as `log_factor_cauchy_reference` for cross-validation.
+  the product identity holds to machine precision on the contour.
 """
 
 from __future__ import annotations
@@ -34,7 +32,15 @@ from .errors import (
     InternalError,
 )
 from .grids import DualGrid
-from .models import BrownianDrift, KouJumpDiffusion, LevyModel, analyticity_strip
+from .models import (
+    BrownianDrift,
+    KouJumpDiffusion,
+    LevyModel,
+    analyticity_strip,
+    char_exponent,
+    psi_deriv_rational,
+    psi_unchecked,
+)
 
 __all__ = [
     "WHFactorization",
@@ -42,42 +48,13 @@ __all__ = [
     "factorize",
     "factorize_rational",
     "factorize_integral",
-    "log_factor_cauchy_reference",
 ]
 
 _IM_TOL = 1e-8
-
-
-def _psi_rational(model, xi):
-    """Meromorphic continuation of psi for rational models (no strip checks)."""
-    if isinstance(model, BrownianDrift):
-        return 0.5 * model.sigma2 * xi * xi - 1j * model.mu * xi
-    ap, am = model.alpha_plus, model.alpha_minus
-    jump = model.lambda_j * (
-        1.0 - model.p * ap / (ap - 1j * xi) - (1.0 - model.p) * am / (am + 1j * xi)
-    )
-    return 0.5 * model.sigma2 * xi * xi - 1j * model.mu * xi + jump
-
-
-def _psi_rational_deriv(model, xi):
-    if isinstance(model, BrownianDrift):
-        return model.sigma2 * xi - 1j * model.mu
-    ap, am = model.alpha_plus, model.alpha_minus
-    return (
-        model.sigma2 * xi
-        - 1j * model.mu
-        + model.lambda_j
-        * (-model.p * ap * 1j / (ap - 1j * xi) ** 2
-           + (1.0 - model.p) * am * 1j / (am + 1j * xi) ** 2)
-    )
-
-
-def _psi_any(model, xi):
-    if isinstance(model, (BrownianDrift, KouJumpDiffusion)):
-        return _psi_rational(model, xi)
-    from .models import char_exponent
-
-    return char_exponent(model, xi)
+# the spectral split samples ln((Q+psi)/C) at the grid's frequency spacing
+# over OVERSAMPLE times the grid's frequency range, so the up/down split sees
+# the remainder decay well past the band the multipliers use
+OVERSAMPLE = 4
 
 
 @dataclass
@@ -100,7 +77,6 @@ class WHFactorization:
     roots_upper: list[complex]
     decay_plus: float
     decay_minus: float
-    oversample: int = 4
     _contours: dict = field(default_factory=dict, repr=False)
 
     # -- pointwise evaluation (rational closed form) --------------------
@@ -132,7 +108,7 @@ class WHFactorization:
 
     def e_symbol(self, xi):
         xi = np.asarray(xi, np.complex128)
-        return self.Q / (self.Q + _psi_any(self.model, xi))
+        return self.Q / (self.Q + char_exponent(self.model, xi))
 
     # -- contour arrays (both kinds) -------------------------------------
     def contour_symbols(self, omega: float) -> ContourSymbols:
@@ -152,9 +128,8 @@ class WHFactorization:
         """Global constant pinning phi_plus(0) = 1, from the axis split."""
         if not hasattr(self, "_norm_plus_cache"):
             kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(self.model, self.Q)
-            _, t_plus, _ = _split_remainder_on_contour(
-                self.model, self.Q, self.grid, 0.0, self.oversample)
-            m_total = self.oversample * self.grid.size
+            _, t_plus, _ = _split_remainder_on_contour(self.model, self.Q, self.grid, 0.0)
+            m_total = OVERSAMPLE * self.grid.size
             self._norm_plus_cache = a_exp * math.log(p_base) - t_plus[m_total // 2]
         return self._norm_plus_cache
 
@@ -163,12 +138,12 @@ class WHFactorization:
         if p_base + omega <= 0.0 or m_base - omega <= 0.0:
             raise ContourError("comparison bases must stay off the contour")
         zeta_os, t_plus, t_minus = _split_remainder_on_contour(
-            self.model, self.Q, self.grid, omega, self.oversample)
+            self.model, self.Q, self.grid, omega)
         n_plus = self._norm_plus()
         log_pp = -a_exp * np.log(p_base - 1j * zeta_os) + t_plus + n_plus
         log_pm = (-b_exp * np.log(m_base + 1j * zeta_os) + t_minus
                   + cmath.log(self.Q) - cmath.log(complex(kappa)) - n_plus)
-        m_total = self.oversample * self.grid.size
+        m_total = OVERSAMPLE * self.grid.size
         dxi = 2.0 * math.pi / (self.grid.size * self.grid.dx)
         idx = np.rint(self.grid.xi / dxi).astype(int) + m_total // 2
         return np.exp(log_pp[idx]), np.exp(log_pm[idx])
@@ -176,14 +151,14 @@ class WHFactorization:
     def product_residual(self, omega: float = 0.0) -> float:
         cs = self.contour_symbols(omega)
         zeta = self.grid.xi + 1j * omega
-        resid = cs.phi_plus * cs.phi_minus * (self.Q + _psi_any(self.model, zeta)) / self.Q
+        resid = cs.phi_plus * cs.phi_minus * (self.Q + char_exponent(self.model, zeta)) / self.Q
         return float(np.max(np.abs(resid - 1.0)))
 
 
-def factorize(model: LevyModel, Q: complex, grid: DualGrid, **kwargs) -> WHFactorization:
+def factorize(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
     if isinstance(model, (BrownianDrift, KouJumpDiffusion)):
         return factorize_rational(model, Q, grid)
-    return factorize_integral(model, Q, grid, **kwargs)
+    return factorize_integral(model, Q, grid)
 
 
 def _cleared_polynomial(model, Q):
@@ -239,8 +214,8 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
                 if abs(r - pole) < 1e-8 * (1.0 + abs(pole)):
                     skip = True
         if not skip:
-            f = Q + _psi_rational(model, r)
-            fp = _psi_rational_deriv(model, r)
+            f = Q + psi_unchecked(model, r)
+            fp = psi_deriv_rational(model, r)
             if abs(fp) > 1e-14:
                 r = r - f / fp
         polished.append(complex(r))
@@ -311,7 +286,7 @@ def _continuous_log(values, where: str):
     return np.log(mag) + 1j * ang
 
 
-def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float, oversample: int):
+def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float):
     """Decaying remainder t = -ln((Q+psi)/C) split into up/down spectral parts.
 
     The decaying split is unique (a constant shift would break decay), so the
@@ -321,12 +296,12 @@ def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float, oversamp
     lo, hi = analyticity_strip(model)
     if not lo < omega < hi:
         raise ContourError(f"contour Im xi = {omega} outside the strip ({lo}, {hi})")
-    m_total = oversample * grid.size
+    m_total = OVERSAMPLE * grid.size
     dxi = 2.0 * math.pi / (grid.size * grid.dx)
     j = np.arange(m_total)
     eta = (j - m_total // 2) * dxi
     zeta = eta + 1j * omega
-    w = Q + _psi_any(model, zeta)
+    w = Q + char_exponent(model, zeta)
 
     kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(model, Q)
     comp = kappa * (p_base - 1j * zeta) ** a_exp * (m_base + 1j * zeta) ** b_exp
@@ -348,7 +323,7 @@ def _axis_zero_scan(model, Q, edge: float, side: str) -> float:
     """Distance from the real axis to the nearest on-axis zero of Q + psi."""
     u = np.linspace(1e-4, 0.985, 512) * edge
     zeta = -1j * u if side == "lower" else 1j * u
-    vals = Q + _psi_any(model, zeta)
+    vals = Q + char_exponent(model, zeta)
     mag = np.abs(vals)
     k = int(np.argmin(mag))
     scale = abs(Q) + np.median(mag)
@@ -361,50 +336,16 @@ def _axis_zero_scan(model, Q, edge: float, side: str) -> float:
     return float(0.985 * edge)
 
 
-def factorize_integral(model: LevyModel, Q: complex, grid: DualGrid,
-                       oversample: int = 4) -> WHFactorization:
+def factorize_integral(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
     """Spectral-split factorization; works for any model with a known strip."""
     Q = complex(Q)
     lo, hi = analyticity_strip(model)
     edge_lo = abs(lo) if math.isfinite(lo) else 10.0 * max(1.0, abs(Q))
     edge_hi = abs(hi) if math.isfinite(hi) else 10.0 * max(1.0, abs(Q))
-    fact = WHFactorization(
+    return WHFactorization(
         model=model, Q=Q, grid=grid, kind="integral",
         roots_lower=[], roots_upper=[],
         decay_plus=_axis_zero_scan(model, Q, edge_lo, "lower"),
         decay_minus=_axis_zero_scan(model, Q, edge_hi, "upper"),
-        oversample=oversample,
     )
-    return fact
 
-
-def log_factor_cauchy_reference(model: LevyModel, Q: complex, xi: complex,
-                                side: str = "plus", omega_line: float | None = None,
-                                n_nodes: int = 24001, y_max: float = 16.0,
-                                b_scale: float = 1.0):
-    """Literal Cauchy-projection for ln phi^side at one point (diagnostics).
-
-    ln phi+(xi) = (1/2*pi*i) * int_{Im eta = omega_line} l(eta) * xi /
-    (eta*(eta - xi)) d eta with l = ln(Q/(Q+psi)), the line below Im xi (above
-    for the minus factor), trapezoid in y after eta = i*omega_line + b*sinh(y).
-    """
-    lo, hi = analyticity_strip(model)
-    if omega_line is None:
-        omega_line = 0.4 * lo if side == "plus" else 0.4 * hi
-        if not math.isfinite(omega_line):
-            omega_line = -1.0 if side == "plus" else 1.0
-    if side == "plus" and not complex(xi).imag > omega_line:
-        raise ContourError("plus factor needs Im xi above the line")
-    if side == "minus" and not complex(xi).imag < omega_line:
-        raise ContourError("minus factor needs Im xi below the line")
-    y = np.linspace(-y_max, y_max, n_nodes)
-    eta = 1j * omega_line + b_scale * np.sinh(y)
-    deta = b_scale * np.cosh(y)
-    vals = Q + _psi_any(model, eta)
-    if np.min(np.abs(vals)) <= 0.0:
-        raise ContourError("Q + psi vanishes on the factor line")
-    l = np.log(Q) - np.log(vals)  # principal; caller keeps Re Q generous
-    kernel = xi / (eta * (eta - xi))
-    integral = np.trapezoid(l * kernel * deta, dx=y[1] - y[0])
-    sign = 1.0 if side == "plus" else -1.0
-    return sign * integral / (2.0j * math.pi)

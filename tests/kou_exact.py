@@ -11,14 +11,14 @@ represent exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .models import BrownianDrift, KouJumpDiffusion
-from .wiener_hopf import WHFactorization
+from rsbarrier.errors import ResourceLimitError
+from rsbarrier.models import KouJumpDiffusion
+from rsbarrier.wiener_hopf import WHFactorization
 
 __all__ = ["PiecewiseExp", "ExactEpv"]
 

@@ -4,12 +4,12 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from rsbarrier.cli import main, run_price
-from rsbarrier.config import config_to_dict, parse_config
+from rsbarrier.cli import main
+from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.errors import ConfigError
 from rsbarrier.montecarlo import brownian_band_series
 
@@ -50,15 +50,6 @@ TWO_REGIME_DOC = {
 }
 
 
-def test_round_trip_identity():
-    cfg = parse_config(copy.deepcopy(TWO_REGIME_DOC))
-    doc = config_to_dict(cfg)
-    cfg2 = parse_config(doc)
-    assert config_to_dict(cfg2) == doc
-    assert cfg2.problem.chain.rates.tolist() == cfg.problem.chain.rates.tolist()
-    assert cfg2.problem.initial_history == cfg.problem.initial_history
-
-
 def test_rule_rates_materialized():
     cfg = parse_config(copy.deepcopy(TWO_REGIME_DOC))
     chain = cfg.problem.chain
@@ -86,6 +77,27 @@ def test_config_validation_errors():
         parse_config(doc)
 
 
+# every number parse_config reads into the problem, as a path into the document
+NUMERIC_FIELDS = [
+    ("x0",), ("barriers", "lower"), ("barriers", "upper"), ("maturity",),
+    ("regimes", 1, "r"), ("regimes", 1, "G"), ("chain", "lambda0"),
+    ("chain", "rates", "default"), ("chain", "rates", "rules", 0, "rate"),
+    ("regimes", 0, "model", "lambdaJ"), ("regimes", 1, "model", "sigma2"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=lambda p: ".".join(map(str, p)))
+def test_non_finite_input_rejected(path, value):
+    doc = copy.deepcopy(TWO_REGIME_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
 def _run_cli(tmp_path, doc, *argv):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -95,13 +107,14 @@ def _run_cli(tmp_path, doc, *argv):
     return rc, buf.getvalue()
 
 
-def test_price_cli_and_boundary_zero(tmp_path):
+def test_price_cli_and_boundary_zero(tmp_path, capsys):
     doc = copy.deepcopy(BROWNIAN_DOC)
     doc["x0"] = 1.0  # exactly on the upper barrier
     rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert all(float(r["price"]) == 0.0 for r in rows)
+    assert "warning: spot outside band" in capsys.readouterr().err.splitlines()
 
 
 def test_price_cli_matches_series(tmp_path):
@@ -134,6 +147,18 @@ def test_mc_cli(tmp_path):
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert 0.0 < float(row["estimate"]) < 1.0
     assert int(row["paths"]) == 2000
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    # mc takes --seed only; argparse exits with code 2 on an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        _run_cli(tmp_path, BROWNIAN_DOC, "mc", "--threads", "2")
+    assert exc.value.code == 2
+    for argv in (("mc", "--backend", "sinh"), ("factors", "--seed", "3"),
+                 ("price", "--seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            _run_cli(tmp_path, BROWNIAN_DOC, *argv)
+        assert exc.value.code == 2
 
 
 def test_factors_cli(tmp_path):
@@ -185,11 +210,20 @@ def test_convergence_memory_ladder(tmp_path):
     assert rc == 2  # dense rates: rejected
 
 
-def test_bad_config_exit_code(tmp_path):
+def test_bad_config_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     rc = main(["price", "--config", str(p)])
     assert rc == 2
+    # json.dumps writes NaN, which json.load reads back as a float
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    doc["maturity"] = math.nan
+    p.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["price", "--config", str(p), "--threads", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_numeric_error_exit_code(tmp_path):
@@ -199,3 +233,15 @@ def test_numeric_error_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(doc))
     rc = main(["price", "--config", str(cfg_path), "--threads", "1"])
     assert rc == 3
+
+
+def test_readme_defaults_table_matches_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 3 and cells[0] in DEFAULTS:
+            rows[cells[0]] = cells[2]
+    assert set(rows) == set(DEFAULTS)
+    for key, value in DEFAULTS.items():
+        assert rows[key] == json.dumps(value), key

@@ -6,7 +6,6 @@ from rsbarrier.grids import (
     Region,
     SampledFunction,
     build_grid,
-    indicator_multiply,
     indicator_soft,
     soft_mask,
 )
@@ -23,7 +22,6 @@ def test_barriers_on_nodes_and_conjugacy():
     g = small_grid()
     assert g.lower == pytest.approx(-1.0, abs=1e-12)
     assert g.upper == pytest.approx(1.0, abs=1e-12)
-    assert g.snap_distance == 0.0
     dxi = g.xi[1] - g.xi[0]
     assert g.dx * dxi == pytest.approx(2 * np.pi / g.size)
 
@@ -63,39 +61,6 @@ def test_step_farfield_and_midvalue():
     assert full[g.upper_index + 1] == pytest.approx(2.0)
 
 
-def test_indicator_literal_brackets():
-    g = small_grid()
-    u = SampledFunction.constant(g, 1.0)
-    above = indicator_multiply(u, Region.AT_OR_ABOVE_UPPER)
-    full = above.full().real
-    assert full[g.upper_index] == pytest.approx(1.0)   # closed at h+
-    assert full[g.upper_index - 1] == pytest.approx(0.0)
-    assert np.allclose(above.c_lo, 0.0) and np.allclose(above.c_hi, 1.0)
-
-    below = indicator_multiply(u, Region.BELOW_UPPER)
-    fb = below.full().real
-    assert fb[g.upper_index] == pytest.approx(0.0)     # open at h+
-    assert fb[g.upper_index - 1] == pytest.approx(1.0)
-
-
-def test_indicator_idempotent():
-    g = small_grid()
-    rng = np.random.default_rng(3)
-    u = SampledFunction.from_samples(g, rng.standard_normal(g.size), 0.3, 0.8)
-    once = indicator_multiply(u, Region.ABOVE_LOWER)
-    twice = indicator_multiply(once, Region.ABOVE_LOWER)
-    assert np.allclose(once.full(), twice.full())
-
-
-def test_indicator_partition():
-    g = small_grid()
-    rng = np.random.default_rng(4)
-    u = SampledFunction.from_samples(g, rng.standard_normal(g.size), -0.4, 1.2)
-    lo = indicator_multiply(u, Region.BELOW_UPPER)
-    hi = indicator_multiply(u, Region.AT_OR_ABOVE_UPPER)
-    assert np.allclose((lo + hi).full(), u.full(), atol=1e-14)
-
-
 def test_soft_partition_and_weights():
     g = small_grid()
     w1 = soft_mask(g, Region.BELOW_UPPER)
@@ -127,6 +92,6 @@ def test_indicator_linearity_property(a, b):
     g = small_grid(m_power=8)
     u = SampledFunction.constant(g, a)
     v = SampledFunction.constant(g, b)
-    lhs = indicator_multiply(u + v, Region.AT_OR_BELOW_LOWER)
-    rhs = indicator_multiply(u, Region.AT_OR_BELOW_LOWER) + indicator_multiply(v, Region.AT_OR_BELOW_LOWER)
+    lhs = indicator_soft(u + v, Region.AT_OR_BELOW_LOWER)
+    rhs = indicator_soft(u, Region.AT_OR_BELOW_LOWER) + indicator_soft(v, Region.AT_OR_BELOW_LOWER)
     assert np.allclose(lhs.full(), rhs.full(), atol=1e-12)

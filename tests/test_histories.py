@@ -9,8 +9,6 @@ from rsbarrier.histories import (
     decode,
     encode,
     enumerate_histories,
-    q_of_history,
-    q_uniform,
     shift,
     space_size,
 )
@@ -73,25 +71,10 @@ def test_out_degree_sum():
     assert positive == space_size(m, n) * (m - 1)
 
 
-def test_q_of_history_trivial():
-    chain = MemoryChain.from_constant(1, 0, 0.0)
-    r = np.array([0.0])
-    assert q_of_history(chain, r, HistoryIndex((1,)), 1.0) == pytest.approx(1.0)
-
-
-def test_q_of_history_sum():
-    chain = MemoryChain(2, 0, np.array([[2.0], [2.0]]))
-    r = np.array([0.05, 0.0])
-    h = HistoryIndex((1,))
-    assert q_of_history(chain, r, h, 0.5) == pytest.approx(2.55)
-
-
 def test_lambda0_two_state():
-    # lambda_{2,(1)}=1, lambda_{1,(2)}=2 -> Lambda0 = 2, Q(1;1) = 1+2+r1
+    # lambda_{2,(1)}=1, lambda_{1,(2)}=2 -> Lambda0 = 2
     chain = MemoryChain(2, 0, np.array([[1.0], [2.0]]))
     assert chain.lambda0 == pytest.approx(2.0)
-    r = np.array([0.07, 0.0])
-    assert q_uniform(chain, r, 1, 1.0) == pytest.approx(3.07)
 
 
 def test_lambda0_override():
@@ -110,7 +93,7 @@ def test_rate_lookup_and_shift_codes():
     assert chain.rate(2, h) == pytest.approx(1.25)
     assert chain.rate(3, h) == pytest.approx(0.5)
     i = encode(3, h)
-    j = chain.targets_of(1).index(2)
+    j = 0  # targets of head 1 in ascending order: (2, 3)
     assert chain.codes_after_shift[i, j] == encode(3, shift(h, 2))
 
 

@@ -152,17 +152,6 @@ def test_sinh_doubling_stability():
     assert abs(v1 - v2) < 1e-9
 
 
-def test_inversion_plan_dispatch_and_memoization():
-    calls = []
-
-    def evaluator(q):
-        calls.append(q)
-        return 1.0 / (q + 1.0)
-
-    plan = InversionPlan(backend="gwr", n_gaver=8)
-    value = plan.invert(evaluator, 1.0)
-    assert abs(value - E_INV) < 1e-6
-    assert len(calls) == len(set(calls)) == 16
-
+def test_inversion_plan_rejects_unknown_backend():
     with pytest.raises(PlanError):
         InversionPlan(backend="talbot")

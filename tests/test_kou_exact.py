@@ -3,10 +3,12 @@ import pytest
 
 from rsbarrier.errors import ResourceLimitError
 from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
-from rsbarrier.kou_exact import ExactEpv, PiecewiseExp
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 from rsbarrier.epv import apply_epv, first_touch_above
 from rsbarrier.wiener_hopf import factorize_rational
+
+from kou_exact import ExactEpv, PiecewiseExp
+from oracles import core_region
 
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
 KOU = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.5,
@@ -81,7 +83,7 @@ def test_grid_backend_cross_validation_epv(kou_pair):
     exact = ex.e_plus(PiecewiseExp.step_above(grid.upper, 1.0))
     on_grid = apply_epv(factors, "plus",
                         SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 1.0))
-    mask = grid.core_region() & (np.abs(grid.x - grid.upper) > 0.05)
+    mask = core_region(grid) & (np.abs(grid.x - grid.upper) > 0.05)
     assert np.abs(on_grid.full() - exact(grid.x))[mask].max() < 1e-6
 
 
@@ -101,7 +103,7 @@ def test_grid_backend_cross_validation_inner_step(kou_pair):
     boundary = first_touch_above(
         factors, SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.8))
     on_grid = sweep + boundary
-    mask = (grid.core_region()
+    mask = (core_region(grid)
             & (np.abs(grid.x - grid.upper) > 0.05)
             & (np.abs(grid.x - grid.lower) > 0.05))
     assert np.abs(on_grid.full() - exact(grid.x))[mask].max() < 1e-6

@@ -11,8 +11,7 @@ from rsbarrier.models import (
     KoBoL,
     analyticity_strip,
     char_exponent,
-    char_exponent_deriv,
-    contour_margin,
+    psi_deriv_rational,
     sinh_inversion_admissible,
 )
 
@@ -126,6 +125,10 @@ def test_invalid_params_rejected():
         KouJumpDiffusion(mu=0, sigma2=0.1, lambda_j=1, p=1.5, alpha_plus=1, alpha_minus=1)
     with pytest.raises(ValueError):
         KoBoL(nu=0.5, c=1.0, lambda_plus=-2.0, lambda_minus=-5.0, mu=0.0)
+    with pytest.raises(ValueError):
+        KouJumpDiffusion(mu=0, sigma2=0.1, lambda_j=math.nan, p=0.5, alpha_plus=1, alpha_minus=1)
+    with pytest.raises(ValueError):
+        KoBoL(nu=0.5, c=math.inf, lambda_plus=2.0, lambda_minus=-5.0, mu=0.0)
 
 
 @given(st.floats(-30, 30), st.floats(-0.9, 0.9))
@@ -135,12 +138,7 @@ def test_deriv_matches_difference_quotient(re, im_frac):
     xi = re + 1j * im_frac * (0.4 * min(-lo, hi))
     h = 1e-5
     fd = (char_exponent(model, xi + h) - char_exponent(model, xi - h)) / (2 * h)
-    assert char_exponent_deriv(model, xi) == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_contour_margin_rule():
-    assert contour_margin(BM) == (0.0, 0.0)
-    assert contour_margin(KOU) == (1.0, 0.5)
+    assert psi_deriv_rational(model, xi) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_sinh_admissibility_flags():
