@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .config import ProblemConfig, parse_config, read_document
-from .engine import QPricer
+from .engine import QPricer, check_working_set
 from .errors import ConfigError, RsBarrierError
 from .grids import DualGrid, build_grid
 from .histories import encode
@@ -32,11 +32,14 @@ from .wiener_hopf import factorize
 
 def _grid(cfg: ProblemConfig) -> DualGrid:
     g = cfg.grid
-    return build_grid(cfg.problem.lower, cfg.problem.upper,
-                      m_power=g.m_power, domain_factor=g.domain_factor,
-                      models=[r.model for r in cfg.problem.regimes],
-                      damping_scale=g.damping_scale, damping_cap=g.damping_cap,
-                      decay_tol=g.decay_tol)
+    try:
+        return build_grid(cfg.problem.lower, cfg.problem.upper,
+                          m_power=g.m_power, domain_factor=g.domain_factor,
+                          models=[r.model for r in cfg.problem.regimes],
+                          damping_scale=g.damping_scale, damping_cap=g.damping_cap,
+                          decay_tol=g.decay_tol)
+    except ValueError as exc:  # the band does not fit 2^mPower nodes
+        raise ConfigError(f"invalid grid: {exc}") from exc
 
 
 def _make_pricer(cfg: ProblemConfig) -> QPricer:
@@ -171,6 +174,7 @@ def _cmd_factors(args) -> int:
     cfg = parse_config(_document(args))
     model = cfg.problem.regimes[args.regime - 1].model
     grid = _grid(cfg)
+    check_working_set(1, grid.size)
     fact = factorize(model, complex(args.q_value), grid)
     cs = fact.contour_symbols(0.0)
     resid = np.abs(cs.phi_plus * cs.phi_minus / cs.e_symbol - 1.0)

@@ -141,47 +141,54 @@ def _finite(value, name: str) -> float:
 
 
 def parse_config(doc: dict) -> ProblemConfig:
+    """The validated problem of a config document.  Every fault in the
+    document, a value of the wrong type included, raises ``ConfigError``."""
     try:
-        regimes = tuple(
-            RegimeSpec(model=_model_from_dict(r["model"]),
-                       rate=_finite(r["r"], "r"), payoff=_finite(r["G"], "G"))
-            for r in doc["regimes"]
-        )
-        chain = _chain_from_dict(doc["chain"])
-        barriers = doc["barriers"]
-        lower = _finite(barriers["lower"], "barriers.lower")
-        upper = _finite(barriers["upper"], "barriers.upper")
-        x0 = _finite(doc["x0"], "x0")
-        maturity = _finite(doc["maturity"], "maturity")
-        init = tuple(int(v) for v in doc["initialHistory"])
+        return _parse(doc)
     except KeyError as exc:
         raise ConfigError(f"config field missing: {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"invalid value: {exc}") from exc
+
+
+def _parse(doc: dict) -> ProblemConfig:
+    regimes = tuple(
+        RegimeSpec(model=_model_from_dict(r["model"]),
+                   rate=_finite(r["r"], "r"), payoff=_finite(r["G"], "G"))
+        for r in doc["regimes"]
+    )
+    chain = _chain_from_dict(doc["chain"])
+    barriers = doc["barriers"]
+    lower = _finite(barriers["lower"], "barriers.lower")
+    upper = _finite(barriers["upper"], "barriers.upper")
+    x0 = _finite(doc["x0"], "x0")
+    maturity = _finite(doc["maturity"], "maturity")
+    init = tuple(int(v) for v in doc["initialHistory"])
     if len(regimes) != chain.m:
         raise ConfigError(
             f"{len(regimes)} regimes but chain has m={chain.m}")
     if len(init) != chain.n_memory + 1:
         raise ConfigError(
             f"initial history must list N+1={chain.n_memory + 1} states")
-    try:
-        history = HistoryIndex(init)
-        problem = BarrierProblem(regimes=regimes, chain=chain, lower=lower,
-                                 upper=upper, spot=x0, maturity=maturity,
-                                 initial_history=history)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = BarrierProblem(regimes=regimes, chain=chain, lower=lower,
+                             upper=upper, spot=x0, maturity=maturity,
+                             initial_history=HistoryIndex(init))
 
     g = doc.get("grid", {})
     grid = GridConfig(
         m_power=int(g.get("mPower", DEFAULTS["grid.m_power"])),
-        domain_factor=float(g.get("domainFactor", DEFAULTS["grid.domain_factor"])),
-        damping_scale=float(g.get("dampingScale", DEFAULTS["grid.damping_scale"])),
-        damping_cap=float(g.get("dampingCap", DEFAULTS["grid.damping_cap"])),
-        decay_tol=float(g.get("decayTol", DEFAULTS["grid.decay_tol"])),
+        domain_factor=_finite(g.get("domainFactor", DEFAULTS["grid.domain_factor"]),
+                              "grid.domainFactor"),
+        damping_scale=_finite(g.get("dampingScale", DEFAULTS["grid.damping_scale"]),
+                              "grid.dampingScale"),
+        damping_cap=_finite(g.get("dampingCap", DEFAULTS["grid.damping_cap"]),
+                            "grid.dampingCap"),
+        decay_tol=_finite(g.get("decayTol", DEFAULTS["grid.decay_tol"]), "grid.decayTol"),
     )
     t = doc.get("tolerances", {})
     tol = Tolerances(
-        inner=float(t.get("inner", DEFAULTS["tolerances.inner"])),
-        outer=float(t.get("outer", DEFAULTS["tolerances.outer"])),
+        inner=_finite(t.get("inner", DEFAULTS["tolerances.inner"]), "tolerances.inner"),
+        outer=_finite(t.get("outer", DEFAULTS["tolerances.outer"]), "tolerances.outer"),
         max_outer=int(t.get("maxOuter", DEFAULTS["tolerances.max_outer"])),
         max_sweeps=int(t.get("maxSweeps", DEFAULTS["tolerances.max_sweeps"])),
     )
@@ -208,6 +215,7 @@ def parse_config(doc: dict) -> ProblemConfig:
         bridge=bool(mc_doc.get("bridge", DEFAULTS["mc.bridge"])),
         antithetic=bool(mc_doc.get("antithetic", DEFAULTS["mc.antithetic"])),
     )
+    mc.validate(maturity)
     threads = doc.get("threads")
     return ProblemConfig(problem=problem, grid=grid, tolerances=tol,
                          inversion=plan, mc=mc,

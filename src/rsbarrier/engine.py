@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ContractionFailureError,
     DivergenceError,
+    ResourceLimitError,
     SpectralParameterError,
 )
 from .grids import DualGrid, Region, SampledFunction, build_grid, indicator_soft
@@ -28,7 +29,28 @@ from .epv import apply_epv, first_touch_above, first_touch_below
 from .wiener_hopf import factorize
 
 __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",
-           "QPricer", "solve_v0"]
+           "QPricer", "solve_v0", "check_working_set", "working_set_bytes",
+           "MAX_WORKING_BYTES"]
+
+MAX_WORKING_BYTES = 4 * 2**30
+# complex (histories, M) arrays alive at once in one sweep; tracemalloc reads
+# about 13 on a 24-history chain at M = 2^13 and 2^14
+SWEEP_LIVE_ARRAYS = 16
+
+
+def working_set_bytes(histories: int, size: int) -> int:
+    """Estimated peak bytes of the sweeps at one spectral value."""
+    return histories * size * 16 * SWEEP_LIVE_ARRAYS
+
+
+def check_working_set(histories: int, size: int) -> None:
+    """Raise ResourceLimitError, before any array is built, when the estimate
+    exceeds MAX_WORKING_BYTES."""
+    need = working_set_bytes(histories, size)
+    if need > MAX_WORKING_BYTES:
+        raise ResourceLimitError(f"{histories} histories on {size} grid nodes need "
+                                 f"about {need / 2**30:.3g} GiB, above the "
+                                 f"{MAX_WORKING_BYTES / 2**30:g} GiB cap")
 
 
 @dataclass(frozen=True)
@@ -191,6 +213,7 @@ class QPricer:
         if (abs(self.grid.lower - problem.lower) > 1e-12 * band
                 or abs(self.grid.upper - problem.upper) > 1e-12 * band):
             raise ValueError("grid barriers do not match the problem")
+        check_working_set(problem.chain.size, self.grid.size)
         self.tol_inner = tol_inner
         self.tol_outer = tol_outer
         self.max_outer = max_outer
@@ -237,12 +260,14 @@ class QPricer:
         q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
                             for s in range(1, chain.m + 1)], dtype=np.complex128)
 
+        if side == "plus":
+            first_touch, inner, region = first_touch_above, "minus", Region.BELOW_UPPER
+        else:
+            first_touch, inner, region = first_touch_below, "plus", Region.ABOVE_LOWER
+
         boundary = SampledFunction.zero(grid, (chain.size,))
         for s, idx in groups:
-            data = boundary_data.select(idx)
-            term = (first_touch_above(factors[s - 1], data) if side == "plus"
-                    else first_touch_below(factors[s - 1], data))
-            boundary.assign(idx, term)
+            boundary.assign(idx, first_touch(factors[s - 1], boundary_data.select(idx)))
 
         cur = SampledFunction.zero(grid, (chain.size,))
         scale = self._scale(q)
@@ -258,19 +283,13 @@ class QPricer:
                 mono_mask = (x > grid.lower) & (x < grid.upper)
         prev_diff = None
         rising = 0
-        region = Region.BELOW_UPPER if side == "plus" else Region.ABOVE_LOWER
         for sweep in range(1, self.max_sweeps + 1):
             coup = self._coupling(cur)
             new = SampledFunction.zero(grid, (chain.size,))
             for s, idx in groups:
                 fac = factors[s - 1]
-                sub = coup.select(idx)
-                if side == "plus":
-                    w = apply_epv(fac, "plus", indicator_soft(
-                        apply_epv(fac, "minus", sub), region))
-                else:
-                    w = apply_epv(fac, "minus", indicator_soft(
-                        apply_epv(fac, "plus", sub), region))
+                w = apply_epv(fac, side, indicator_soft(
+                    apply_epv(fac, inner, coup.select(idx)), region))
                 new.assign(idx, w.scale(1.0 / q_heads[s - 1]))
             new = new + boundary
             diff = (new - cur).sup_norm()
@@ -333,8 +352,7 @@ class QPricer:
 
         # knock-out boundary condition: exactly zero outside the open band
         full = total.full()
-        idx = np.arange(grid.size)
-        outside = (idx <= grid.lower_index) | (idx >= grid.upper_index)
+        outside = (grid.index <= grid.lower_index) | (grid.index >= grid.upper_index)
         stats.boundary_residual = float(np.max(np.abs(full[..., outside])))
         full[..., outside] = 0.0
         clipped = SampledFunction.from_samples(grid, full, 0.0, 0.0)

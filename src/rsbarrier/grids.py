@@ -15,6 +15,7 @@ leading batch dimensions (one row per history).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import math
@@ -29,20 +30,25 @@ __all__ = [
     "Region",
     "build_grid",
     "indicator_soft",
-    "soft_mask",
 ]
 
-ROLL_START = 0.85      # spectral_roll is 1 below this fraction of Nyquist
+ROLL_START = 0.85      # DualGrid.roll is 1 below this fraction of Nyquist
 WINDOW_ROLLOFF = 0.5   # Gaussian width of window_mask beyond its margin
 
 
 class Region(Enum):
-    """Half-line indicators used by the barrier recursions."""
+    """Half-line indicators used by the barrier recursions, as (barrier,
+    direction of the kept side)."""
 
-    BELOW_UPPER = "below_upper"          # 1_(-inf, h+)
-    ABOVE_LOWER = "above_lower"          # 1_(h-, +inf)
-    AT_OR_ABOVE_UPPER = "at_or_above"    # 1_[h+, +inf)
-    AT_OR_BELOW_LOWER = "at_or_below"    # 1_(-inf, h-]
+    BELOW_UPPER = ("upper", -1)          # 1_(-inf, h+)
+    ABOVE_LOWER = ("lower", +1)          # 1_(h-, +inf)
+    AT_OR_ABOVE_UPPER = ("upper", +1)    # 1_[h+, +inf)
+    AT_OR_BELOW_LOWER = ("lower", -1)    # 1_(-inf, h-]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,8 @@ class DualGrid:
     dx * dxi = 2*pi/M by construction.  ``omega_plus`` (< 0) and
     ``omega_minus`` (> 0) are the default damping contours for sup-side and
     inf-side operator applications; both sit strictly inside every regime's
-    analyticity strip.
+    analyticity strip.  Arrays that depend only on the grid are built on
+    first use and kept, read-only; they take no part in ``==`` or the hash.
     """
 
     x_min: float
@@ -66,13 +73,22 @@ class DualGrid:
     guard: int
     decay_tol: float = 1e-6
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.size)
+    @cached_property
+    def index(self) -> np.ndarray:
+        return _frozen(np.arange(self.size))
 
-    @property
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _frozen(self.x_min + self.dx * self.index)
+
+    @cached_property
     def xi(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.size, d=self.dx)
+        return _frozen(2.0 * math.pi * np.fft.fftfreq(self.size, d=self.dx))
+
+    @cached_property
+    def hi_side(self) -> np.ndarray:
+        """Nodes that carry the upper far-field constant c_hi."""
+        return _frozen(self.index >= self.ref_index)
 
     @property
     def lower(self) -> float:
@@ -82,7 +98,8 @@ class DualGrid:
     def upper(self) -> float:
         return self.x_min + self.dx * self.upper_index
 
-    def spectral_roll(self) -> np.ndarray:
+    @cached_property
+    def roll(self) -> np.ndarray:
         """Smooth frequency roll-off over the top (1-ROLL_START) of the band.
 
         Multiplier symbols are not periodic across the Nyquist wrap; applying
@@ -101,26 +118,37 @@ class DualGrid:
         ti = t[inside]
         s[inside] = np.exp(-np.exp(-1.0 / ti) / (1.0 - ti) ** 2 * 4.0)
         s[t >= 1.0] = 0.0
-        return s
+        return _frozen(s)
 
-    def taper(self, side: str = "both") -> np.ndarray:
-        """Raised-cosine window: 1 in the interior, 0 at the guard edge(s).
-
-        ``side`` = "lo" tapers only the left guard, "hi" only the right,
-        "both" both ends.
-        """
+    @cached_property
+    def taper_lo(self) -> np.ndarray:
+        """Raised cosine from 0 to 1 over the left guard band, 1 elsewhere."""
         w = np.ones(self.size)
-        g = self.guard
-        if g > 0:
-            ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(g) / g))
-            if side in ("both", "lo"):
-                w[:g] = ramp
-            if side in ("both", "hi"):
-                w[-g:] = ramp[::-1]
-        return w
+        w[:self.guard] = 0.5 * (1.0 - np.cos(np.pi * np.arange(self.guard) / self.guard))
+        return _frozen(w)
+
+    @cached_property
+    def taper_hi(self) -> np.ndarray:
+        return _frozen(self.taper_lo[::-1].copy())
+
+    @cached_property
+    def taper_both(self) -> np.ndarray:
+        return _frozen(self.taper_lo * self.taper_hi)
 
     def interior(self) -> slice:
         return slice(self.guard, self.size - self.guard)
+
+    def region_edge(self, region: Region) -> tuple[int, int]:
+        """(barrier node, direction of the kept side) of a half-line region."""
+        barrier, direction = region.value
+        return (self.upper_index if barrier == "upper" else self.lower_index), direction
+
+    def half_line(self, node: int, direction: int, at_node: float) -> np.ndarray:
+        """1 beyond ``node`` in ``direction`` (+1 up, -1 down), ``at_node`` at
+        the node, 0 on the other side."""
+        w = (self.index > node if direction > 0 else self.index < node).astype(float)
+        w[node] = at_node
+        return w
 
     def window_mask(self, margin: float) -> np.ndarray:
         """Smooth cutoff of residuals beyond ``margin`` outside the band.
@@ -220,9 +248,21 @@ class SampledFunction:
         lead = full.shape[:-1]
         lo = np.broadcast_to(np.asarray(c_lo, np.complex128), lead)
         hi = np.broadcast_to(np.asarray(c_hi, np.complex128), lead)
-        mask_hi = (np.arange(grid.size) >= grid.ref_index)
-        res = full - lo[..., None] * (~mask_hi) - hi[..., None] * mask_hi
+        res = full - lo[..., None] * (~grid.hi_side) - hi[..., None] * grid.hi_side
         return cls(grid, res, lo, hi)
+
+    @classmethod
+    def beyond(cls, grid: DualGrid, full, c_lo, c_hi, node: int, direction: int,
+               at_node: float) -> "SampledFunction":
+        """``full`` kept beyond ``node`` in ``direction`` and weighted by
+        ``at_node`` at the node, zero on the other side.  The far-field
+        constant of the kept side stays; the other one becomes 0."""
+        if direction > 0:
+            c_lo = np.zeros_like(c_lo)
+        else:
+            c_hi = np.zeros_like(c_hi)
+        return cls.from_samples(grid, full * grid.half_line(node, direction, at_node),
+                                c_lo, c_hi)
 
     @classmethod
     def step(cls, grid: DualGrid, region: Region, c) -> "SampledFunction":
@@ -233,11 +273,7 @@ class SampledFunction:
         damped-FFT algebra turns into an O(dx) barrier displacement.
         """
         c = np.asarray(c, np.complex128)
-        w = soft_mask(grid, region)
-        full = c[..., None] * w
-        if region in (Region.BELOW_UPPER, Region.AT_OR_BELOW_LOWER):
-            return cls.from_samples(grid, full, c_lo=c, c_hi=np.zeros_like(c))
-        return cls.from_samples(grid, full, c_lo=np.zeros_like(c), c_hi=c)
+        return cls.beyond(grid, c[..., None], c, c, *grid.region_edge(region), 0.5)
 
     # -- basic algebra ------------------------------------------------
     @property
@@ -245,10 +281,10 @@ class SampledFunction:
         return self.values.shape[:-1]
 
     def full(self) -> np.ndarray:
-        mask_hi = np.arange(self.grid.size) >= self.grid.ref_index
+        hi_side = self.grid.hi_side
         return (self.values
-                + self.c_lo[..., None] * (~mask_hi)
-                + self.c_hi[..., None] * mask_hi)
+                + self.c_lo[..., None] * (~hi_side)
+                + self.c_hi[..., None] * hi_side)
 
     def __add__(self, other):
         self._check(other)
@@ -270,10 +306,9 @@ class SampledFunction:
         if other.grid is not self.grid and other.grid != self.grid:
             raise ValueError("operands live on different grids")
 
-    def sup_norm(self, interior: bool = True) -> float:
-        """Max magnitude over the (interior) samples and the far fields."""
-        sl = self.grid.interior() if interior else slice(None)
-        m = float(np.max(np.abs(self.full()[..., sl]))) if self.grid.size else 0.0
+    def sup_norm(self) -> float:
+        """Max magnitude over the interior samples and the far fields."""
+        m = float(np.max(np.abs(self.full()[..., self.grid.interior()])))
         return max(m, float(np.max(np.abs(self.c_lo), initial=0.0)),
                    float(np.max(np.abs(self.c_hi), initial=0.0)))
 
@@ -286,43 +321,12 @@ class SampledFunction:
         self.c_hi[idx] = other.c_hi
 
 
-def soft_mask(grid: DualGrid, region: Region) -> np.ndarray:
-    """Half-line weights with 1/2 at the barrier node (spectral convention).
-
-    The average of the closed and open brackets: complementary regions still
-    partition unity exactly, and sampled jumps stay centred on the barrier.
-    """
-    idx = np.arange(grid.size)
-    if region is Region.BELOW_UPPER:
-        w = (idx < grid.upper_index).astype(float)
-        w[grid.upper_index] = 0.5
-    elif region is Region.AT_OR_ABOVE_UPPER:
-        w = (idx > grid.upper_index).astype(float)
-        w[grid.upper_index] = 0.5
-    elif region is Region.ABOVE_LOWER:
-        w = (idx > grid.lower_index).astype(float)
-        w[grid.lower_index] = 0.5
-    elif region is Region.AT_OR_BELOW_LOWER:
-        w = (idx < grid.lower_index).astype(float)
-        w[grid.lower_index] = 0.5
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    return w
-
-
 def indicator_soft(u: SampledFunction, region: Region) -> SampledFunction:
     """Indicator multiplication with the spectral (mid-value) node convention.
 
-    The barrier node keeps half of u, as ``soft_mask`` weights it.
+    The barrier node keeps half of u, the average of the closed and open
+    brackets: complementary regions still partition unity exactly, and
+    sampled jumps stay centred on the barrier.
     """
-    grid = u.grid
-    w = soft_mask(grid, region)
-    if region in (Region.BELOW_UPPER, Region.AT_OR_BELOW_LOWER):
-        c_lo, c_hi = u.c_lo, np.zeros_like(u.c_hi)
-    else:
-        c_lo, c_hi = np.zeros_like(u.c_lo), u.c_hi
-    masked = u.full() * w
-    mask_hi = np.arange(grid.size) >= grid.ref_index
-    res = masked - c_lo[..., None] * (~mask_hi) - c_hi[..., None] * mask_hi
-    return SampledFunction(grid, res, c_lo, c_hi)
-
+    return SampledFunction.beyond(u.grid, u.full(), u.c_lo, u.c_hi,
+                                  *u.grid.region_edge(region), 0.5)

@@ -1,8 +1,9 @@
 """Test oracles computed apart from the pricing path.
 
-``core_region`` is the mask where pointwise accuracy is asserted, and
-``log_factor_cauchy_reference`` is the literal Cauchy-integral form of the
-Wiener-Hopf log-factor, against which the spectral split is checked.
+``core_region`` is the mask where pointwise accuracy is asserted,
+``undamped_multiplier`` applies a symbol on the real axis with no damping,
+and ``log_factor_cauchy_reference`` is the literal Cauchy-integral form of
+the Wiener-Hopf log-factor, against which the spectral split is checked.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from rsbarrier.errors import ContourError
+from rsbarrier.grids import SampledFunction
 from rsbarrier.models import LevyModel, analyticity_strip, char_exponent
 
 
@@ -27,6 +29,21 @@ def core_region(grid, widths: float = 2.0) -> np.ndarray:
     hi = grid.upper + widths * band
     x = grid.x
     return (x >= lo) & (x <= hi)
+
+
+def undamped_multiplier(u: SampledFunction, symbol: np.ndarray) -> SampledFunction:
+    """Apply ``symbol`` (on grid.xi, fft order, 1 at xi = 0) on the real axis.
+
+    Without damping the residual must decay on both sides, so the far-field
+    constants must agree; the residual is tapered at both guard bands before
+    and after the transform, and the symbol is rolled off like the grid's.
+    """
+    grid = u.grid
+    if not np.allclose(u.c_lo, u.c_hi, atol=1e-300, rtol=1e-12):
+        raise ContourError("undamped application needs equal far-field constants")
+    g = u.values * grid.taper_both
+    core = np.fft.ifft(np.fft.fft(g, axis=-1) * (symbol * grid.roll), axis=-1)
+    return SampledFunction(grid, core * grid.taper_both, u.c_lo, u.c_hi)
 
 
 def log_factor_cauchy_reference(model: LevyModel, Q: complex, xi: complex,

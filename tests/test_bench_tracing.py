@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every layer it times.
+
+``bench/tracing.py`` wraps functions at the names their callers look them
+up; a rename on the pricing path would leave a span name silently empty.
+"""
+
+import copy
+import json
+import math
+import os
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+from tracing import TRACE_POINTS, Tracer, summarize  # noqa: E402
+from workloads import RESIDUAL_BOUND, PricingWorkload  # noqa: E402
+
+from rsbarrier.config import parse_config  # noqa: E402
+from rsbarrier import montecarlo  # noqa: E402
+
+
+def test_tracer_records_every_trace_point():
+    with open(os.path.join(os.path.dirname(BENCH), "configs", "kou_memory.json")) as fh:
+        doc = json.load(fh)
+    doc["grid"] = {"mPower": 10}
+    doc["mc"]["paths"] = 1000
+    workload = PricingWorkload(doc)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        seconds, prices = workload.run(threads=2, round_index=0)
+        cfg = parse_config(copy.deepcopy(doc))
+        # looked up at call time, as the Monte Carlo workload does
+        montecarlo.simulate_price(cfg.problem, cfg.mc)
+    finally:
+        tracer.uninstall()
+    assert len(prices) == 2 and all(0.0 < p < 1.0 for p in prices)
+    recorded = summarize(tracer.spans)
+    assert {name for _, _, name in TRACE_POINTS} <= set(recorded)
+    assert tracer.counts["epv.fft_points"] > 0
+    assert tracer.counts["engine.inner_sweeps"] > 0
+    # inspect_pricer saw the pricer run_price built
+    assert 0.0 < workload.worst_residual <= RESIDUAL_BOUND
+    assert all(math.isfinite(rec["total_s"]) for rec in recorded.values())

@@ -83,6 +83,8 @@ NUMERIC_FIELDS = [
     ("regimes", 1, "r"), ("regimes", 1, "G"), ("chain", "lambda0"),
     ("chain", "rates", "default"), ("chain", "rates", "rules", 0, "rate"),
     ("regimes", 0, "model", "lambdaJ"), ("regimes", 1, "model", "sigma2"),
+    ("tolerances", "inner"), ("tolerances", "outer"), ("grid", "domainFactor"),
+    ("grid", "dampingScale"), ("grid", "dampingCap"), ("grid", "decayTol"),
 ]
 
 
@@ -92,7 +94,7 @@ def test_non_finite_input_rejected(path, value):
     doc = copy.deepcopy(TWO_REGIME_DOC)
     node = doc
     for key in path[:-1]:
-        node = node[key]
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     node[path[-1]] = value
     with pytest.raises(ConfigError):
         parse_config(doc)
@@ -216,23 +218,42 @@ def test_bad_config_exit_code(tmp_path, capsys):
     rc = main(["price", "--config", str(p)])
     assert rc == 2
     # json.dumps writes NaN, which json.load reads back as a float
-    doc = copy.deepcopy(BROWNIAN_DOC)
-    doc["maturity"] = math.nan
-    p.write_text(json.dumps(doc))
-    capsys.readouterr()
-    rc = main(["price", "--config", str(p), "--threads", "1"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("config error:") and "Traceback" not in err
+    # a non-finite number, values of the wrong type, a grid too small for the
+    # band, and Monte Carlo settings that simulate_price refuses
+    cases = [("price", ("maturity",), math.nan), ("price", ("x0",), "abc"),
+             ("price", ("grid", "mPower"), "x"), ("price", ("regimes",), 5),
+             ("price", ("grid", "mPower"), 3), ("mc", ("mc", "paths"), 10)]
+    for command, path, value in cases:
+        doc = copy.deepcopy(BROWNIAN_DOC)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = [command, "--config", str(p)] + (["--threads", "1"] if command == "price" else [])
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, (path, value)
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
-def test_numeric_error_exit_code(tmp_path):
+def test_numeric_error_exit_code(tmp_path, capsys):
     doc = copy.deepcopy(BROWNIAN_DOC)
     doc["tolerances"] = {"maxOuter": 2}  # series cannot terminate in 2 terms
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     rc = main(["price", "--config", str(cfg_path), "--threads", "1"])
     assert rc == 3
+    # the size guard fires before any array is built, so 2^60 nodes cost nothing
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    doc["grid"] = {"mPower": 60}
+    cfg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["price", "--config", str(cfg_path), "--threads", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numeric error:") and "GiB" in err and "Traceback" not in err
 
 
 def test_readme_defaults_table_matches_config():

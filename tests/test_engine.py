@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from rsbarrier.engine import (
+    MAX_WORKING_BYTES,
+    SWEEP_LIVE_ARRAYS,
     BarrierProblem,
     QPricer,
     RegimeSpec,
+    check_working_set,
     interpolate_field,
     solve_v0,
+    working_set_bytes,
 )
-from rsbarrier.errors import SpectralParameterError
+from rsbarrier.errors import ResourceLimitError, SpectralParameterError
 from rsbarrier.histories import HistoryIndex, MemoryChain, enumerate_histories
 from rsbarrier.inversion import gwr_nodes
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
@@ -258,3 +262,20 @@ def test_determinism_bit_identical():
     a = single_brownian(m_power=12).price_at(1.7)[0]
     b = single_brownian(m_power=12).price_at(1.7)[0]
     assert a == b
+
+
+# -- size guard ----------------------------------------------------------
+
+def test_working_set_guard_decides_from_the_estimate():
+    # only the estimate is exercised: no case here builds an array of the grid
+    assert working_set_bytes(3, 2**12) == 3 * 2**12 * 16 * SWEEP_LIVE_ARRAYS
+    per_history = working_set_bytes(1, 2**14)
+    fit = MAX_WORKING_BYTES // per_history
+    check_working_set(fit, 2**14)
+    with pytest.raises(ResourceLimitError):
+        check_working_set(fit + 1, 2**14)
+    with pytest.raises(ResourceLimitError):
+        check_working_set(100_000, 2**14)
+    with pytest.raises(ResourceLimitError):
+        single_brownian(m_power=60)  # the grid is built lazily; the guard runs first
+

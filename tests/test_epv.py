@@ -7,13 +7,12 @@ from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 from rsbarrier.epv import (
     apply_epv,
     apply_epv_inverse,
-    apply_multiplier,
     first_touch_above,
     first_touch_below,
 )
 from rsbarrier.wiener_hopf import factorize_rational
 
-from oracles import core_region
+from oracles import core_region, undamped_multiplier
 
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
 KOU = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.5,
@@ -118,7 +117,7 @@ def test_operator_identity_composition(kou_setup):
     u = SampledFunction(grid, bump, 0.0, 0.0)
     comp = apply_epv(f, "plus", apply_epv(f, "minus", u))
     # E_Q = E+ E- is the single multiplier Q/(Q + psi)
-    single = apply_multiplier(u, f.contour_symbols(0.0).e_symbol, 1.0, 0.0)
+    single = undamped_multiplier(u, f.contour_symbols(0.0).e_symbol)
     assert np.abs(comp.full() - single.full())[core_region(grid)].max() < 1e-6
     comp2 = apply_epv(f, "minus", apply_epv(f, "plus", u))
     assert np.abs(comp2.full() - single.full())[core_region(grid)].max() < 1e-6

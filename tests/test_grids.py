@@ -7,7 +7,6 @@ from rsbarrier.grids import (
     SampledFunction,
     build_grid,
     indicator_soft,
-    soft_mask,
 )
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 
@@ -63,8 +62,8 @@ def test_step_farfield_and_midvalue():
 
 def test_soft_partition_and_weights():
     g = small_grid()
-    w1 = soft_mask(g, Region.BELOW_UPPER)
-    w2 = soft_mask(g, Region.AT_OR_ABOVE_UPPER)
+    w1 = SampledFunction.step(g, Region.BELOW_UPPER, 1.0).full()
+    w2 = SampledFunction.step(g, Region.AT_OR_ABOVE_UPPER, 1.0).full()
     assert np.allclose(w1 + w2, 1.0)
     assert w1[g.upper_index] == 0.5
     rng = np.random.default_rng(5)

@@ -4,7 +4,7 @@ import pytest
 from rsbarrier.errors import ResourceLimitError
 from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
-from rsbarrier.epv import apply_epv, first_touch_above
+from rsbarrier.epv import apply_epv, first_touch_above, first_touch_below
 from rsbarrier.wiener_hopf import factorize_rational
 
 from kou_exact import ExactEpv, PiecewiseExp
@@ -13,6 +13,9 @@ from oracles import core_region
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
 KOU = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.5,
                        alpha_plus=8.0, alpha_minus=6.0)
+# no upward jumps: the upper barrier is reached by creeping only
+KOU_UP_CREEP = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.0,
+                                alpha_plus=8.0, alpha_minus=6.0)
 XS = np.array([-2.5, -1.0, -0.3, 0.0, 0.4, 1.3, 2.2])
 
 
@@ -28,6 +31,13 @@ def kou_pair():
     # (beta*dx)^2 mid-sampling bias of the grid back end
     grid = build_grid(-1.0, 1.0, m_power=15, domain_factor=5.0, models=[KOU])
     factors = factorize_rational(KOU, 1.3, grid)
+    return grid, factors, ExactEpv(factors)
+
+
+@pytest.fixture(scope="module")
+def kou_creep_pair():
+    grid = build_grid(-1.0, 1.0, m_power=15, domain_factor=5.0, models=[KOU_UP_CREEP])
+    factors = factorize_rational(KOU_UP_CREEP, 1.3, grid)
     return grid, factors, ExactEpv(factors)
 
 
@@ -107,6 +117,45 @@ def test_grid_backend_cross_validation_inner_step(kou_pair):
             & (np.abs(grid.x - grid.upper) > 0.05)
             & (np.abs(grid.x - grid.lower) > 0.05))
     assert np.abs(on_grid.full() - exact(grid.x))[mask].max() < 1e-6
+
+
+def tail_seed(grid, side, c=0.8, d=0.2, k=3.0):
+    """c + d*exp(-k*|x - h|) beyond the barrier h of ``side``, 0 on the other
+    side: on the grid (mid-value at the node) and in closed form."""
+    x = grid.x
+    if side == "plus":
+        h, node, sign = grid.upper, grid.upper_index, 1.0
+        exact = PiecewiseExp([h], [[], [(c + 0j, 0j, 0),
+                                         (d * np.exp(k * h) + 0j, complex(-k), 0)]])
+    else:
+        h, node, sign = grid.lower, grid.lower_index, -1.0
+        exact = PiecewiseExp([h], [[(c + 0j, 0j, 0),
+                                    (d * np.exp(-k * h) + 0j, complex(k), 0)], []])
+    full = np.where(sign * (x - h) > 0, c + d * np.exp(-k * sign * (x - h)), 0.0)
+    full[node] = 0.5 * (c + d)
+    c_lo, c_hi = (0.0, c) if side == "plus" else (c, 0.0)
+    return SampledFunction.from_samples(grid, full, c_lo, c_hi), exact, h
+
+
+@pytest.mark.parametrize("pair, side, bound", [
+    ("kou_pair", "plus", 2e-4), ("kou_pair", "minus", 2e-4),
+    ("kou_creep_pair", "plus", 2e-6), ("kou_creep_pair", "minus", 2e-4),
+])
+def test_first_touch_tail_image(request, pair, side, bound):
+    # data that is not a pure step beyond the barrier reaches the peeled-tail
+    # image; on the creeping side only the boundary value passes.  Jump sides
+    # converge at first order in dx (about 1.0e-4 here), the creeping side
+    # and pure steps at second order
+    grid, factors, ex = request.getfixturevalue(pair)
+    u, seed, h = tail_seed(grid, side)
+    if side == "plus":
+        on_grid, exact = first_touch_above(factors, u), ex.first_touch_above(seed, h)
+    else:
+        on_grid, exact = first_touch_below(factors, u), ex.first_touch_below(seed, h)
+    mask = (core_region(grid)
+            & (np.abs(grid.x - grid.upper) > 0.05)
+            & (np.abs(grid.x - grid.lower) > 0.05))
+    assert np.abs(on_grid.full() - exact(grid.x))[mask].max() < bound
 
 
 def test_term_count_guard():
