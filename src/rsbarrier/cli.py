@@ -177,7 +177,7 @@ def _cmd_factors(args) -> int:
     check_working_set(1, grid.size)
     fact = factorize(model, complex(args.q_value), grid)
     cs = fact.contour_symbols(0.0)
-    resid = np.abs(cs.phi_plus * cs.phi_minus / cs.e_symbol - 1.0)
+    resid = np.abs(cs.phi_plus * cs.phi_minus / fact.e_symbol(grid.xi) - 1.0)
     order = np.argsort(grid.xi)
     rows = [[grid.xi[i], cs.phi_plus[i].real, cs.phi_plus[i].imag,
              cs.phi_minus[i].real, cs.phi_minus[i].imag, resid[i]]

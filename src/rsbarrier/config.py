@@ -70,6 +70,8 @@ class Tolerances:
     def __post_init__(self):
         if self.inner <= 0 or self.outer <= 0:
             raise ConfigError("tolerances must be > 0")
+        if self.max_outer < 1 or self.max_sweeps < 1:
+            raise ConfigError("maxOuter and maxSweeps must be >= 1")
 
 
 @dataclass
@@ -147,7 +149,7 @@ def parse_config(doc: dict) -> ProblemConfig:
         return _parse(doc)
     except KeyError as exc:
         raise ConfigError(f"config field missing: {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"invalid value: {exc}") from exc
 
 

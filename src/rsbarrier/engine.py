@@ -4,9 +4,11 @@ For a fixed q with Re q > 0 the knock-out value transform splits as
 Vt = Vt0 + Vt1: Vt0 solves the barrier-free linear system over histories,
 and Vt1 is built as an alternating series of one-barrier corrections.
 Each series term solves a half-line problem by a Jacobi fixed point: all
-histories are updated from the previous sweep (the per-head operator is
-shared, so a sweep is a batch of identical multiplier applications plus
-rate-weighted gathers of neighbour values).
+histories are updated from the previous sweep.  The operator depends only on
+a history's head, so ``price_field`` builds one ``epv.OperatorPlan`` per side
+from the m factorizations, and a sweep is one batched inner-side and one
+outer-side application over all rows, plus rate-weighted gathers of
+neighbour values.  The plans are dropped when the spectral value is done.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
 from .grids import DualGrid, Region, SampledFunction, build_grid, indicator_soft
 from .histories import HistoryIndex, MemoryChain
 from .models import LevyModel
-from .epv import apply_epv, first_touch_above, first_touch_below
+from .epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below
 from .wiener_hopf import factorize
 
 __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",
@@ -73,6 +75,8 @@ class BarrierProblem:
     def __post_init__(self):
         if len(self.regimes) != self.chain.m:
             raise ValueError("regime count must match the chain's m")
+        if not all(1 <= s <= self.chain.m for s in self.initial_history.labels):
+            raise ValueError(f"initial history labels must lie in 1..{self.chain.m}")
         if not self.lower < self.upper:
             raise ValueError("need lower < upper")
         if self.maturity <= 0.0:
@@ -251,23 +255,26 @@ class QPricer:
         return out
 
     def _inner_iteration(self, side: str, boundary_data: SampledFunction, q,
-                         stats: IterationStats) -> SampledFunction:
+                         stats: IterationStats, plans: dict) -> SampledFunction:
         """Jacobi sweeps for one series term; both coupling terms use the
-        previous sweep's values, the boundary term is fixed."""
+        previous sweep's values, the boundary term is fixed.  A sweep is one
+        batched inner-side and one outer-side application over all rows,
+        each row scaled by its head's 1/Q."""
         problem, chain, grid = self.problem, self.problem.chain, self.grid
-        factors = self.factorizations(q)
-        groups = self._groups()
         q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
                             for s in range(1, chain.m + 1)], dtype=np.complex128)
+        row_inv_q = np.array([1.0 / q_heads[s - 1]
+                              for s in range(1, chain.m + 1)])[chain.heads() - 1]
 
         if side == "plus":
             first_touch, inner, region = first_touch_above, "minus", Region.BELOW_UPPER
         else:
             first_touch, inner, region = first_touch_below, "plus", Region.ABOVE_LOWER
+        plan, inner_plan = plans[side], plans[inner]
 
         boundary = SampledFunction.zero(grid, (chain.size,))
-        for s, idx in groups:
-            boundary.assign(idx, first_touch(factors[s - 1], boundary_data.select(idx)))
+        for s, idx in self._groups():
+            boundary.assign(idx, first_touch(plan.head(s), boundary_data.select(idx)))
 
         cur = SampledFunction.zero(grid, (chain.size,))
         scale = self._scale(q)
@@ -284,14 +291,9 @@ class QPricer:
         prev_diff = None
         rising = 0
         for sweep in range(1, self.max_sweeps + 1):
-            coup = self._coupling(cur)
-            new = SampledFunction.zero(grid, (chain.size,))
-            for s, idx in groups:
-                fac = factors[s - 1]
-                w = apply_epv(fac, side, indicator_soft(
-                    apply_epv(fac, inner, coup.select(idx)), region))
-                new.assign(idx, w.scale(1.0 / q_heads[s - 1]))
-            new = new + boundary
+            # one expression, so no batch of this sweep outlives it
+            new = apply_epv(plan, indicator_soft(
+                apply_epv(inner_plan, self._coupling(cur)), region)).scale(row_inv_q) + boundary
             diff = (new - cur).sup_norm()
             if real_path:
                 worst = float(np.min((new - cur).full().real[..., mono_mask]))
@@ -321,6 +323,8 @@ class QPricer:
             raise SpectralParameterError("need Re q > 0 on the real path")
         v0 = solve_v0(chain, problem.rates, problem.payoffs, q)
         stats = IterationStats()
+        factors = self.factorizations(q)
+        plans = {side: OperatorPlan.build(factors, side) for side in ("plus", "minus")}
 
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)
@@ -329,8 +333,8 @@ class QPricer:
         rising = 0
         prev_norm = None
         for ell in range(1, self.max_outer + 1):
-            v_plus = self._inner_iteration("plus", minus_prev, q, stats)
-            v_minus = self._inner_iteration("minus", plus_prev, q, stats)
+            v_plus = self._inner_iteration("plus", minus_prev, q, stats, plans)
+            v_minus = self._inner_iteration("minus", plus_prev, q, stats, plans)
             term = v_plus + v_minus
             norm = term.sup_norm()
             stats.outer_terms.append(norm)

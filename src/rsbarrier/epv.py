@@ -11,19 +11,32 @@ the damping-amplified wraparound out of the interior; the output residual is
 confined to a window around the band and tapered at both guard bands.
 Accuracy claims exclude the guard band.
 
+What depends only on the factorizations (exp(omega*x), the symbols times the
+roll, the window) is built once per (spectral value, side) into an
+``OperatorPlan`` with one row per regime head.  One application then covers
+every history row: the rows are grouped by head, which is the leading digit
+of the history code, so the groups are contiguous and equal in size and
+broadcast against the plan without a gather.  The engine makes one
+inner-side and one outer-side application per sweep.
+
 ``first_touch_above``/``first_touch_below`` compose these into the value of
-receiving given data at the first entrance of the region beyond a barrier.
+receiving given data at the first entrance of the region beyond a barrier;
+they take the plan of one head.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .errors import ContourError, GridResolutionError, IllPosedApplicationError
-from .grids import Region, SampledFunction
+from .grids import DualGrid, Region, SampledFunction, _frozen
 from .wiener_hopf import WHFactorization
 
 __all__ = [
+    "OperatorPlan",
     "apply_epv",
     "apply_epv_inverse",
     "apply_multiplier",
@@ -60,68 +73,123 @@ def residual_window(factors: WHFactorization) -> float:
     return float(min(13.0 / beta, max(interior_margin, 2.0 * (grid.upper - grid.lower))))
 
 
-def apply_multiplier(u: SampledFunction, symbol: np.ndarray, omega: float,
-                     window: float, error_cls=GridResolutionError) -> SampledFunction:
-    """Apply a Fourier multiplier along the contour Im xi = omega != 0.
+@dataclass(frozen=True, eq=False)
+class OperatorPlan:
+    """The arrays of E^side at one spectral value, one row per regime head.
 
-    ``symbol`` holds the multiplier on grid.xi + i*omega (fft order) and is 1
-    at xi = 0, so the far-field constants pass through unchanged.  The
-    far-field step is folded into the damped transform (it decays after
-    damping; omega < 0 damps the upper side, omega > 0 the lower), so
+    Each array is stacked (heads, 1, M) so that it broadcasts against the
+    history rows grouped by head, (heads, rows per head, M): ``damp`` is
+    exp(omega*x) on the head's damping contour, ``forward`` and ``inverse``
+    are phi^side and 1/phi^side on that contour times the grid's spectral
+    roll, and ``window`` confines the output residual.  A plan depends only
+    on the factorizations; it is built once per (spectral value, side) and
+    dropped with the node.
+    """
+
+    grid: DualGrid
+    side: str
+    models: tuple
+    damp: np.ndarray
+    forward: np.ndarray
+    inverse: np.ndarray
+    window: np.ndarray
+
+    @classmethod
+    def build(cls, factors: Sequence[WHFactorization], side: str) -> "OperatorPlan":
+        """Plan of E^side for the heads' factorizations, in head order."""
+        grid = factors[0].grid
+        damp, forward, inverse, window = [], [], [], []
+        for fac in factors:
+            omega = effective_omega(fac, side)
+            cs = fac.contour_symbols(omega)
+            symbol = cs.phi_plus if side == "plus" else cs.phi_minus
+            damp.append(np.exp(omega * grid.x))
+            forward.append(symbol * grid.roll)
+            inverse.append(1.0 / symbol * grid.roll)
+            window.append(grid.window_mask(residual_window(fac)))
+        rows = [_frozen(np.stack(a)[:, None, :]) for a in (damp, forward, inverse, window)]
+        return cls(grid, side, tuple(fac.model for fac in factors), *rows)
+
+    @property
+    def heads(self) -> int:
+        return len(self.models)
+
+    def head(self, s: int) -> "OperatorPlan":
+        """The plan of regime head s (1-based) alone."""
+        k = slice(s - 1, s)
+        return OperatorPlan(self.grid, self.side, self.models[k], self.damp[k],
+                            self.forward[k], self.inverse[k], self.window[k])
+
+
+def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
+    """Each head group's residual must have decayed at both grid ends,
+    relative to that group's own sup-norm; a NaN residual fails."""
+    grid = u.grid
+    k = max(grid.guard // 4, 1)
+    values = u.values.reshape(heads, -1, grid.size)
+    c_lo, c_hi = u.c_lo.reshape(heads, -1), u.c_hi.reshape(heads, -1)
+    for h in range(heads):
+        scale = max(SampledFunction(grid, values[h], c_lo[h], c_hi[h]).sup_norm(), 1e-300)
+        edge_lo = float(np.max(np.abs(values[h, :, :k])))
+        edge_hi = float(np.max(np.abs(values[h, :, -k:])))
+        if not max(edge_lo, edge_hi) <= grid.decay_tol * scale:  # NaN fails too
+            raise error_cls(
+                f"residual does not decay at the grid ends "
+                f"(edges {edge_lo:.2e}/{edge_hi:.2e} vs tol {grid.decay_tol * scale:.2e}); "
+                f"enlarge the domain or M"
+            )
+
+
+def apply_multiplier(u: SampledFunction, plan: OperatorPlan,
+                     inverse: bool = False) -> SampledFunction:
+    """Apply the plan's multiplier (1/phi^side if ``inverse``) to every row.
+
+    The rows are split into ``plan.heads`` equal, contiguous groups, one per
+    head, and group h gets head h's arrays.  The multiplier is 1 at xi = 0,
+    so the far-field constants pass through unchanged.  The far-field step
+    is folded into the damped transform (it decays after damping; the sup
+    side damps the upper side, the inf side the lower), so
 
         out = c + undamp(ifft(symbol * fft(damp(step + residual)))) - step,
 
-    with the output residual confined to ``window`` beyond the band.
+    with the output residual confined to the plan's window beyond the band.
     """
     grid = u.grid
-    scale = max(u.sup_norm(), 1e-300)
-    k = max(grid.guard // 4, 1)
-    edge_lo = float(np.max(np.abs(u.values[..., :k])))
-    edge_hi = float(np.max(np.abs(u.values[..., -k:])))
-    if max(edge_lo, edge_hi) > grid.decay_tol * scale:
-        raise error_cls(
-            f"residual does not decay at the grid ends "
-            f"(edges {edge_lo:.2e}/{edge_hi:.2e} vs tol {grid.decay_tol * scale:.2e}); "
-            f"enlarge the domain or M"
-        )
+    _check_decay(u, plan.heads, IllPosedApplicationError if inverse else GridResolutionError)
     # taper only the damping-suppressed side: wrapped mass from there is
     # re-amplified by undamping, while the other side's tail is real content
-    if omega < 0.0:
-        step = (u.c_hi - u.c_lo)[..., None] * grid.hi_side
-        taper = grid.taper_lo
+    if plan.side == "plus":
+        step = (u.c_hi - u.c_lo).reshape(plan.heads, -1, 1)
+        far, taper = slice(grid.ref_index, None), grid.taper_lo
     else:
-        step = (u.c_lo - u.c_hi)[..., None] * (~grid.hi_side)
-        taper = grid.taper_hi
-    damp = np.exp(omega * grid.x)
-    g = (u.values + step) * damp * taper
-    core = np.fft.ifft(np.fft.fft(g, axis=-1) * (symbol * grid.roll),
-                       axis=-1) / damp
+        step = (u.c_lo - u.c_hi).reshape(plan.heads, -1, 1)
+        far, taper = slice(None, grid.ref_index), grid.taper_hi
+    g = u.values.copy().reshape(plan.heads, -1, grid.size)
+    g[..., far] += step
+    g *= plan.damp
+    g *= taper
+    g = np.fft.fft(g, axis=-1)
+    g *= plan.inverse if inverse else plan.forward
+    g = np.fft.ifft(g, axis=-1)
+    g /= plan.damp
     # confine the output residual: undamped kernel leakage grows like
     # exp(|omega| |x|) away from the band and would poison the next
     # opposite-side application, while true content out there is negligible
-    res = (core - step) * grid.window_mask(window) * grid.taper_both
-    return SampledFunction(grid, res, u.c_lo, u.c_hi)
+    g[..., far] -= step
+    g *= plan.window
+    g *= grid.taper_both
+    return SampledFunction(grid, g.reshape(u.values.shape), u.c_lo, u.c_hi)
 
 
-def _side_symbol(factors: WHFactorization, side: str):
-    """(omega, phi^side on the contour Im xi = omega) for this factorization."""
-    omega = effective_omega(factors, side)
-    cs = factors.contour_symbols(omega)
-    return omega, (cs.phi_plus if side == "plus" else cs.phi_minus)
-
-
-def apply_epv(factors: WHFactorization, side: str, u: SampledFunction) -> SampledFunction:
+def apply_epv(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     """E^side: identity on constants, phi^side multiplier on the rest."""
-    omega, symbol = _side_symbol(factors, side)
-    return apply_multiplier(u, symbol, omega, residual_window(factors))
+    return apply_multiplier(u, plan)
 
 
-def apply_epv_inverse(factors: WHFactorization, side: str, u: SampledFunction) -> SampledFunction:
+def apply_epv_inverse(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     """(E^side)^{-1}: multiplier 1/phi^side; meant for inverse-then-indicator-
     then-forward compositions, where the growing intermediate is re-smoothed."""
-    omega, symbol = _side_symbol(factors, side)
-    return apply_multiplier(u, 1.0 / symbol, omega, residual_window(factors),
-                            error_cls=IllPosedApplicationError)
+    return apply_multiplier(u, plan, inverse=True)
 
 
 def _boundary_value(full: np.ndarray, node: int, direction: int) -> np.ndarray:
@@ -144,7 +212,7 @@ def _creeps(model, side: str) -> bool:
     return False
 
 
-def _tail_image(factors, side, tail, node, direction) -> SampledFunction:
+def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
     """E^side 1_beyond (E^side)^{-1} tail for a tail that vanishes at the node.
 
     The inverse image's node must end up holding the mid-value of (0,
@@ -152,12 +220,12 @@ def _tail_image(factors, side, tail, node, direction) -> SampledFunction:
     two one-sided limits, so half of the killed-side limit (extrapolated) is
     removed before zeroing the killed side.
     """
-    z = apply_epv_inverse(factors, side, tail)
+    z = apply_epv_inverse(plan, tail)
     full = z.full()
     full[..., node] -= 0.5 * _boundary_value(full, node, -direction)
     z = SampledFunction.beyond(z.grid, full, z.c_lo, z.c_hi, node, direction, 1.0)
-    out = apply_epv(factors, side, z)
-    if _creeps(factors.model, side):
+    out = apply_epv(plan, z)
+    if _creeps(plan.models[0], plan.side):
         # creeping passage sees only the boundary value, which the peel set
         # to zero: the true contribution beyond the data region vanishes
         out = SampledFunction.beyond(out.grid, out.full(), out.c_lo, out.c_hi,
@@ -165,9 +233,11 @@ def _tail_image(factors, side, tail, node, direction) -> SampledFunction:
     return out
 
 
-def _first_touch(factors: WHFactorization, side: str, u: SampledFunction) -> SampledFunction:
-    """E^side 1_beyond (E^side)^{-1} u, beyond the barrier of ``side``
-    (at or above h+ for "plus", at or below h- for "minus").
+def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
+    """E^side 1_beyond (E^side)^{-1} u for a one-head plan, beyond the
+    barrier of its side (at or above h+ for "plus", at or below h- for
+    "minus").  Whether the tail image is taken is decided over all of u's
+    rows, so the engine calls this once per head group.
 
     The data's boundary value c_b is peeled off first: the inverse of a hard
     step concentrates a delta on the barrier node, and the indicator would
@@ -176,26 +246,28 @@ def _first_touch(factors: WHFactorization, side: str, u: SampledFunction) -> Sam
     barrier by construction of c_b, so its mid-value there is zero whether
     or not u itself jumps, and its inverse image is delta-free.
     """
+    if plan.heads != 1:
+        raise ValueError("first touch takes the plan of one head")
     grid = u.grid
-    region = Region.AT_OR_ABOVE_UPPER if side == "plus" else Region.AT_OR_BELOW_LOWER
+    region = Region.AT_OR_ABOVE_UPPER if plan.side == "plus" else Region.AT_OR_BELOW_LOWER
     node, direction = grid.region_edge(region)
     full = u.full()
     c_b = _boundary_value(full, node, direction)
-    out = apply_epv(factors, side, SampledFunction.step(grid, region, c_b))
+    out = apply_epv(plan, SampledFunction.step(grid, region, c_b))
     tail = SampledFunction.beyond(grid, full - c_b[..., None], u.c_lo - c_b,
                                   u.c_hi - c_b, node, direction, 0.0)
     if tail.sup_norm() > 1e-13 * max(u.sup_norm(), 1e-300):
-        out = out + _tail_image(factors, side, tail, node, direction)
+        out = out + _tail_image(plan, tail, node, direction)
     return out
 
 
-def first_touch_above(factors: WHFactorization, u: SampledFunction) -> SampledFunction:
+def first_touch_above(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     """E+ 1_[h+,inf) (E+)^{-1} u: the value process started from receiving u
-    at the first entrance of [h+, inf)."""
-    return _first_touch(factors, "plus", u)
+    at the first entrance of [h+, inf).  ``plan`` is a one-head sup-side plan."""
+    return _first_touch(plan, u)
 
 
-def first_touch_below(factors: WHFactorization, u: SampledFunction) -> SampledFunction:
+def first_touch_below(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     """E- 1_(-inf,h-] (E-)^{-1} u: the value process started from receiving u
-    at the first entrance of (-inf, h-]."""
-    return _first_touch(factors, "minus", u)
+    at the first entrance of (-inf, h-].  ``plan`` is a one-head inf-side plan."""
+    return _first_touch(plan, u)

@@ -14,7 +14,7 @@ leading batch dimensions (one row per history).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
@@ -72,6 +72,7 @@ class DualGrid:
     omega_minus: float
     guard: int
     decay_tol: float = 1e-6
+    _half_lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -84,11 +85,6 @@ class DualGrid:
     @cached_property
     def xi(self) -> np.ndarray:
         return _frozen(2.0 * math.pi * np.fft.fftfreq(self.size, d=self.dx))
-
-    @cached_property
-    def hi_side(self) -> np.ndarray:
-        """Nodes that carry the upper far-field constant c_hi."""
-        return _frozen(self.index >= self.ref_index)
 
     @property
     def lower(self) -> float:
@@ -143,11 +139,24 @@ class DualGrid:
         barrier, direction = region.value
         return (self.upper_index if barrier == "upper" else self.lower_index), direction
 
+    def interior_halves(self) -> tuple[slice, slice]:
+        """Interior nodes below ``ref_index`` (where c_lo applies) and at or
+        above it (where c_hi applies)."""
+        mid = min(max(self.ref_index, self.guard), self.size - self.guard)
+        return slice(self.guard, mid), slice(mid, self.size - self.guard)
+
     def half_line(self, node: int, direction: int, at_node: float) -> np.ndarray:
         """1 beyond ``node`` in ``direction`` (+1 up, -1 down), ``at_node`` at
-        the node, 0 on the other side."""
-        w = (self.index > node if direction > 0 else self.index < node).astype(float)
-        w[node] = at_node
+        the node, 0 on the other side.  Read-only; the masks of the two
+        barrier nodes are built once."""
+        key = (node, direction, float(at_node))
+        w = self._half_lines.get(key)
+        if w is None:
+            w = (self.index > node if direction > 0 else self.index < node).astype(float)
+            w[node] = at_node
+            w = _frozen(w)
+            if node in (self.lower_index, self.upper_index):
+                self._half_lines[key] = w
         return w
 
     def window_mask(self, margin: float) -> np.ndarray:
@@ -192,8 +201,10 @@ def build_grid(lower: float, upper: float, m_power: int = 14,
     x_min = lower - k_lo * dx
     lower_index = k_lo
     upper_index = k_lo + n_band
-    if upper_index >= size:
-        raise ValueError("band does not fit the grid; increase m_power")
+    guard = max(int(0.10 * size), 2)
+    if lower_index < guard or upper_index >= size - guard:
+        raise ValueError("band does not fit the grid inside its guard bands; "
+                         "increase m_power or domain_factor")
     ref_index = k_lo + n_band // 2
 
     edge_lo, edge_hi = math.inf, math.inf
@@ -203,11 +214,16 @@ def build_grid(lower: float, upper: float, m_power: int = 14,
         edge_hi = min(edge_hi, abs(hi))
     omega_plus = -min(damping_cap, damping_scale * edge_lo)
     omega_minus = min(damping_cap, damping_scale * edge_hi)
-    guard = max(int(0.10 * size), 2)
     return DualGrid(x_min=x_min, dx=dx, size=size, lower_index=lower_index,
                     upper_index=upper_index, ref_index=ref_index,
                     omega_plus=omega_plus, omega_minus=omega_minus,
                     guard=guard, decay_tol=decay_tol)
+
+
+def _far_field(c, lead: tuple) -> np.ndarray:
+    """An owned complex copy of ``c`` with shape ``lead``."""
+    c = np.asarray(c, np.complex128)
+    return (c if c.shape == lead else np.broadcast_to(c, lead)).copy()
 
 
 @dataclass
@@ -228,8 +244,8 @@ class SampledFunction:
         if self.values.shape[-1] != self.grid.size:
             raise ValueError("residual length must match the grid")
         lead = self.values.shape[:-1]
-        self.c_lo = np.broadcast_to(np.asarray(self.c_lo, np.complex128), lead).copy()
-        self.c_hi = np.broadcast_to(np.asarray(self.c_hi, np.complex128), lead).copy()
+        self.c_lo = _far_field(self.c_lo, lead)
+        self.c_hi = _far_field(self.c_hi, lead)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -244,11 +260,17 @@ class SampledFunction:
     @classmethod
     def from_samples(cls, grid: DualGrid, full, c_lo=0.0, c_hi=0.0) -> "SampledFunction":
         """Wrap full samples of a function with known far-field constants."""
-        full = np.asarray(full, np.complex128)
-        lead = full.shape[:-1]
+        return cls._split(grid, np.array(full, np.complex128), c_lo, c_hi)
+
+    @classmethod
+    def _split(cls, grid: DualGrid, res: np.ndarray, c_lo, c_hi) -> "SampledFunction":
+        """Take the far-field constants out of the full samples ``res``, in
+        place; ``res`` must be a complex array no one else holds."""
+        lead = res.shape[:-1]
         lo = np.broadcast_to(np.asarray(c_lo, np.complex128), lead)
         hi = np.broadcast_to(np.asarray(c_hi, np.complex128), lead)
-        res = full - lo[..., None] * (~grid.hi_side) - hi[..., None] * grid.hi_side
+        res[..., :grid.ref_index] -= lo[..., None]
+        res[..., grid.ref_index:] -= hi[..., None]
         return cls(grid, res, lo, hi)
 
     @classmethod
@@ -261,8 +283,8 @@ class SampledFunction:
             c_lo = np.zeros_like(c_lo)
         else:
             c_hi = np.zeros_like(c_hi)
-        return cls.from_samples(grid, full * grid.half_line(node, direction, at_node),
-                                c_lo, c_hi)
+        return cls._split(grid, np.multiply(full, grid.half_line(node, direction, at_node),
+                                            dtype=np.complex128), c_lo, c_hi)
 
     @classmethod
     def step(cls, grid: DualGrid, region: Region, c) -> "SampledFunction":
@@ -281,10 +303,10 @@ class SampledFunction:
         return self.values.shape[:-1]
 
     def full(self) -> np.ndarray:
-        hi_side = self.grid.hi_side
-        return (self.values
-                + self.c_lo[..., None] * (~hi_side)
-                + self.c_hi[..., None] * hi_side)
+        out = self.values.copy()
+        out[..., :self.grid.ref_index] += self.c_lo[..., None]
+        out[..., self.grid.ref_index:] += self.c_hi[..., None]
+        return out
 
     def __add__(self, other):
         self._check(other)
@@ -308,9 +330,12 @@ class SampledFunction:
 
     def sup_norm(self) -> float:
         """Max magnitude over the interior samples and the far fields."""
-        m = float(np.max(np.abs(self.full()[..., self.grid.interior()])))
-        return max(m, float(np.max(np.abs(self.c_lo), initial=0.0)),
-                   float(np.max(np.abs(self.c_hi), initial=0.0)))
+        lo, hi = self.grid.interior_halves()
+        m = float(np.maximum(
+            np.abs(self.values[..., lo] + self.c_lo[..., None]).max(initial=0.0),
+            np.abs(self.values[..., hi] + self.c_hi[..., None]).max(initial=0.0)))
+        return max(m, float(np.abs(self.c_lo).max(initial=0.0)),
+                   float(np.abs(self.c_hi).max(initial=0.0)))
 
     def select(self, idx) -> "SampledFunction":
         return SampledFunction(self.grid, self.values[idx], self.c_lo[idx], self.c_hi[idx])

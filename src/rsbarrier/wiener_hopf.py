@@ -64,7 +64,6 @@ class ContourSymbols:
     omega: float
     phi_plus: np.ndarray
     phi_minus: np.ndarray
-    e_symbol: np.ndarray
 
 
 @dataclass
@@ -114,13 +113,12 @@ class WHFactorization:
     def contour_symbols(self, omega: float) -> ContourSymbols:
         key = round(float(omega), 12)
         if key not in self._contours:
-            zeta = self.grid.xi + 1j * omega
             if self.kind == "rational":
-                cs = ContourSymbols(omega, self.phi_plus(zeta), self.phi_minus(zeta),
-                                    self.e_symbol(zeta))
+                zeta = self.grid.xi + 1j * omega
+                cs = ContourSymbols(omega, self.phi_plus(zeta), self.phi_minus(zeta))
             else:
                 pp, pm = self._split_factors(omega)
-                cs = ContourSymbols(omega, pp, pm, self.e_symbol(zeta))
+                cs = ContourSymbols(omega, pp, pm)
             self._contours[key] = cs
         return self._contours[key]
 

@@ -2,8 +2,10 @@
 
 ``core_region`` is the mask where pointwise accuracy is asserted,
 ``undamped_multiplier`` applies a symbol on the real axis with no damping,
-and ``log_factor_cauchy_reference`` is the literal Cauchy-integral form of
-the Wiener-Hopf log-factor, against which the spectral split is checked.
+``log_factor_cauchy_reference`` is the literal Cauchy-integral form of the
+Wiener-Hopf log-factor, against which the spectral split is checked, and
+``full_by_masks``/``sup_norm_by_masks`` form full samples and their norm with
+whole-grid side masks, against which the sliced forms are checked.
 """
 
 from __future__ import annotations
@@ -76,3 +78,17 @@ def log_factor_cauchy_reference(model: LevyModel, Q: complex, xi: complex,
     integral = np.trapezoid(l * kernel * deta, dx=y[1] - y[0])
     sign = 1.0 if side == "plus" else -1.0
     return sign * integral / (2.0j * math.pi)
+
+
+def full_by_masks(u: SampledFunction) -> np.ndarray:
+    """Full samples by the far-field side masks: c_lo below ref_index, c_hi
+    at and above it, each multiplied in over the whole grid."""
+    hi_side = u.grid.index >= u.grid.ref_index
+    return u.values + u.c_lo[..., None] * (~hi_side) + u.c_hi[..., None] * hi_side
+
+
+def sup_norm_by_masks(u: SampledFunction) -> float:
+    """Max magnitude over the interior of ``full_by_masks`` and the far fields."""
+    m = float(np.max(np.abs(full_by_masks(u)[..., u.grid.interior()])))
+    return max(m, float(np.max(np.abs(u.c_lo), initial=0.0)),
+               float(np.max(np.abs(u.c_hi), initial=0.0)))

@@ -1,0 +1,115 @@
+"""Fuzz of parse_config and the price it leads to.
+
+Starting from the shipped brownian_band document at mPower 10, each example
+replaces or deletes up to three fields.  The only allowed outcomes are a
+ConfigError, another RsBarrierError, or a finite price: never a traceback of
+another exception type.
+"""
+
+import copy
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rsbarrier.cli import run_price
+from rsbarrier.config import parse_config
+from rsbarrier.errors import RsBarrierError
+
+BASE = json.loads((Path(__file__).resolve().parent.parent
+                   / "configs" / "brownian_band.json").read_text())
+BASE["grid"]["mPower"] = 10
+
+DELETE = "<delete>"
+JUNK = st.sampled_from([DELETE, None, "x", "1.5", True, [], {}, [1.0],
+                        math.nan, math.inf, -math.inf])
+REAL = st.one_of(JUNK, st.sampled_from([0.0, -1.0, 1e-300, 1e300]), st.floats(-5.0, 5.0))
+COUNT = st.one_of(JUNK, st.integers(-3, 12))
+# tolerances below the defaults only make an example slow, not wrong
+TOL = st.one_of(JUNK, st.sampled_from([0.0, -1.0, 1e-10, 1e-8, 1e-6, 1e-2, 1.0]))
+
+# (path into the document, values it may take); mPower stays at or below 10
+# unless the size guard is meant to reject it
+FIELDS = [
+    (("regimes", 0, "model", "type"),
+     st.one_of(JUNK, st.sampled_from(["KoBoL", "KouJumpDiffusion", "Mystery"]))),
+    (("regimes", 0, "model", "mu"), REAL),
+    (("regimes", 0, "model", "sigma2"), REAL),
+    (("regimes", 0, "r"), REAL),
+    (("regimes", 0, "G"), REAL),
+    (("regimes",), st.one_of(JUNK, st.just([]))),
+    (("chain", "m"), COUNT),
+    (("chain", "N"), COUNT),
+    (("chain", "lambda0"), REAL),
+    (("chain", "rates"), REAL),
+    (("barriers", "lower"), REAL),
+    (("barriers", "upper"), REAL),
+    (("x0",), REAL),
+    (("maturity",), REAL),
+    (("initialHistory",), st.one_of(JUNK, st.lists(st.integers(-1, 3), max_size=3))),
+    (("inversion", "backend"), st.one_of(JUNK, st.sampled_from(["gwr", "sinh", "exact"]))),
+    (("inversion", "nGaver"), COUNT),
+    (("inversion", "sinhNodes"), COUNT),
+    (("inversion", "extendedPrecision"), st.one_of(JUNK, st.booleans())),
+    (("grid", "mPower"), st.one_of(JUNK, st.integers(-2, 10), st.integers(25, 80))),
+    (("grid", "domainFactor"), REAL),
+    (("grid", "dampingScale"), REAL),
+    (("grid", "dampingCap"), REAL),
+    (("grid", "decayTol"), REAL),
+    (("tolerances", "inner"), TOL),
+    (("tolerances", "outer"), TOL),
+    (("tolerances", "maxOuter"), COUNT),
+    (("tolerances", "maxSweeps"), COUNT),
+    (("mc", "paths"), COUNT),
+    (("mc", "dt"), REAL),
+    (("seed",), COUNT),
+    (("threads",), COUNT),
+]
+
+
+def mutate(doc: dict, path: tuple, value) -> None:
+    """Set (or delete) the field at ``path``; a path that an earlier
+    mutation broke is left alone."""
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_parse_config_fuzz_fails_typed_or_prices_finite(data):
+    doc = copy.deepcopy(BASE)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, values = data.draw(st.sampled_from(FIELDS))
+        mutate(doc, path, data.draw(values))
+    try:
+        cfg = parse_config(doc)
+        cfg.threads = 1
+        rows, _ = run_price(cfg)
+    except RsBarrierError:
+        return
+    assert all(math.isfinite(r["price"]) for r in rows), doc
+
+
+# faults the fuzz found, each of which ended in another exception type
+@pytest.mark.parametrize("path, value", [
+    (("grid", "mPower"), math.inf), (("tolerances", "maxOuter"), -math.inf),
+    (("tolerances", "maxSweeps"), 0), (("grid", "domainFactor"), -1.0),
+    (("initialHistory",), [0]),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_fuzz_findings_fail_typed(path, value):
+    doc = copy.deepcopy(BASE)
+    mutate(doc, path, value)
+    with pytest.raises(RsBarrierError):
+        cfg = parse_config(doc)
+        cfg.threads = 1
+        run_price(cfg)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,21 @@ def test_working_set_guard_decides_from_the_estimate():
     with pytest.raises(ResourceLimitError):
         single_brownian(m_power=60)  # the grid is built lazily; the guard runs first
 
+
+
+def test_sweep_working_set_within_live_array_estimate():
+    # the size guard counts SWEEP_LIVE_ARRAYS batch arrays of histories x M
+    # complex values; one price_field on a 24-history chain must stay within it
+    chain = MemoryChain.from_constant(3, 3, 0.7)
+    regimes = tuple(RegimeSpec(BrownianDrift(mu=0.0, sigma2=s), r, 1.0)
+                    for s, r in ((0.5, 0.0), (1.0, 0.01), (2.0, 0.02)))
+    prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
+                          spot=0.2, maturity=1.0, initial_history=HistoryIndex((1, 2, 1, 2)))
+    pricer = QPricer(prob, m_power=12)
+    tracemalloc.start()
+    try:
+        pricer.price_field(3.0 + 2.0j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (chain.size * 2**12 * 16) <= SWEEP_LIVE_ARRAYS

@@ -5,6 +5,7 @@ from rsbarrier.errors import GridResolutionError
 from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 from rsbarrier.epv import (
+    OperatorPlan,
     apply_epv,
     apply_epv_inverse,
     first_touch_above,
@@ -17,6 +18,10 @@ from oracles import core_region, undamped_multiplier
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
 KOU = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.5,
                        alpha_plus=8.0, alpha_minus=6.0)
+
+
+def plan(f, side):
+    return OperatorPlan.build([f], side)
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +48,10 @@ def test_constants_preserved_exactly(setup):
     grid, f = setup
     u = SampledFunction.constant(grid, 3.25 - 0.5j)
     for side in ("plus", "minus"):
-        out = apply_epv(f, side, u)
+        out = apply_epv(plan(f, side), u)
         assert np.allclose(out.c_lo, 3.25 - 0.5j) and np.allclose(out.c_hi, 3.25 - 0.5j)
         assert np.max(np.abs(out.values)) == 0.0
-        inv = apply_epv_inverse(f, side, u)
+        inv = apply_epv_inverse(plan(f, side), u)
         assert np.allclose(inv.full(), 3.25 - 0.5j)
 
 
@@ -58,7 +63,7 @@ def test_windowed_eigenfunction(setup):
     zeta = 3.0
     window = np.exp(-(grid.x / 3.0) ** 10)
     u = SampledFunction(grid, window * np.exp(1j * zeta * grid.x), 0.0, 0.0)
-    out = apply_epv(f, "plus", u)
+    out = apply_epv(plan(f, "plus"), u)
     inner = np.abs(grid.x) < 0.5
     target = f.phi_plus(np.array([zeta]))[0] * np.exp(1j * zeta * grid.x[inner])
     assert np.max(np.abs(out.full()[inner] - target)) < 1e-6
@@ -67,7 +72,7 @@ def test_windowed_eigenfunction(setup):
 def test_brownian_sup_exponential_law(setup):
     grid, f = setup
     u = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 1.0)
-    out = apply_epv(f, "plus", u)
+    out = apply_epv(plan(f, "plus"), u)
     x, h = grid.x, grid.upper
     expected = np.where(x >= h, 1.0, np.exp(-(h - x)))
     err = np.abs(out.full() - expected)
@@ -79,7 +84,7 @@ def test_inverse_round_trip_smooth_bump(setup):
     bump = np.exp(-grid.x**2)
     u = SampledFunction(grid, bump, 0.0, 0.0)
     for side in ("plus", "minus"):
-        rt = apply_epv(f, side, apply_epv_inverse(f, side, u))
+        rt = apply_epv(plan(f, side), apply_epv_inverse(plan(f, side), u))
         assert np.max(np.abs(rt.full() - bump)[core_region(grid)]) < 1e-8
 
 
@@ -89,7 +94,7 @@ def test_inverse_recovers_step_image(setup):
     x, h = grid.x, grid.upper
     image = np.where(x >= h, 1.0, np.exp(-(h - x)))  # continuous, kink at h
     u = SampledFunction.from_samples(grid, image, 0.0, 1.0)
-    z = apply_epv_inverse(f, "plus", u)
+    z = apply_epv_inverse(plan(f, "plus"), u)
     target = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 1.0).full()
     err = np.abs(z.full() - target)
     assert err[core_mask(grid, away_from_barriers=1.0)].max() < 1e-6
@@ -100,13 +105,13 @@ def test_first_touch_closed_form(setup):
     grid, f = setup
     x, h = grid.x, grid.upper
     seed = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.7)
-    out = first_touch_above(f, seed)
+    out = first_touch_above(plan(f, "plus"), seed)
     expected = 0.7 * np.where(x >= h, 1.0, np.exp(-(h - x)))
     assert np.abs(out.full() - expected)[core_mask(grid)].max() < 1e-6
 
     hl = grid.lower
     seed = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, 0.7)
-    out = first_touch_below(f, seed)
+    out = first_touch_below(plan(f, "minus"), seed)
     expected = 0.7 * np.where(x <= hl, 1.0, np.exp(-(x - hl)))
     assert np.abs(out.full() - expected)[core_mask(grid)].max() < 1e-6
 
@@ -115,11 +120,11 @@ def test_operator_identity_composition(kou_setup):
     grid, f = kou_setup
     bump = np.exp(-grid.x**2)
     u = SampledFunction(grid, bump, 0.0, 0.0)
-    comp = apply_epv(f, "plus", apply_epv(f, "minus", u))
+    comp = apply_epv(plan(f, "plus"), apply_epv(plan(f, "minus"), u))
     # E_Q = E+ E- is the single multiplier Q/(Q + psi)
-    single = undamped_multiplier(u, f.contour_symbols(0.0).e_symbol)
+    single = undamped_multiplier(u, f.e_symbol(grid.xi))
     assert np.abs(comp.full() - single.full())[core_region(grid)].max() < 1e-6
-    comp2 = apply_epv(f, "minus", apply_epv(f, "plus", u))
+    comp2 = apply_epv(plan(f, "minus"), apply_epv(plan(f, "plus"), u))
     assert np.abs(comp2.full() - single.full())[core_region(grid)].max() < 1e-6
 
 
@@ -134,8 +139,8 @@ def test_positivity_up_to_ringing(kou_setup):
     away[grid.interior()] = True
     away &= np.abs(x - grid.upper) > 0.5
     for side in ("plus", "minus"):
-        assert float(np.min(apply_epv(f, side, smooth).full().real[grid.interior()])) > -1e-8
-        vals = apply_epv(f, side, step).full().real
+        assert float(np.min(apply_epv(plan(f, side), smooth).full().real[grid.interior()])) > -1e-8
+        vals = apply_epv(plan(f, side), step).full().real
         assert float(np.min(vals[away])) > -1e-8
         assert float(np.min(vals[grid.interior()])) > -1e-2  # jump ringing bounded
 
@@ -144,8 +149,8 @@ def test_linearity_exact(kou_setup):
     grid, f = kou_setup
     u = SampledFunction(grid, np.exp(-grid.x**2), 0.0, 0.0)
     v = SampledFunction(grid, np.exp(-((grid.x - 0.4) / 0.7) ** 2), 0.0, 0.0)
-    lhs = apply_epv(f, "plus", u.scale(0.7) + v.scale(-1.3))
-    rhs = apply_epv(f, "plus", u).scale(0.7) + apply_epv(f, "plus", v).scale(-1.3)
+    lhs = apply_epv(plan(f, "plus"), u.scale(0.7) + v.scale(-1.3))
+    rhs = apply_epv(plan(f, "plus"), u).scale(0.7) + apply_epv(plan(f, "plus"), v).scale(-1.3)
     assert np.max(np.abs(lhs.full() - rhs.full())) < 1e-12
 
 
@@ -153,9 +158,9 @@ def test_translation_equivariance(kou_setup):
     grid, f = kou_setup
     bump = np.exp(-((grid.x - 0.2) / 0.5) ** 2)
     u = SampledFunction(grid, bump, 0.0, 0.0)
-    out = apply_epv(f, "plus", u)
+    out = apply_epv(plan(f, "plus"), u)
     shifted = SampledFunction(grid, np.roll(bump, 1), 0.0, 0.0)
-    out_shifted = apply_epv(f, "plus", shifted)
+    out_shifted = apply_epv(plan(f, "plus"), shifted)
     diff = np.abs(out_shifted.full() - np.roll(out.full(), 1))
     assert diff[core_region(grid)].max() < 1e-10
 
@@ -165,8 +170,8 @@ def test_iterated_sweeps_stay_bounded(kou_setup):
     w = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 1.0)
     sups = []
     for _ in range(30):
-        w = apply_epv(f, "plus",
-                      indicator_soft(apply_epv(f, "minus", w), Region.BELOW_UPPER))
+        w = apply_epv(plan(f, "plus"),
+                      indicator_soft(apply_epv(plan(f, "minus"), w), Region.BELOW_UPPER))
         w = w.scale(1.0 / 1.3)
         sups.append(w.sup_norm())
     assert sups[-1] < sups[0]
@@ -177,14 +182,63 @@ def test_nondecaying_residual_rejected(setup):
     grid, f = setup
     bad = SampledFunction(grid, np.ones(grid.size), 0.0, 0.0)  # misdeclared far field
     with pytest.raises(GridResolutionError):
-        apply_epv(f, "plus", bad)
+        apply_epv(plan(f, "plus"), bad)
 
 
 def test_batched_rows_match_single(kou_setup):
     grid, f = kou_setup
     rows = np.stack([np.exp(-grid.x**2), np.exp(-((grid.x + 0.3) / 0.8) ** 2)])
     batch = SampledFunction(grid, rows, [0.0, 0.0], [0.0, 0.0])
-    out = apply_epv(f, "plus", batch)
+    out = apply_epv(plan(f, "plus"), batch)
     for i in range(2):
-        single = apply_epv(f, "plus", batch.select(i))
+        single = apply_epv(plan(f, "plus"), batch.select(i))
         assert np.allclose(out.full()[i], single.full())
+
+
+def test_nan_residual_rejected(setup):
+    # NaN compares false with any tolerance; the check must still stop it
+    grid, f = setup
+    bad = SampledFunction(grid, np.full(grid.size, np.nan), 0.0, 0.0)
+    with pytest.raises(GridResolutionError):
+        apply_epv(plan(f, "plus"), bad)
+
+
+@pytest.fixture(scope="module")
+def three_heads(kou_setup):
+    grid, f = kou_setup
+    return grid, [f, factorize_rational(KOU, 2.1, grid), factorize_rational(BM2, 1.7, grid)]
+
+
+def head_batch(grid, k):
+    """3k rows: decaying bumps on far fields that differ row by row."""
+    rows, c_lo, c_hi = [], [], []
+    for i in range(3 * k):
+        rows.append((1.0 + 0.3j * i) * np.exp(-((grid.x - 0.1 * i) / (0.5 + 0.1 * i)) ** 2))
+        c_lo.append(0.2 * i)
+        c_hi.append(1.0 - 0.1j * i)
+    return SampledFunction(grid, np.array(rows), c_lo, c_hi)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_batched_plan_matches_each_head_alone(three_heads, side, inverse):
+    # one application over all rows gives each head group, bit for bit, what
+    # that head's own plan gives its rows
+    grid, factors = three_heads
+    k = 2
+    u = head_batch(grid, k)
+    op = apply_epv_inverse if inverse else apply_epv
+    batched = op(OperatorPlan.build(factors, side), u)
+    alone = [op(OperatorPlan.build([f], side), u.select(slice(h * k, (h + 1) * k)))
+             for h, f in enumerate(factors)]
+    assert np.array_equal(batched.values, np.concatenate([a.values for a in alone]))
+
+
+def test_decay_check_keeps_each_head_scale(three_heads):
+    # head 2's rows do not decay; head 1's sup-norm is 1e8 times larger, which
+    # would hide that under one scale taken over the whole batch
+    grid, factors = three_heads
+    rows = np.stack([1e8 * np.exp(-grid.x**2), np.ones(grid.size), np.exp(-grid.x**2)])
+    u = SampledFunction(grid, rows, 0.0, 0.0)
+    with pytest.raises(GridResolutionError):
+        apply_epv(OperatorPlan.build(factors, "plus"), u)

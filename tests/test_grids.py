@@ -10,6 +10,8 @@ from rsbarrier.grids import (
 )
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 
+from oracles import full_by_masks, sup_norm_by_masks
+
 BM = BrownianDrift(mu=0.0, sigma2=1.0)
 
 
@@ -94,3 +96,15 @@ def test_indicator_linearity_property(a, b):
     lhs = indicator_soft(u + v, Region.AT_OR_BELOW_LOWER)
     rhs = indicator_soft(u, Region.AT_OR_BELOW_LOWER) + indicator_soft(v, Region.AT_OR_BELOW_LOWER)
     assert np.allclose(lhs.full(), rhs.full(), atol=1e-12)
+
+
+def test_sliced_full_and_norm_equal_mask_formula():
+    g = small_grid()
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+    # each of the first two rows peaks on one side of the split at ref_index
+    values[0, g.ref_index] = values[1, g.ref_index - 1] = 10.0
+    u = SampledFunction(g, values, [-5.0, 5.0, 0.5j], [5.0, -5.0, 0.25])
+    rows = [u.select(i) for i in range(3)]
+    assert (np.array_equal(u.full(), full_by_masks(u))
+            and [r.sup_norm() for r in rows] == [sup_norm_by_masks(r) for r in rows])

@@ -64,6 +64,16 @@ def test_encode_decode_roundtrip(m, n):
         assert decode(m, n, code) == h
 
 
+@given(st.integers(1, 4), st.integers(0, 3))
+def test_head_groups_contiguous_and_equal(m, n):
+    # the engine's operator plans split the rows into m equal blocks, one per
+    # head in order, with no gather: h0 must be the leading digit of the code
+    if m == 1 and n > 0:
+        return
+    heads = MemoryChain.from_constant(m, n, 1.0).heads()
+    assert np.array_equal(heads, np.repeat(np.arange(1, m + 1), space_size(m, n) // m))
+
+
 def test_out_degree_sum():
     m, n = 3, 2
     chain = MemoryChain.from_constant(m, n, 1.0)

@@ -4,7 +4,7 @@ import pytest
 from rsbarrier.errors import ResourceLimitError
 from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
-from rsbarrier.epv import apply_epv, first_touch_above, first_touch_below
+from rsbarrier.epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below
 from rsbarrier.wiener_hopf import factorize_rational
 
 from kou_exact import ExactEpv, PiecewiseExp
@@ -17,6 +17,10 @@ KOU = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.5,
 KOU_UP_CREEP = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.0,
                                 alpha_plus=8.0, alpha_minus=6.0)
 XS = np.array([-2.5, -1.0, -0.3, 0.0, 0.4, 1.3, 2.2])
+
+
+def plan(factors, side):
+    return OperatorPlan.build([factors], side)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +95,7 @@ def test_kou_mixture_weights_sum_to_one(kou_pair):
 def test_grid_backend_cross_validation_epv(kou_pair):
     grid, factors, ex = kou_pair
     exact = ex.e_plus(PiecewiseExp.step_above(grid.upper, 1.0))
-    on_grid = apply_epv(factors, "plus",
+    on_grid = apply_epv(plan(factors, "plus"),
                         SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 1.0))
     mask = core_region(grid) & (np.abs(grid.x - grid.upper) > 0.05)
     assert np.abs(on_grid.full() - exact(grid.x))[mask].max() < 1e-6
@@ -107,11 +111,11 @@ def test_grid_backend_cross_validation_inner_step(kou_pair):
 
     vg = (SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.55)
           + SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, 0.3))
-    sweep = apply_epv(factors, "plus",
-                      indicator_soft(apply_epv(factors, "minus", vg.scale(0.4)),
+    sweep = apply_epv(plan(factors, "plus"),
+                      indicator_soft(apply_epv(plan(factors, "minus"), vg.scale(0.4)),
                                      Region.BELOW_UPPER)).scale(1.0 / Q)
     boundary = first_touch_above(
-        factors, SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.8))
+        plan(factors, "plus"), SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.8))
     on_grid = sweep + boundary
     mask = (core_region(grid)
             & (np.abs(grid.x - grid.upper) > 0.05)
@@ -149,9 +153,11 @@ def test_first_touch_tail_image(request, pair, side, bound):
     grid, factors, ex = request.getfixturevalue(pair)
     u, seed, h = tail_seed(grid, side)
     if side == "plus":
-        on_grid, exact = first_touch_above(factors, u), ex.first_touch_above(seed, h)
+        on_grid = first_touch_above(plan(factors, "plus"), u)
+        exact = ex.first_touch_above(seed, h)
     else:
-        on_grid, exact = first_touch_below(factors, u), ex.first_touch_below(seed, h)
+        on_grid = first_touch_below(plan(factors, "minus"), u)
+        exact = ex.first_touch_below(seed, h)
     mask = (core_region(grid)
             & (np.abs(grid.x - grid.upper) > 0.05)
             & (np.abs(grid.x - grid.lower) > 0.05))
