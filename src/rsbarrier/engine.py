@@ -9,6 +9,9 @@ a history's head, so ``price_field`` builds one ``epv.OperatorPlan`` per side
 from the m factorizations, and a sweep is one batched inner-side and one
 outer-side application over all rows, plus rate-weighted gathers of
 neighbour values.  The plans are dropped when the spectral value is done.
+Sweep 1 starts from zero, so it is the boundary term itself and transforms
+nothing; on a chain with lambda0 = 0 nothing couples, and it is the only
+sweep.
 """
 
 from __future__ import annotations
@@ -257,9 +260,11 @@ class QPricer:
     def _inner_iteration(self, side: str, boundary_data: SampledFunction, q,
                          stats: IterationStats, plans: dict) -> SampledFunction:
         """Jacobi sweeps for one series term; both coupling terms use the
-        previous sweep's values, the boundary term is fixed.  A sweep is one
-        batched inner-side and one outer-side application over all rows,
-        each row scaled by its head's 1/Q."""
+        previous sweep's values, the boundary term is fixed.  Sweep 1 is the
+        boundary term itself (the sweep from zero), taken without a
+        transform; each later sweep is one batched inner-side and one
+        outer-side application over all rows, each row scaled by its head's
+        1/Q."""
         problem, chain, grid = self.problem, self.problem.chain, self.grid
         q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
                             for s in range(1, chain.m + 1)], dtype=np.complex128)
@@ -276,7 +281,6 @@ class QPricer:
         for s, idx in self._groups():
             boundary.assign(idx, first_touch(plan.head(s), boundary_data.select(idx)))
 
-        cur = SampledFunction.zero(grid, (chain.size,))
         scale = self._scale(q)
         real_path = (complex(q).imag == 0.0
                      and np.all(self.problem.payoffs >= 0.0))
@@ -288,9 +292,19 @@ class QPricer:
             mono_mask = (x > grid.lower + ring) & (x < grid.upper - ring)
             if not np.any(mono_mask):
                 mono_mask = (x > grid.lower) & (x < grid.upper)
-        prev_diff = None
-        rising = 0
-        for sweep in range(1, self.max_sweeps + 1):
+        # sweep 1 from zero couples nothing and returns the boundary term, so
+        # it is taken without a transform; with lambda0 = 0 every later sweep
+        # would couple nothing as well
+        cur = boundary
+        diff = boundary.sup_norm()
+        if real_path:
+            stats.monotone_undershoot = min(stats.monotone_undershoot,
+                                            float(np.min(boundary.full().real[..., mono_mask])))
+        if chain.lambda0 == 0.0 or diff <= self.tol_inner * scale:
+            stats.inner_sweeps.append(1)
+            return cur
+        prev_diff, rising, sweep = diff, 0, 1
+        for sweep in range(2, self.max_sweeps + 1):
             # one expression, so no batch of this sweep outlives it
             new = apply_epv(plan, indicator_soft(
                 apply_epv(inner_plan, self._coupling(cur)), region)).scale(row_inv_q) + boundary
@@ -299,7 +313,7 @@ class QPricer:
                 worst = float(np.min((new - cur).full().real[..., mono_mask]))
                 stats.monotone_undershoot = min(stats.monotone_undershoot, worst)
             noise_floor = 1e3 * np.finfo(float).eps * max(new.sup_norm(), 1e-300)
-            if prev_diff is not None and diff > noise_floor:
+            if diff > noise_floor:
                 ratio = diff / prev_diff
                 stats.contraction_ratios.append(ratio)
                 rising = rising + 1 if ratio >= 1.0 else 0

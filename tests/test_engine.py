@@ -130,6 +130,40 @@ def test_boundary_term_single_sweep_closed_form():
     assert field.at(0.0)[0].real == pytest.approx(cosh_transform(q, 0.0), abs=2e-6)
 
 
+def test_first_sweep_transforms_nothing(monkeypatch):
+    # sweep 1 is the boundary term; each later sweep makes one inner-side and
+    # one outer-side application, and a chain with lambda0 = 0 has none
+    from rsbarrier import engine
+
+    calls, per_iteration = [], []
+    apply_epv, inner_iteration = engine.apply_epv, QPricer._inner_iteration
+
+    def counted_apply(plan, u):
+        calls.append(plan.side)
+        return apply_epv(plan, u)
+
+    def counted_iteration(self, side, boundary_data, q, stats, plans):
+        before = len(calls)
+        out = inner_iteration(self, side, boundary_data, q, stats, plans)
+        per_iteration.append((len(calls) - before, stats.inner_sweeps[-1]))
+        return out
+
+    monkeypatch.setattr(engine, "apply_epv", counted_apply)
+    monkeypatch.setattr(QPricer, "_inner_iteration", counted_iteration)
+    field = single_brownian(m_power=12).price_field(1.0)
+    assert calls == [] and field.stats.inner_sweeps == [1] * len(per_iteration)
+
+    per_iteration.clear()
+    chain = MemoryChain(2, 1, np.array([[0.8], [1.6]]))
+    prob = BarrierProblem(
+        regimes=(RegimeSpec(KOU1, 0.02, 1.0), RegimeSpec(KOU2, 0.05, 1.0)),
+        chain=chain, lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
+        initial_history=HistoryIndex((1, 2)))
+    QPricer(prob, m_power=12).price_field(2.0)
+    assert per_iteration and all(n == 2 * (sweeps - 1) for n, sweeps in per_iteration)
+    assert max(sweeps for _, sweeps in per_iteration) > 1
+
+
 def test_zero_payoff_gives_zero():
     chain = MemoryChain.from_constant(1, 0, 0.0)
     prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 0.0),), chain=chain,
