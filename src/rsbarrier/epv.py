@@ -79,7 +79,8 @@ class OperatorPlan:
 
     Each array is stacked (heads, 1, M) so that it broadcasts against the
     history rows grouped by head, (heads, rows per head, M): ``damp`` is
-    exp(omega*x) on the head's damping contour, ``forward`` and ``inverse``
+    exp(omega*x) on the head's damping contour and ``undamp`` its
+    reciprocal, ``forward`` and ``inverse``
     are phi^side and 1/phi^side on that contour times the grid's spectral
     roll, and ``window`` confines the output residual.  A plan depends only
     on the factorizations; it is built once per (spectral value, side) and
@@ -90,6 +91,7 @@ class OperatorPlan:
     side: str
     models: tuple
     damp: np.ndarray
+    undamp: np.ndarray
     forward: np.ndarray
     inverse: np.ndarray
     window: np.ndarray
@@ -107,7 +109,9 @@ class OperatorPlan:
             forward.append(symbol * grid.roll)
             inverse.append(1.0 / symbol * grid.roll)
             window.append(grid.window_mask(residual_window(fac)))
-        rows = [_frozen(np.stack(a)[:, None, :]) for a in (damp, forward, inverse, window)]
+        damp, forward, inverse, window = (np.stack(a)[:, None, :]
+                                          for a in (damp, forward, inverse, window))
+        rows = [_frozen(a) for a in (damp, 1.0 / damp, forward, inverse, window)]
         return cls(grid, side, tuple(fac.model for fac in factors), *rows)
 
     @property
@@ -118,7 +122,8 @@ class OperatorPlan:
         """The plan of regime head s (1-based) alone."""
         k = slice(s - 1, s)
         return OperatorPlan(self.grid, self.side, self.models[k], self.damp[k],
-                            self.forward[k], self.inverse[k], self.window[k])
+                            self.undamp[k], self.forward[k], self.inverse[k],
+                            self.window[k])
 
 
 def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
@@ -171,7 +176,7 @@ def apply_multiplier(u: SampledFunction, plan: OperatorPlan,
     g = np.fft.fft(g, axis=-1)
     g *= plan.inverse if inverse else plan.forward
     g = np.fft.ifft(g, axis=-1)
-    g /= plan.damp
+    g *= plan.undamp
     # confine the output residual: undamped kernel leakage grows like
     # exp(|omega| |x|) away from the band and would poison the next
     # opposite-side application, while true content out there is negligible

@@ -242,3 +242,15 @@ def test_decay_check_keeps_each_head_scale(three_heads):
     u = SampledFunction(grid, rows, 0.0, 0.0)
     with pytest.raises(GridResolutionError):
         apply_epv(OperatorPlan.build(factors, "plus"), u)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_undamp_multiply_equals_divide(kou_setup, side):
+    # the plan undamps by multiplying with 1/damp, which numpy's complex
+    # division by a real array computes as well; a numpy whose division
+    # rounds otherwise fails here instead of moving prices
+    grid, f = kou_setup
+    op = plan(f, side)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((2, 1, grid.size)) + 1j * rng.standard_normal((2, 1, grid.size))
+    assert np.array_equal(g / op.damp, g * op.undamp)
