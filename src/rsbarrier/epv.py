@@ -19,6 +19,13 @@ of the history code, so the groups are contiguous and equal in size and
 broadcast against the plan without a gather.  The engine makes one
 inner-side and one outer-side application per sweep.
 
+At a real Q (GWR's nodes) the symbols are Hermitian and the operators map
+real data to real data, so a plan whose heads all have real Q is a real
+plan: it keeps the non-negative-frequency half of each symbol and applies
+it through real FFTs, once to the real part of the data and, unless it is
+all zero, once to the imaginary part.  Complex Q (sinh nodes) keeps the
+full spectrum and complex FFTs; the rest of an application is the same.
+
 ``first_touch_above``/``first_touch_below`` compose these into the value of
 receiving given data at the first entrance of the region beyond a barrier;
 they take the plan of one head.
@@ -77,19 +84,24 @@ def residual_window(factors: WHFactorization) -> float:
 class OperatorPlan:
     """The arrays of E^side at one spectral value, one row per regime head.
 
-    Each array is stacked (heads, 1, M) so that it broadcasts against the
+    Each array is stacked (heads, 1, .) so that it broadcasts against the
     history rows grouped by head, (heads, rows per head, M): ``damp`` is
     exp(omega*x) on the head's damping contour and ``undamp`` its
-    reciprocal, ``forward`` and ``inverse``
-    are phi^side and 1/phi^side on that contour times the grid's spectral
-    roll, and ``window`` confines the output residual.  A plan depends only
-    on the factorizations; it is built once per (spectral value, side) and
-    dropped with the node.
+    reciprocal, ``forward`` and ``inverse`` are phi^side and 1/phi^side on
+    that contour times the grid's spectral roll, and ``window`` confines the
+    output residual.  A plan depends only on the factorizations; it is built
+    once per (spectral value, side) and dropped with the node.
+
+    ``real`` is set when every head's Q is real.  The symbols are then
+    Hermitian, phi(-xi + i omega) = conj phi(xi + i omega), so the operator
+    maps real data to real data: ``forward`` and ``inverse`` keep only the
+    M/2 + 1 non-negative-frequency bins, and applications take real FFTs.
     """
 
     grid: DualGrid
     side: str
     models: tuple
+    real: bool
     damp: np.ndarray
     undamp: np.ndarray
     forward: np.ndarray
@@ -100,19 +112,22 @@ class OperatorPlan:
     def build(cls, factors: Sequence[WHFactorization], side: str) -> "OperatorPlan":
         """Plan of E^side for the heads' factorizations, in head order."""
         grid = factors[0].grid
+        real = all(complex(fac.Q).imag == 0.0 for fac in factors)
+        bins = slice(grid.size // 2 + 1) if real else slice(None)
+        roll = grid.roll[bins]
         damp, forward, inverse, window = [], [], [], []
         for fac in factors:
             omega = effective_omega(fac, side)
             cs = fac.contour_symbols(omega)
-            symbol = cs.phi_plus if side == "plus" else cs.phi_minus
+            symbol = (cs.phi_plus if side == "plus" else cs.phi_minus)[bins]
             damp.append(np.exp(omega * grid.x))
-            forward.append(symbol * grid.roll)
-            inverse.append(1.0 / symbol * grid.roll)
+            forward.append(symbol * roll)
+            inverse.append(1.0 / symbol * roll)
             window.append(grid.window_mask(residual_window(fac)))
         damp, forward, inverse, window = (np.stack(a)[:, None, :]
                                           for a in (damp, forward, inverse, window))
         rows = [_frozen(a) for a in (damp, 1.0 / damp, forward, inverse, window)]
-        return cls(grid, side, tuple(fac.model for fac in factors), *rows)
+        return cls(grid, side, tuple(fac.model for fac in factors), real, *rows)
 
     @property
     def heads(self) -> int:
@@ -121,9 +136,9 @@ class OperatorPlan:
     def head(self, s: int) -> "OperatorPlan":
         """The plan of regime head s (1-based) alone."""
         k = slice(s - 1, s)
-        return OperatorPlan(self.grid, self.side, self.models[k], self.damp[k],
-                            self.undamp[k], self.forward[k], self.inverse[k],
-                            self.window[k])
+        return OperatorPlan(self.grid, self.side, self.models[k], self.real,
+                            self.damp[k], self.undamp[k], self.forward[k],
+                            self.inverse[k], self.window[k])
 
 
 def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
@@ -145,6 +160,39 @@ def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
             )
 
 
+def _damped_pass(g: np.ndarray, step: np.ndarray, plan: OperatorPlan,
+                 symbol: np.ndarray) -> np.ndarray:
+    """The multiplier on rows ``g`` (owned, grouped by head) whose far-field
+    step is ``step``: real rows through real FFTs on a real plan, complex
+    rows through complex FFTs otherwise."""
+    grid = plan.grid
+    # taper only the damping-suppressed side: wrapped mass from there is
+    # re-amplified by undamping, while the other side's tail is real content
+    if plan.side == "plus":
+        far, taper = slice(grid.ref_index, None), grid.taper_lo
+    else:
+        far, taper = slice(None, grid.ref_index), grid.taper_hi
+    g[..., far] += step
+    g *= plan.damp
+    g *= taper
+    if plan.real:
+        g = np.fft.rfft(g, axis=-1)
+        g *= symbol
+        g = np.fft.irfft(g, n=grid.size, axis=-1)
+    else:
+        g = np.fft.fft(g, axis=-1)
+        g *= symbol
+        g = np.fft.ifft(g, axis=-1)
+    g *= plan.undamp
+    # confine the output residual: undamped kernel leakage grows like
+    # exp(|omega| |x|) away from the band and would poison the next
+    # opposite-side application, while true content out there is negligible
+    g[..., far] -= step
+    g *= plan.window
+    g *= grid.taper_both
+    return g
+
+
 def apply_multiplier(u: SampledFunction, plan: OperatorPlan,
                      inverse: bool = False) -> SampledFunction:
     """Apply the plan's multiplier (1/phi^side if ``inverse``) to every row.
@@ -158,31 +206,23 @@ def apply_multiplier(u: SampledFunction, plan: OperatorPlan,
         out = c + undamp(ifft(symbol * fft(damp(step + residual)))) - step,
 
     with the output residual confined to the plan's window beyond the band.
+    On a real plan the real and the imaginary part of the data each take
+    that path through real FFTs.  The imaginary pass is skipped when the
+    residuals and the steps have no imaginary part, since its image is then
+    exactly zero; a row's output never depends on the other rows.
     """
     grid = u.grid
     _check_decay(u, plan.heads, IllPosedApplicationError if inverse else GridResolutionError)
-    # taper only the damping-suppressed side: wrapped mass from there is
-    # re-amplified by undamping, while the other side's tail is real content
-    if plan.side == "plus":
-        step = (u.c_hi - u.c_lo).reshape(plan.heads, -1, 1)
-        far, taper = slice(grid.ref_index, None), grid.taper_lo
+    step = (u.c_hi - u.c_lo) if plan.side == "plus" else (u.c_lo - u.c_hi)
+    step = step.reshape(plan.heads, -1, 1)
+    values = u.values.reshape(plan.heads, -1, grid.size)
+    symbol = plan.inverse if inverse else plan.forward
+    if not plan.real:
+        g = _damped_pass(values.copy(), step, plan, symbol)
     else:
-        step = (u.c_lo - u.c_hi).reshape(plan.heads, -1, 1)
-        far, taper = slice(None, grid.ref_index), grid.taper_hi
-    g = u.values.copy().reshape(plan.heads, -1, grid.size)
-    g[..., far] += step
-    g *= plan.damp
-    g *= taper
-    g = np.fft.fft(g, axis=-1)
-    g *= plan.inverse if inverse else plan.forward
-    g = np.fft.ifft(g, axis=-1)
-    g *= plan.undamp
-    # confine the output residual: undamped kernel leakage grows like
-    # exp(|omega| |x|) away from the band and would poison the next
-    # opposite-side application, while true content out there is negligible
-    g[..., far] -= step
-    g *= plan.window
-    g *= grid.taper_both
+        g = _damped_pass(values.real.copy(), step.real, plan, symbol)
+        if np.any(values.imag) or np.any(step.imag):
+            g = g + 1j * _damped_pass(values.imag.copy(), step.imag, plan, symbol)
     return SampledFunction(grid, g.reshape(u.values.shape), u.c_lo, u.c_hi)
 
 

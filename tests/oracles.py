@@ -2,6 +2,8 @@
 
 ``core_region`` is the mask where pointwise accuracy is asserted,
 ``undamped_multiplier`` applies a symbol on the real axis with no damping,
+``complex_multiplier`` applies E^side by full complex transforms of the
+full-contour symbols, against which real plans are checked,
 ``log_factor_cauchy_reference`` is the literal Cauchy-integral form of the
 Wiener-Hopf log-factor, against which the spectral split is checked, and
 ``full_by_masks``/``sup_norm_by_masks`` form full samples and their norm with
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from rsbarrier.epv import effective_omega, residual_window
 from rsbarrier.errors import ContourError
 from rsbarrier.grids import SampledFunction
 from rsbarrier.models import LevyModel, analyticity_strip, char_exponent
@@ -46,6 +49,31 @@ def undamped_multiplier(u: SampledFunction, symbol: np.ndarray) -> SampledFuncti
     g = u.values * grid.taper_both
     core = np.fft.ifft(np.fft.fft(g, axis=-1) * (symbol * grid.roll), axis=-1)
     return SampledFunction(grid, core * grid.taper_both, u.c_lo, u.c_hi)
+
+
+def complex_multiplier(u: SampledFunction, factors, side: str,
+                       inverse: bool = False) -> SampledFunction:
+    """E^side (1/phi^side if ``inverse``) of one factorization on ``u`` by
+    complex FFTs over the whole contour: the far-field step is added and
+    taken out by whole-grid masks, and the symbol is read straight from
+    ``contour_symbols``, all M bins of it."""
+    grid = u.grid
+    omega = effective_omega(factors, side)
+    cs = factors.contour_symbols(omega)
+    symbol = cs.phi_plus if side == "plus" else cs.phi_minus
+    if inverse:
+        symbol = 1.0 / symbol
+    hi_side = grid.index >= grid.ref_index
+    if side == "plus":
+        far, taper, step = hi_side, grid.taper_lo, u.c_hi - u.c_lo
+    else:
+        far, taper, step = ~hi_side, grid.taper_hi, u.c_lo - u.c_hi
+    far_step = step[..., None] * far
+    damp = np.exp(omega * grid.x)
+    g = (u.values + far_step) * damp * taper
+    g = np.fft.ifft(np.fft.fft(g, axis=-1) * (symbol * grid.roll), axis=-1) / damp
+    g = (g - far_step) * grid.window_mask(residual_window(factors)) * grid.taper_both
+    return SampledFunction(grid, g, u.c_lo, u.c_hi)
 
 
 def log_factor_cauchy_reference(model: LevyModel, Q: complex, xi: complex,

@@ -3,21 +3,24 @@ import pytest
 
 from rsbarrier.errors import GridResolutionError
 from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
-from rsbarrier.models import BrownianDrift, KouJumpDiffusion
+from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.epv import (
     OperatorPlan,
     apply_epv,
     apply_epv_inverse,
+    apply_multiplier,
+    effective_omega,
     first_touch_above,
     first_touch_below,
 )
-from rsbarrier.wiener_hopf import factorize_rational
+from rsbarrier.wiener_hopf import factorize, factorize_rational
 
-from oracles import core_region, undamped_multiplier
+from oracles import complex_multiplier, core_region, undamped_multiplier
 
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
 KOU = KouJumpDiffusion(mu=0.03, sigma2=0.1, lambda_j=2.0, p=0.5,
                        alpha_plus=8.0, alpha_minus=6.0)
+KOBOL = KoBoL(nu=1.2, c=1.0, lambda_plus=8.0, lambda_minus=-4.0, mu=0.0)
 
 
 def plan(f, side):
@@ -209,29 +212,40 @@ def three_heads(kou_setup):
     return grid, [f, factorize_rational(KOU, 2.1, grid), factorize_rational(BM2, 1.7, grid)]
 
 
-def head_batch(grid, k):
-    """3k rows: decaying bumps on far fields that differ row by row."""
+def head_batch(grid, k, imag=1j):
+    """3k rows: decaying bumps on far fields that differ row by row; real
+    rows when ``imag`` is 0."""
     rows, c_lo, c_hi = [], [], []
     for i in range(3 * k):
-        rows.append((1.0 + 0.3j * i) * np.exp(-((grid.x - 0.1 * i) / (0.5 + 0.1 * i)) ** 2))
+        rows.append((1.0 + 0.3 * imag * i) * np.exp(-((grid.x - 0.1 * i) / (0.5 + 0.1 * i)) ** 2))
         c_lo.append(0.2 * i)
-        c_hi.append(1.0 - 0.1j * i)
+        c_hi.append(1.0 - 0.1 * imag * i)
     return SampledFunction(grid, np.array(rows), c_lo, c_hi)
 
 
-@pytest.mark.parametrize("side", ["plus", "minus"])
-@pytest.mark.parametrize("inverse", [False, True])
-def test_batched_plan_matches_each_head_alone(three_heads, side, inverse):
+def assert_batched_matches_alone(factors, side, inverse, u, k):
     # one application over all rows gives each head group, bit for bit, what
     # that head's own plan gives its rows
-    grid, factors = three_heads
-    k = 2
-    u = head_batch(grid, k)
     op = apply_epv_inverse if inverse else apply_epv
     batched = op(OperatorPlan.build(factors, side), u)
     alone = [op(OperatorPlan.build([f], side), u.select(slice(h * k, (h + 1) * k)))
              for h, f in enumerate(factors)]
     assert np.array_equal(batched.values, np.concatenate([a.values for a in alone]))
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_batched_plan_matches_each_head_alone(three_heads, side, inverse):
+    grid, factors = three_heads
+    assert_batched_matches_alone(factors, side, inverse, head_batch(grid, 2), 2)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_batched_real_plan_matches_each_head_alone(three_heads, side, inverse):
+    # the same on real data, which a real plan maps without a complex pass
+    grid, factors = three_heads
+    assert_batched_matches_alone(factors, side, inverse, head_batch(grid, 2, imag=0.0), 2)
 
 
 def test_decay_check_keeps_each_head_scale(three_heads):
@@ -254,3 +268,73 @@ def test_undamp_multiply_equals_divide(kou_setup, side):
     rng = np.random.default_rng(5)
     g = rng.standard_normal((2, 1, grid.size)) + 1j * rng.standard_normal((2, 1, grid.size))
     assert np.array_equal(g / op.damp, g * op.undamp)
+
+
+# -- real plans: real Q, Hermitian symbols, half-spectrum transforms -------
+
+@pytest.fixture(scope="module", params=["brownian", "kou", "kobol"])
+def real_q(request):
+    # the band and grid size of configs/kobol_single.json, at a real Q
+    model = {"brownian": BM2, "kou": KOU, "kobol": KOBOL}[request.param]
+    grid = build_grid(-0.5, 0.5, m_power=13, models=[model])
+    return grid, factorize(model, 1.3, grid)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_symbols_hermitian_at_real_q(real_q, side):
+    # S[M - k] = conj S[k]: what lets a real plan keep half the spectrum
+    grid, f = real_q
+    cs = f.contour_symbols(effective_omega(f, side))
+    symbol = cs.phi_plus if side == "plus" else cs.phi_minus
+    k = np.arange(1, grid.size // 2)
+    for s, bound in ((symbol, 1e-12), (1.0 / symbol, 1e-10)):
+        assert np.max(np.abs(s[grid.size - k] - np.conj(s[k]))) <= bound * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_real_plan_matches_complex_transform(real_q, side, inverse):
+    grid, f = real_q
+    x = grid.x
+    u = SampledFunction(grid, np.exp(-(x / 0.3) ** 2) - 0.3 * np.exp(-((x - 0.2) / 0.5) ** 2),
+                        0.4, 1.0)
+    op = OperatorPlan.build([f], side)
+    assert op.real
+    out = apply_multiplier(u, op, inverse)
+    ref = complex_multiplier(u, f, side, inverse)
+    assert np.all(out.values.imag == 0.0)
+    assert np.max(np.abs(out.values - ref.values)) <= 1e-11 * ref.sup_norm()
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_real_plan_splits_complex_data(kou_setup, side, inverse):
+    # complex data on a real plan: the real and imaginary parts are mapped
+    # apart, and a real row's output does not see a complex row beside it
+    grid, f = kou_setup
+    x = grid.x
+    bump = np.exp(-((x - 0.3) / 0.6) ** 2)
+    # a real row, a complex residual, and a real residual on complex far fields
+    rows = np.stack([np.exp(-x**2), (0.5 - 0.8j) * bump, bump])
+    u = SampledFunction(grid, rows, [0.2, 0.1j, 0.3], [1.0, 0.7 - 0.3j, 1.0 + 0.4j])
+    op = plan(f, side)
+    for rows_taken in (slice(None), slice(2, 3)):
+        v = u.select(rows_taken)
+        re = SampledFunction(grid, v.values.real, v.c_lo.real, v.c_hi.real)
+        im = SampledFunction(grid, v.values.imag, v.c_lo.imag, v.c_hi.imag)
+        assert np.array_equal(apply_multiplier(v, op, inverse).values,
+                              apply_multiplier(re, op, inverse).values
+                              + 1j * apply_multiplier(im, op, inverse).values)
+    assert np.array_equal(apply_multiplier(u, op, inverse).values[:1],
+                          apply_multiplier(u.select(slice(0, 1)), op, inverse).values)
+
+
+def test_plan_keeps_half_spectrum_only_at_real_q(kou_setup):
+    grid, f = kou_setup
+    half, full = (2, 1, grid.size // 2 + 1), (2, 1, grid.size)
+    real = OperatorPlan.build([f, factorize_rational(KOU, 2.1, grid)], "plus")
+    assert real.real and real.forward.shape == real.inverse.shape == half
+    assert real.head(2).real and real.head(2).forward.shape[-1] == half[-1]
+    mixed = OperatorPlan.build([f, factorize_rational(KOU, 2.1 + 0.5j, grid)], "plus")
+    assert not mixed.real and mixed.forward.shape == mixed.inverse.shape == full
+    assert not mixed.head(1).real and mixed.head(1).forward.shape[-1] == grid.size
