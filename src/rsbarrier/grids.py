@@ -19,6 +19,7 @@ from functools import cached_property
 from enum import Enum
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
 
 ROLL_START = 0.85      # DualGrid.roll is 1 below this fraction of Nyquist
 WINDOW_ROLLOFF = 0.5   # Gaussian width of window_mask beyond its margin
+# largest |omega * x| on the grid: exp(+-omega*x) then stays within 1e+-154,
+# which leaves the other half of the exponent range to the damped data
+MAX_DAMPING_EXPONENT = 0.5 * math.log(sys.float_info.max)
 
 
 class Region(Enum):
@@ -214,6 +218,16 @@ def build_grid(lower: float, upper: float, m_power: int = 14,
         edge_hi = min(edge_hi, abs(hi))
     omega_plus = -min(damping_cap, damping_scale * edge_lo)
     omega_minus = min(damping_cap, damping_scale * edge_hi)
+    # damping scales by exp(+-omega*x), and window_mask squares distances of
+    # up to a few times the reach in roll-off widths: over an absurdly wide
+    # domain either would overflow
+    reach = max(abs(x_min), abs(x_min + (size - 1) * dx))
+    omega = max(abs(omega_plus), abs(omega_minus))
+    if not (omega * reach <= MAX_DAMPING_EXPONENT
+            and 8.0 * reach / WINDOW_ROLLOFF <= math.sqrt(sys.float_info.max)):
+        raise ValueError(f"the domain reaches |x| = {reach:.3g}, too wide for damped "
+                         f"transforms at |omega| = {omega:.3g}; narrow the band or "
+                         f"lower domainFactor or dampingCap")
     return DualGrid(x_min=x_min, dx=dx, size=size, lower_index=lower_index,
                     upper_index=upper_index, ref_index=ref_index,
                     omega_plus=omega_plus, omega_minus=omega_minus,

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rsbarrier.cli import run_price
 from rsbarrier.config import parse_config
-from rsbarrier.errors import RsBarrierError
+from rsbarrier.errors import ConfigError, RsBarrierError
 
 BASE = json.loads((Path(__file__).resolve().parent.parent
                    / "configs" / "brownian_band.json").read_text())
@@ -110,6 +110,24 @@ def test_fuzz_findings_fail_typed(path, value):
     doc = copy.deepcopy(BASE)
     mutate(doc, path, value)
     with pytest.raises(RsBarrierError):
+        cfg = parse_config(doc)
+        cfg.threads = 1
+        run_price(cfg)
+
+
+# absurd but finite bands: the grid check reports them as a config error
+# before any array is built, with no numpy warning on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("changes", [
+    {("barriers", "upper"): 1e300},
+    {("barriers", "upper"): 1e3},
+    {("barriers", "upper"): 1e300, ("grid", "dampingCap"): 1e-300},
+], ids=["upper_1e300", "upper_1e3", "upper_1e300_tiny_damping"])
+def test_absurd_band_is_config_error(changes):
+    doc = copy.deepcopy(BASE)
+    for path, value in changes.items():
+        mutate(doc, path, value)
+    with pytest.raises(ConfigError, match="too wide for damped transforms"):
         cfg = parse_config(doc)
         cfg.threads = 1
         run_price(cfg)
