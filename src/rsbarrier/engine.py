@@ -292,9 +292,8 @@ class QPricer:
             mono_mask = (x > grid.lower + ring) & (x < grid.upper - ring)
             if not np.any(mono_mask):
                 mono_mask = (x > grid.lower) & (x < grid.upper)
-        # sweep 1 from zero couples nothing and returns the boundary term, so
-        # it is taken without a transform; with lambda0 = 0 every later sweep
-        # would couple nothing as well
+        # sweep 1; with lambda0 = 0 every later sweep would couple nothing
+        # and return the boundary term again
         cur = boundary
         diff = boundary.sup_norm()
         if real_path:
