@@ -64,6 +64,9 @@ class DualGrid:
     inf-side operator applications; both sit strictly inside every regime's
     analyticity strip.  Arrays that depend only on the grid are built on
     first use and kept, read-only; they take no part in ``==`` or the hash.
+    ``split_arrays`` is such a store for the Wiener-Hopf spectral split: it
+    holds the Q-free arrays of each regime on the contours every spectral
+    value shares (see ``wiener_hopf``).
     """
 
     x_min: float
@@ -77,6 +80,7 @@ class DualGrid:
     guard: int
     decay_tol: float = 1e-6
     _half_lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    split_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def index(self) -> np.ndarray:

@@ -16,6 +16,17 @@ normalization phi+-(0) = 1.
   into up/down analytic parts by its spectral support (components exp(i v
   eta) with v > 0 extend upward).  The split is exactly complementary, so
   the product identity holds to machine precision on the contour.
+
+  psi and the comparison symbol along the oversampled contour do not depend
+  on Q when the comparison symbol does not (KoBoL), and nearly every
+  spectral value splits on the same three contours: the real axis (for the
+  normalization) and the grid's two default damping contours.  Those arrays
+  are built once per (regime, contour) and kept, read-only, in the grid's
+  ``split_arrays``.  Any other contour is capped by the factor's own decay,
+  so it differs from one Q to the next and is built and dropped each time;
+  keeping it would grow memory with the number of spectral values.  Brownian
+  and Kou regimes sent down this route match their comparison symbol to
+  Re Q, so none of their arrays are kept.
 """
 
 from __future__ import annotations
@@ -31,9 +42,10 @@ from .errors import (
     FactorizationDegenerateError,
     InternalError,
 )
-from .grids import DualGrid
+from .grids import DualGrid, _frozen
 from .models import (
     BrownianDrift,
+    KoBoL,
     KouJumpDiffusion,
     LevyModel,
     analyticity_strip,
@@ -138,13 +150,16 @@ class WHFactorization:
         zeta_os, t_plus, t_minus = _split_remainder_on_contour(
             self.model, self.Q, self.grid, omega)
         n_plus = self._norm_plus()
-        log_pp = -a_exp * np.log(p_base - 1j * zeta_os) + t_plus + n_plus
-        log_pm = (-b_exp * np.log(m_base + 1j * zeta_os) + t_minus
-                  + cmath.log(self.Q) - cmath.log(complex(kappa)) - n_plus)
+        # the grid's M frequencies are taken out of the oversampled contour
+        # first: the rest is elementwise, so the values are the same
         m_total = OVERSAMPLE * self.grid.size
         dxi = 2.0 * math.pi / (self.grid.size * self.grid.dx)
         idx = np.rint(self.grid.xi / dxi).astype(int) + m_total // 2
-        return np.exp(log_pp[idx]), np.exp(log_pm[idx])
+        zeta = zeta_os[idx]
+        log_pp = -a_exp * np.log(p_base - 1j * zeta) + t_plus[idx] + n_plus
+        log_pm = (-b_exp * np.log(m_base + 1j * zeta) + t_minus[idx]
+                  + cmath.log(self.Q) - cmath.log(complex(kappa)) - n_plus)
+        return np.exp(log_pp), np.exp(log_pm)
 
     def product_residual(self, omega: float = 0.0) -> float:
         cs = self.contour_symbols(omega)
@@ -284,6 +299,25 @@ def _continuous_log(values, where: str):
     return np.log(mag) + 1j * ang
 
 
+def _contour_arrays(model, Q, grid: DualGrid, omega: float, zeta: np.ndarray):
+    """(psi, C) on ``zeta``, the oversampled contour Im xi = omega.
+
+    Kept in ``grid.split_arrays`` when the grid defines the contour and C
+    does not depend on Q; each entry is written once, whole and read-only,
+    so node threads may share it.
+    """
+    key = (model, omega)
+    kept = isinstance(model, KoBoL) and omega in (0.0, grid.omega_plus, grid.omega_minus)
+    if kept and key in grid.split_arrays:
+        return grid.split_arrays[key]
+    kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(model, Q)
+    comp = kappa * (p_base - 1j * zeta) ** a_exp * (m_base + 1j * zeta) ** b_exp
+    arrays = (_frozen(char_exponent(model, zeta)), _frozen(comp))
+    if kept:
+        arrays = grid.split_arrays.setdefault(key, arrays)
+    return arrays
+
+
 def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float):
     """Decaying remainder t = -ln((Q+psi)/C) split into up/down spectral parts.
 
@@ -299,11 +333,8 @@ def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float):
     j = np.arange(m_total)
     eta = (j - m_total // 2) * dxi
     zeta = eta + 1j * omega
-    w = Q + char_exponent(model, zeta)
-
-    kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(model, Q)
-    comp = kappa * (p_base - 1j * zeta) ** a_exp * (m_base + 1j * zeta) ** b_exp
-    t = -_continuous_log(w / comp, f"Im xi = {omega:g}")
+    psi, comp = _contour_arrays(model, Q, grid, omega, zeta)
+    t = -_continuous_log((Q + psi) / comp, f"Im xi = {omega:g}")
 
     coeffs = np.fft.fft(t)
     vsign = np.fft.fftfreq(m_total)

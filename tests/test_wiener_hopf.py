@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rsbarrier.epv import effective_omega
 from rsbarrier.errors import FactorizationDegenerateError
 from rsbarrier.grids import build_grid
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
@@ -98,6 +99,44 @@ def test_kobol_against_cauchy_reference(grid):
         ref = np.exp(log_factor_cauchy_reference(KOBOL, 2.0, grid.xi[idx],
                                                  side="plus", omega_line=-0.6))
         assert abs(ref - cs.phi_plus[idx]) < 1e-4
+
+
+def _assert_symbols_equal(fac, fresh, omega):
+    a, b = fac.contour_symbols(omega), fresh.contour_symbols(omega)
+    assert np.array_equal(a.phi_plus, b.phi_plus)
+    assert np.array_equal(a.phi_minus, b.phi_minus)
+
+
+def test_kept_split_arrays_do_not_change_symbols():
+    # the grid keeps KoBoL's Q-free split arrays on its own three contours;
+    # symbols read through them equal those of a fresh grid, bit for bit
+    args = dict(lower=-1.0, upper=1.0, m_power=12, models=[KOBOL])
+    shared = build_grid(**args)
+    kept = {(KOBOL, 0.0), (KOBOL, shared.omega_plus), (KOBOL, shared.omega_minus)}
+    # Q = 1 has a decay-limited plus contour; 20 + 15i is a sinh-like node
+    for Q in (1.0, 20.0 + 15.0j, 10.0):
+        fac = factorize_integral(KOBOL, Q, shared)
+        fresh = factorize_integral(KOBOL, Q, build_grid(**args))
+        for side in ("plus", "minus"):
+            _assert_symbols_equal(fac, fresh, effective_omega(fac, side))
+        assert set(shared.split_arrays) <= kept
+    assert effective_omega(factorize_integral(KOBOL, 1.0, shared), "plus") \
+        not in (shared.omega_plus, shared.omega_minus, 0.0)
+    assert set(shared.split_arrays) == kept
+    for psi, comp in shared.split_arrays.values():
+        assert not psi.flags.writeable and not comp.flags.writeable
+
+
+def test_q_dependent_comparison_keeps_nothing():
+    # a Brownian comparison symbol follows Re Q, so nothing may be kept
+    args = dict(lower=-1.0, upper=1.0, m_power=12, models=[BM2])
+    shared = build_grid(**args)
+    for Q in (3.0, 7.0):
+        fac = factorize_integral(BM2, Q, shared)
+        fresh = factorize_integral(BM2, Q, build_grid(**args))
+        for omega in (0.0, shared.omega_plus, shared.omega_minus):
+            _assert_symbols_equal(fac, fresh, omega)
+        assert not shared.split_arrays
 
 
 def test_symmetric_model_conjugate_factors(grid):
