@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from rsbarrier.cli import main
+from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.errors import ConfigError
 from rsbarrier.montecarlo import brownian_band_series
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BROWNIAN_DOC = {
     "regimes": [
@@ -143,6 +145,19 @@ def test_price_cli_deterministic_and_thread_independent(tmp_path):
     assert _strip_wall(out1) == _strip_wall(out2) == _strip_wall(out4)
 
 
+def test_kobol_price_thread_independent():
+    # node threads share the grid's kept spectral-split arrays
+    doc = json.loads((ROOT / "configs" / "kobol_single.json").read_text())
+    doc["inversion"] = {"backend": "sinh"}
+    doc["grid"] = {"mPower": 11}
+    prices = []
+    for threads in (1, 2, 2):
+        doc["threads"] = threads
+        rows, _ = run_price(parse_config(doc))
+        prices.append(repr(rows[0]["price"]))
+    assert prices[0] == prices[1] == prices[2]
+
+
 def test_mc_cli(tmp_path):
     rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "mc")
     assert rc == 0
@@ -257,7 +272,7 @@ def test_numeric_error_exit_code(tmp_path, capsys):
 
 
 def test_readme_defaults_table_matches_config():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
         cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
