@@ -106,8 +106,7 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
 
         def invert_history(idx):
             samples = [values[complex(q)][idx].real for q in qs]
-            return gwr_invert(samples, tau, plan.n_gaver,
-                              plan.extended_precision).value
+            return gwr_invert(samples, tau, plan.n_gaver).value
         depth = plan.n_gaver
 
     rows = [dict(history=int(c), price=invert_history(int(c))) for c in codes]

@@ -39,7 +39,6 @@ DEFAULTS = {
     "tolerances.max_sweeps": 500,
     "inversion.backend": "gwr",
     "inversion.n_gaver": 8,
-    "inversion.extended_precision": False,
     "inversion.sinh_nodes": 64,
     "inversion.sinh_gamma": 0.75 * math.pi,
     "inversion.sinh_target_tol": 1e-10,
@@ -195,12 +194,13 @@ def _parse(doc: dict) -> ProblemConfig:
         max_sweeps=int(t.get("maxSweeps", DEFAULTS["tolerances.max_sweeps"])),
     )
     inv = doc.get("inversion", {})
+    if "extendedPrecision" in inv:
+        raise ConfigError("inversion.extendedPrecision is no longer a setting: GWR "
+                          "always runs in double precision; remove the key")
     try:
         plan = InversionPlan(
             backend=inv.get("backend", DEFAULTS["inversion.backend"]),
             n_gaver=int(inv.get("nGaver", DEFAULTS["inversion.n_gaver"])),
-            extended_precision=bool(inv.get("extendedPrecision",
-                                            DEFAULTS["inversion.extended_precision"])),
             sinh_nodes=int(inv.get("sinhNodes", DEFAULTS["inversion.sinh_nodes"])),
             sinh_sigma0=inv.get("sinhSigma0"),
             sinh_gamma=float(inv.get("sinhGamma", DEFAULTS["inversion.sinh_gamma"])),

@@ -3,8 +3,7 @@
 Two routes recover f(tau) from F(q):
 
 * GWR: the Gaver ladder on real nodes q_k = k*ln2/tau, accelerated by the
-  Wynn rho table.  Default in double precision with n_gaver = 8; software
-  floats (mpmath) behind a flag for deeper tables.
+  Wynn rho table, in double precision with n_gaver = 8 by default.
 * Sinh-Bromwich: trapezoid rule on the conformally deformed contour
   q(y) = sigma0 + i*b*sinh(y + i*omega), which wraps into the left
   half-plane along rays of angle +-(pi/2 + omega).  Requires F analytic in
@@ -60,10 +59,10 @@ class GwrResult:
     breakdown: bool
 
 
-def _gaver_ladder(samples, a, n_gaver, one):
+def _gaver_ladder(samples, a, n_gaver):
     # Level-0 entries i*a*F(i*a); each level j combines neighbours with
     # weights (1 + i/j, -i/j); the j-th Gaver value is the level-j leading entry.
-    cur = [(i + 1) * one * a * samples[i] for i in range(2 * n_gaver)]
+    cur = [(i + 1) * a * samples[i] for i in range(2 * n_gaver)]
     lo = 1
     seq = []
     for j in range(1, n_gaver + 1):
@@ -71,13 +70,13 @@ def _gaver_ladder(samples, a, n_gaver, one):
         for i_abs in range(j, 2 * n_gaver - j + 1):
             x = cur[i_abs - lo]
             y = cur[i_abs - lo + 1]
-            nxt.append((one + one * i_abs / j) * x - (one * i_abs / j) * y)
+            nxt.append((1.0 + i_abs / j) * x - (i_abs / j) * y)
         cur, lo = nxt, j
         seq.append(cur[0])
     return seq
 
 
-def _wynn_rho(seq, zero):
+def _wynn_rho(seq):
     """Even-level rho extrapolants; returns (diag, breakdown_flag).
 
     The k-th level of the table is built from levels k-1 and k-2; odd levels
@@ -86,7 +85,7 @@ def _wynn_rho(seq, zero):
     those are collected, ending with the deepest usable extrapolant.
     """
     n = len(seq)
-    two_back = [zero] * (n + 1)
+    two_back = [0.0] * (n + 1)
     one_back = list(seq)
     diag = [seq[-1]]
     breakdown = False
@@ -106,7 +105,7 @@ def _wynn_rho(seq, zero):
     return diag, breakdown
 
 
-def gwr_invert(samples, tau: float, n_gaver: int, extended_precision: bool = False) -> GwrResult:
+def gwr_invert(samples, tau: float, n_gaver: int) -> GwrResult:
     """Invert from samples F(k*ln2/tau), k = 1..2*n_gaver.
 
     Returns the top of the even rho diagonal, the raw Gaver sequence, and a
@@ -126,22 +125,8 @@ def gwr_invert(samples, tau: float, n_gaver: int, extended_precision: bool = Fal
     if max(level0) - min(level0) <= 32 * np.finfo(float).eps * max(scale, 1.0):
         return GwrResult(value=level0[0], gaver=level0[:n_gaver],
                          rho_diagonal=[level0[0]], stability=0.0, breakdown=False)
-    if extended_precision:
-        import mpmath
-
-        dps = max(int(math.ceil(2.2 * n_gaver)) + 5, 30)
-        with mpmath.workdps(dps):
-            mpf_samples = [s if isinstance(s, mpmath.mpf) else mpmath.mpf(float(s))
-                           for s in samples]
-            a_mp = mpmath.log(2) / mpmath.mpf(tau)
-            seq = _gaver_ladder(mpf_samples, a_mp, n_gaver, mpmath.mpf(1))
-            diag, breakdown = _wynn_rho(seq, mpmath.mpf(0))
-            gaver = [float(g) for g in seq]
-            diag = [float(d) for d in diag]
-    else:
-        seq = _gaver_ladder([float(s) for s in samples], LN2 / tau, n_gaver, 1.0)
-        gaver = [float(g) for g in seq]
-        diag, breakdown = _wynn_rho(gaver, 0.0)
+    gaver = _gaver_ladder([float(s) for s in samples], LN2 / tau, n_gaver)
+    diag, breakdown = _wynn_rho(gaver)
     tail = diag[-3:]
     stability = max(tail) - min(tail) if len(tail) > 1 else 0.0
     return GwrResult(value=diag[-1], gaver=gaver, rho_diagonal=diag,
@@ -282,7 +267,6 @@ class InversionPlan:
 
     backend: str = "gwr"  # "gwr" | "sinh"
     n_gaver: int = 8
-    extended_precision: bool = False
     sinh_nodes: int = 64
     sinh_sigma0: float | None = None
     sinh_gamma: float = 0.75 * math.pi

@@ -271,6 +271,14 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert err.startswith("numeric error:") and "GiB" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [False, True])
+def test_removed_extended_precision_key_is_config_error(value):
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    doc["inversion"]["extendedPrecision"] = value
+    with pytest.raises(ConfigError, match="inversion.extendedPrecision"):
+        parse_config(doc)
+
+
 def test_readme_defaults_table_matches_config():
     readme = (ROOT / "README.md").read_text()
     rows = {}

@@ -52,7 +52,6 @@ FIELDS = [
     (("inversion", "backend"), st.one_of(JUNK, st.sampled_from(["gwr", "sinh", "exact"]))),
     (("inversion", "nGaver"), COUNT),
     (("inversion", "sinhNodes"), COUNT),
-    (("inversion", "extendedPrecision"), st.one_of(JUNK, st.booleans())),
     (("grid", "mPower"), st.one_of(JUNK, st.integers(-2, 10), st.integers(25, 80))),
     (("grid", "domainFactor"), REAL),
     (("grid", "dampingScale"), REAL),

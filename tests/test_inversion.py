@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,20 +81,6 @@ def test_gwr_polynomial_extrapolation(coeffs, tau):
     truth = sum(c * tau**k / math.factorial(k) for k, c in enumerate(coeffs))
     res = gwr_invert(np.atleast_1d(samples), tau, 8)
     assert abs(res.value - truth) < 2e-5 * max(1.0, max(abs(c) for c in coeffs))
-
-
-def test_gwr_polynomial_extended_precision():
-    # the stated 1e-8 needs a table deep enough for the 1/n expansion: n_G=12
-    with mpmath.workdps(40):
-        tau = 1.3
-        a = mpmath.log(2) / mpmath.mpf(tau)
-        coeffs = [0.7, -1.2, 0.4, 1.9]
-        nodes = [(i + 1) * a for i in range(24)]
-        samples = [sum(c / qq ** (k + 1) for k, c in enumerate(coeffs)) for qq in nodes]
-        truth = float(sum(c * mpmath.mpf(tau) ** k / math.factorial(k)
-                          for k, c in enumerate(coeffs)))
-    res = gwr_invert(samples, tau, 12, extended_precision=True)
-    assert abs(res.value - truth) < 1e-8
 
 
 def test_sinh_known_pairs_default_nodes():
