@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,33 @@ def test_kept_split_arrays_do_not_change_symbols():
     assert set(shared.split_arrays) == kept
     for psi, comp in shared.split_arrays.values():
         assert not psi.flags.writeable and not comp.flags.writeable
+
+
+def test_kept_split_arrays_shared_by_threads():
+    # more node threads than cores fill and read one grid's store at once
+    args = dict(lower=-1.0, upper=1.0, m_power=10, models=[KOBOL])
+    shared = build_grid(**args)
+    qs = [10.0, 20.0 + 15.0j, 20.0 - 15.0j, 5.0 + 2.0j, 8.0, 12.0 + 1.0j] * 2
+
+    def symbols(grid, Q):
+        fac = factorize_integral(KOBOL, Q, grid)
+        out = []
+        for side in ("plus", "minus"):
+            cs = fac.contour_symbols(effective_omega(fac, side))
+            out += [cs.phi_plus, cs.phi_minus]
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda Q: symbols(shared, Q), qs))
+    finally:
+        sys.setswitchinterval(interval)
+    for Q, got in zip(qs, results):
+        want = symbols(build_grid(**args), Q)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(shared.split_arrays) == 3
 
 
 def test_q_dependent_comparison_keeps_nothing():
