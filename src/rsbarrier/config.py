@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RsBarrierError
 from .engine import BarrierProblem, RegimeSpec
 from .histories import HistoryIndex, MemoryChain
 from .inversion import InversionPlan
@@ -141,6 +142,21 @@ def _finite(value, name: str) -> float:
     return out
 
 
+def _whole(value, name: str) -> int:
+    """A whole number (1e6 included); a bool, a string or a fraction is a fault."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _flag(value, name: str) -> bool:
+    """A JSON boolean: the string "false" is a fault, not a true value."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict) -> ProblemConfig:
     """The validated problem of a config document.  Every fault in the
     document, a value of the wrong type included, raises ``ConfigError``."""
@@ -197,25 +213,29 @@ def _parse(doc: dict) -> ProblemConfig:
     if "extendedPrecision" in inv:
         raise ConfigError("inversion.extendedPrecision is no longer a setting: GWR "
                           "always runs in double precision; remove the key")
+    sigma0 = inv.get("sinhSigma0")
     try:
         plan = InversionPlan(
             backend=inv.get("backend", DEFAULTS["inversion.backend"]),
             n_gaver=int(inv.get("nGaver", DEFAULTS["inversion.n_gaver"])),
             sinh_nodes=int(inv.get("sinhNodes", DEFAULTS["inversion.sinh_nodes"])),
-            sinh_sigma0=inv.get("sinhSigma0"),
+            sinh_sigma0=None if sigma0 is None else float(sigma0),
             sinh_gamma=float(inv.get("sinhGamma", DEFAULTS["inversion.sinh_gamma"])),
             sinh_target_tol=float(inv.get("sinhTargetTol",
                                           DEFAULTS["inversion.sinh_target_tol"])),
         )
-    except Exception as exc:
+        if plan.backend == "sinh":
+            plan.materialize(maturity)  # a contour that cannot be built fails here
+    except (RsBarrierError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid inversion plan: {exc}") from exc
     mc_doc = doc.get("mc", {})
     mc = McConfig(
-        paths=int(mc_doc.get("paths", DEFAULTS["mc.paths"])),
+        paths=_whole(mc_doc.get("paths", DEFAULTS["mc.paths"]), "mc.paths"),
         dt=float(mc_doc.get("dt", DEFAULTS["mc.dt"])),
-        seed=int(doc.get("seed", DEFAULTS["seed"])),
-        bridge=bool(mc_doc.get("bridge", DEFAULTS["mc.bridge"])),
-        antithetic=bool(mc_doc.get("antithetic", DEFAULTS["mc.antithetic"])),
+        seed=_whole(doc.get("seed", DEFAULTS["seed"]), "seed"),
+        bridge=_flag(mc_doc.get("bridge", DEFAULTS["mc.bridge"]), "mc.bridge"),
+        antithetic=_flag(mc_doc.get("antithetic", DEFAULTS["mc.antithetic"]),
+                         "mc.antithetic"),
     )
     mc.validate(maturity)
     threads = doc.get("threads")

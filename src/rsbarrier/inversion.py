@@ -34,6 +34,9 @@ __all__ = [
 
 LN2 = math.log(2.0)
 _RHO_BREAKDOWN = 1e-30
+# exp(sigma0*tau) multiplies the rounding error of every sinh term; past
+# ln(1/eps) that error alone exceeds the transform's own scale
+_MAX_SIGMA0_TAU = -math.log(np.finfo(float).eps)
 
 
 def gwr_nodes(tau: float, n_gaver: int) -> np.ndarray:
@@ -182,6 +185,13 @@ def sinh_plan(tau: float, n_nodes: int = 64, sigma0: float | None = None,
     """
     if tau <= 0.0:
         raise PlanError("tau must be > 0")
+    if not 0.0 < target_tol < 1.0:
+        raise PlanError(f"target_tol must lie in (0, 1), got {target_tol}")
+    if not math.pi / 2 < gamma < math.pi:
+        raise PlanError(f"gamma must lie in (pi/2, pi), got {gamma}")
+    if sigma0 is not None and not 0.0 < sigma0 * tau < _MAX_SIGMA0_TAU:
+        raise PlanError(f"sigma0*tau must lie in (0, {_MAX_SIGMA0_TAU:.1f}), "
+                        f"got {sigma0 * tau}")
     margin = gamma - math.pi / 2
     omega = 0.5 * margin
     d_strip = 0.5 * margin

@@ -25,6 +25,10 @@ from .models import KouJumpDiffusion
 
 __all__ = ["McConfig", "McResult", "simulate_price", "brownian_band_series"]
 
+# bridge factors are taken only within sqrt(_BRIDGE_REACH * sigma^2 * max dt)
+# of a barrier; see _walk_segment
+_BRIDGE_REACH = 20.0
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -37,8 +41,10 @@ class McConfig:
     def validate(self, maturity: float) -> None:
         if self.paths < 1000:
             raise ValueError("need at least 1000 paths")
-        if self.dt > maturity / 10.0:
-            raise ValueError("dt must be at most T/10")
+        if not 0.0 < self.dt <= maturity / 10.0:
+            raise ValueError(f"dt must lie in (0, T/10], got {self.dt}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.antithetic and self.paths % 2:
             raise ValueError("antithetic runs need an even path count")
 
@@ -80,40 +86,65 @@ def _segment_events(rng, t0, t1, dt, model):
 
 
 def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
-                  have_jumps):
-    """Survival weight through one regime sojourn; (alive, weight, x_end)."""
+                  have_jumps, sign=1.0):
+    """Survival weight through one regime sojourn; (alive, weight, x_end).
+
+    ``sign`` multiplies the Gaussian draws: -1.0 gives the antithetic twin.
+    """
     if times.size == 0:
         return True, 1.0, x0
-    deltas = np.diff(times, prepend=t0)
+    deltas = np.empty_like(times)  # np.diff(times, prepend=t0) without its copy
+    deltas[0] = times[0] - t0
+    np.subtract(times[1:], times[:-1], out=deltas[1:])
     sig2 = model.sigma2
     mu = model.mu
     if sig2 > 0.0:
-        incs = mu * deltas + np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
+        incs = mu * deltas + sign * np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
     else:
         incs = mu * deltas
     if have_jumps:
         pre = x0 + np.cumsum(incs) + (np.cumsum(sizes) - sizes)
         post = pre + sizes
-        ok = (pre.min() > lower and pre.max() < upper
-              and post.min() > lower and post.max() < upper)
+        lo = min(pre.min(), post.min())
+        hi = max(pre.max(), post.max())
     else:
         pre = post = x0 + np.cumsum(incs)
-        ok = pre.min() > lower and pre.max() < upper
-    if not ok:
-        return False, 0.0, float(post[-1])
-    weight = 1.0
-    if bridge and sig2 > 0.0:
-        starts = np.empty_like(post)
-        starts[0] = x0
-        starts[1:] = post[:-1]
-        up = np.exp(-2.0 * (upper - starts) * (upper - pre) / (sig2 * deltas))
-        dn = np.exp(-2.0 * (starts - lower) * (pre - lower) / (sig2 * deltas))
-        weight = float(np.prod((1.0 - up) * (1.0 - dn)))
-    return True, weight, float(post[-1])
+        lo = pre.min()
+        hi = pre.max()
+    x_end = float(post[-1])
+    if not (lo > lower and hi < upper):
+        return False, 0.0, x_end
+    if not (bridge and sig2 > 0.0):
+        return True, 1.0, x_end
+    # A step whose start and end both lie at least `reach` from a barrier has
+    # a = 2(u - s)(u - e)/(sigma^2 delta) >= 40 there, so exp(-a) < 2**-54 and
+    # its factor 1 - exp(-a) rounds to exactly 1.0: only steps within reach
+    # of a barrier are evaluated.
+    reach = math.sqrt(_BRIDGE_REACH * sig2 * deltas.max())
+    lo = min(lo, x0)
+    hi = max(hi, x0)
+    if lo - lower >= reach and upper - hi >= reach:
+        return True, 1.0, x_end
+    starts = np.empty_like(post)
+    starts[0] = x0
+    starts[1:] = post[:-1]
+    near = np.flatnonzero((np.minimum(starts, pre) < lower + reach)
+                          | (np.maximum(starts, pre) > upper - reach))
+    s = starts[near]
+    e = pre[near]
+    var = sig2 * deltas[near]
+    up = np.exp(-2.0 * (upper - s) * (upper - e) / var)
+    dn = np.exp(-2.0 * (s - lower) * (e - lower) / var)
+    # the product runs over every step, ones included, so numpy groups its
+    # factors as it would over the full product
+    factors = np.ones_like(pre)
+    factors[near] = (1.0 - up) * (1.0 - dn)
+    return True, float(np.prod(factors)), x_end
 
 
-def _one_path(rng, problem: BarrierProblem, cfg: McConfig, flip: bool = False):
-    """Discounted knock-out payoff (with bridge survival weight) of one path."""
+def _one_path(rng, problem: BarrierProblem, cfg: McConfig, sign: float = 1.0):
+    """Discounted knock-out payoff (with bridge survival weight) of one path;
+    ``sign`` = -1.0 mirrors its Gaussians and nothing else."""
     chain = problem.chain
     rates = problem.rates
     payoffs = problem.payoffs
@@ -133,10 +164,9 @@ def _one_path(rng, problem: BarrierProblem, cfg: McConfig, flip: bool = False):
         sojourn = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
         seg_end = min(t + sojourn, T)
         times, sizes = _segment_events(rng, t, seg_end, cfg.dt, model)
-        walker = _Flipped(rng) if flip else rng  # twin mirrors Gaussians only
-        alive, w, x = _walk_segment(walker, x, t, times, sizes, model,
+        alive, w, x = _walk_segment(rng, x, t, times, sizes, model,
                                     problem.lower, problem.upper, cfg.bridge,
-                                    have_jumps=sizes is not None)
+                                    have_jumps=sizes is not None, sign=sign)
         discount += rates[head - 1] * (seg_end - t)
         if not alive:
             return 0.0
@@ -147,19 +177,6 @@ def _one_path(rng, problem: BarrierProblem, cfg: McConfig, flip: bool = False):
             j = int(rng.choice(chain.m - 1, p=probs))
             code = int(chain.codes_after_shift[code, j])
     return weight * payoffs[int(heads[code]) - 1] * math.exp(-discount)
-
-
-class _Flipped:
-    """Mirror the Gaussian draws of a generator; everything else passes through."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def standard_normal(self, *args, **kwargs):
-        return -self._rng.standard_normal(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
 
 
 def simulate_price(problem: BarrierProblem, cfg: McConfig) -> McResult:
@@ -175,8 +192,8 @@ def simulate_price(problem: BarrierProblem, cfg: McConfig) -> McResult:
         for pair in range(n_pairs):
             rng_a = np.random.Generator(np.random.Philox(key=[cfg.seed, pair]))
             rng_b = np.random.Generator(np.random.Philox(key=[cfg.seed, pair]))
-            a = _one_path(rng_a, problem, cfg, flip=False)
-            b = _one_path(rng_b, problem, cfg, flip=True)
+            a = _one_path(rng_a, problem, cfg)
+            b = _one_path(rng_b, problem, cfg, sign=-1.0)
             v = 0.5 * (a + b)
             sums += v
             sumsq += v * v

@@ -7,7 +7,10 @@ full-contour symbols, against which real plans are checked,
 ``log_factor_cauchy_reference`` is the literal Cauchy-integral form of the
 Wiener-Hopf log-factor, against which the spectral split is checked, and
 ``full_by_masks``/``sup_norm_by_masks`` form full samples and their norm with
-whole-grid side masks, against which the sliced forms are checked.
+whole-grid side masks, against which the sliced forms are checked, and
+``full_product_walk`` walks a Monte Carlo sojourn taking the bridge factor of
+every step, against which the walk that takes only the factors near a
+barrier is checked.
 """
 
 from __future__ import annotations
@@ -120,3 +123,39 @@ def sup_norm_by_masks(u: SampledFunction) -> float:
     m = float(np.max(np.abs(full_by_masks(u)[..., u.grid.interior()])))
     return max(m, float(np.max(np.abs(u.c_lo), initial=0.0)),
                float(np.max(np.abs(u.c_hi), initial=0.0)))
+
+
+def full_product_walk(rng, x0, t0, times, sizes, model, lower, upper, bridge,
+                      have_jumps, sign=1.0):
+    """(alive, weight, x_end) of one sojourn, the bridge weight taken as the
+    product of (1 - e^{-2(u-s)(u-e)/(sigma^2 dt)})(1 - e^{-2(s-l)(e-l)/(sigma^2 dt)})
+    over every step, however far from a barrier; ``sign`` multiplies the
+    Gaussian draws."""
+    if times.size == 0:
+        return True, 1.0, x0
+    deltas = np.diff(times, prepend=t0)
+    sig2 = model.sigma2
+    mu = model.mu
+    if sig2 > 0.0:
+        incs = mu * deltas + np.sqrt(sig2 * deltas) * (sign * rng.standard_normal(times.size))
+    else:
+        incs = mu * deltas
+    if have_jumps:
+        pre = x0 + np.cumsum(incs) + (np.cumsum(sizes) - sizes)
+        post = pre + sizes
+        ok = (pre.min() > lower and pre.max() < upper
+              and post.min() > lower and post.max() < upper)
+    else:
+        pre = post = x0 + np.cumsum(incs)
+        ok = pre.min() > lower and pre.max() < upper
+    if not ok:
+        return False, 0.0, float(post[-1])
+    weight = 1.0
+    if bridge and sig2 > 0.0:
+        starts = np.empty_like(post)
+        starts[0] = x0
+        starts[1:] = post[:-1]
+        up = np.exp(-2.0 * (upper - starts) * (upper - pre) / (sig2 * deltas))
+        dn = np.exp(-2.0 * (starts - lower) * (pre - lower) / (sig2 * deltas))
+        weight = float(np.prod((1.0 - up) * (1.0 - dn)))
+    return True, weight, float(post[-1])

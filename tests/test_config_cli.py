@@ -166,6 +166,26 @@ def test_mc_cli(tmp_path):
     assert int(row["paths"]) == 2000
 
 
+# settings the estimator cannot run, or that JSON spells with the wrong
+# type: one config error line and exit 2, before any path is drawn
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("path, value", [
+    (("mc", "dt"), 0), (("mc", "dt"), -1e-4), (("mc", "dt"), math.nan),
+    (("seed",), 2**70), (("seed",), 1.5), (("mc", "bridge"), "no"),
+    (("mc", "antithetic"), "false"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    rc, out = _run_cli(tmp_path, doc, "mc")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):
     # mc takes --seed only; argparse exits with code 2 on an unknown flag
     with pytest.raises(SystemExit) as exc:

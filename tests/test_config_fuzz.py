@@ -52,6 +52,9 @@ FIELDS = [
     (("inversion", "backend"), st.one_of(JUNK, st.sampled_from(["gwr", "sinh", "exact"]))),
     (("inversion", "nGaver"), COUNT),
     (("inversion", "sinhNodes"), COUNT),
+    (("inversion", "sinhTargetTol"), REAL),
+    (("inversion", "sinhGamma"), REAL),
+    (("inversion", "sinhSigma0"), REAL),
     (("grid", "mPower"), st.one_of(JUNK, st.integers(-2, 10), st.integers(25, 80))),
     (("grid", "domainFactor"), REAL),
     (("grid", "dampingScale"), REAL),
@@ -130,3 +133,18 @@ def test_absurd_band_is_config_error(changes):
         cfg = parse_config(doc)
         cfg.threads = 1
         run_price(cfg)
+
+
+# sinh settings the fuzz found, which ended in a ValueError, OverflowError or
+# TypeError traceback, or in a NaN price after numpy warnings
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [
+    ("sinhTargetTol", 0.0), ("sinhTargetTol", -1.0), ("sinhTargetTol", -math.inf),
+    ("sinhGamma", 1e300), ("sinhSigma0", "x"), ("sinhSigma0", []),
+    ("sinhSigma0", {}), ("sinhSigma0", -5.0), ("sinhSigma0", 1e300),
+], ids=lambda v: v if isinstance(v, str) and v.startswith("sinh") else repr(v))
+def test_bad_sinh_setting_is_config_error(key, value):
+    doc = copy.deepcopy(BASE)
+    doc["inversion"] = {"backend": "sinh", key: value}
+    with pytest.raises(ConfigError):
+        parse_config(doc)

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rsbarrier.config import parse_config
 from rsbarrier.engine import BarrierProblem, RegimeSpec
 from rsbarrier.histories import HistoryIndex, MemoryChain
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
@@ -10,7 +13,10 @@ from rsbarrier.montecarlo import (
     McConfig,
     simulate_price,
     brownian_band_series,
+    _walk_segment,
 )
+
+from oracles import full_product_walk
 
 BM = BrownianDrift(mu=0.0, sigma2=1.0)
 
@@ -104,6 +110,101 @@ def test_config_guards():
         simulate_price(prob, McConfig(paths=10, dt=1e-3, seed=1))
     with pytest.raises(ValueError):
         simulate_price(prob, McConfig(paths=2000, dt=0.5, seed=1))
+
+
+# -- bridge factors taken only near a barrier -------------------------------
+
+DT = 1e-4
+LOWER, UPPER = -0.3, 0.3
+GRID = DT * np.arange(1, 2001)
+WIDE = BrownianDrift(mu=0.0, sigma2=0.08)
+SD = math.sqrt(WIDE.sigma2 * DT)             # one step's standard deviation
+REACH = math.sqrt(20.0 * WIDE.sigma2 * DT)   # no factor below 1.0 lies beyond it
+KOU = KouJumpDiffusion(mu=0.0, sigma2=0.08, lambda_j=5.0, p=0.6,
+                       alpha_plus=12.0, alpha_minus=8.0)
+
+
+class FixedDraws:
+    """Stands in for a generator: hands out the given Gaussians."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, n):
+        assert n == self.z.size
+        return self.z.copy()
+
+
+def sojourn(x0, model, times, sizes=None, seed=None, z=None):
+    """A sojourn walked by ``walk`` from a fresh generator: Philox(seed, 0),
+    or the fixed draws ``z``."""
+    def run(walk, sign):
+        rng = FixedDraws(z) if z is not None else \
+            np.random.Generator(np.random.Philox(key=[seed, 0]))
+        return walk(rng, x0, 0.0, times, sizes, model, LOWER, UPPER, True,
+                    sizes is not None, sign=sign)
+    return run
+
+
+def jump_to(level, at=5, n=40):
+    """Jump sizes taking a path from 0 to about ``level`` after step ``at``."""
+    sizes = np.zeros(n)
+    sizes[at] = level
+    return sizes
+
+
+SOJOURNS = {
+    # paths that start on the reach and wander across it, both barriers
+    "start_on_reach": [sojourn(UPPER - REACH if s % 2 else LOWER + REACH, WIDE,
+                               GRID, seed=s) for s in range(8)],
+    # one step from one deviation below the barrier to 4.6 beyond the reach:
+    # only its start is within reach, and its factor is 1 - e^-9.2
+    "step_leaving_reach": [sojourn(UPPER - SD, WIDE, GRID[:1], z=[z])
+                           for z in (-3.6, 3.6)],
+    "jump_near_barrier": [sojourn(0.0, KOU, GRID[:40], jump_to(level), seed=s)
+                          for s in range(4)
+                          for level in (UPPER - REACH / 2, LOWER + REACH / 2,
+                                        UPPER - 2 * REACH)],
+    "zero_length_step": [sojourn(UPPER - REACH / 2, WIDE,
+                                 np.insert(GRID[:50], 10, GRID[9]), seed=s)
+                         for s in range(4)],
+    "tiny_sigma2": [sojourn(UPPER - 1e-9, BrownianDrift(mu=0.0, sigma2=1e-14),
+                            GRID[:200], seed=s) for s in range(4)],
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "antithetic"])
+@pytest.mark.parametrize("name", SOJOURNS)
+def test_near_barrier_bridge_weight_equals_full_product(name, sign):
+    # the walk evaluates bridge factors only within reach of a barrier; its
+    # weight must equal the product over every step bit for bit
+    weights = []
+    with np.errstate(divide="ignore"):  # a zero-length step divides by 0
+        for run in SOJOURNS[name]:
+            got = run(_walk_segment, sign)
+            assert got == run(full_product_walk, sign)
+            weights.append(got[1])
+    assert any(0.0 < w < 1.0 for w in weights)  # some factor below 1 was taken
+
+
+# one 2,000-path block of configs/kou_memory.json, history (1, 2), at
+# dt = 1e-4 with the bridge: any change to the per-path streams or to the
+# walk's arithmetic moves these reprs
+KOU_MEMORY_BLOCK = {
+    False: ("0.8259763947117551", "0.008183131642829146"),
+    True: ("0.8234298261832553", "0.009889412996276287"),
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+def test_kou_memory_block_is_pinned(antithetic):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "kou_memory.json").read_text())
+    cfg = parse_config(doc)
+    mc = McConfig(paths=2000, dt=1e-4, seed=1048576, bridge=True,
+                  antithetic=antithetic)
+    res = simulate_price(cfg.problem, mc)
+    assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[antithetic]
 
 
 # -- the analytic band series itself --------------------------------------
