@@ -157,8 +157,8 @@ SOJOURNS = {
     # paths that start on the reach and wander across it, both barriers
     "start_on_reach": [sojourn(UPPER - REACH if s % 2 else LOWER + REACH, WIDE,
                                GRID, seed=s) for s in range(8)],
-    # one step from one deviation below the barrier to 4.6 beyond the reach:
-    # only its start is within reach, and its factor is 1 - e^-9.2
+    # one step from 1 to 4.6 deviations below the barrier, past the reach at
+    # 4.47: only its start is within reach, and its factor is 1 - e^-9.2
     "step_leaving_reach": [sojourn(UPPER - SD, WIDE, GRID[:1], z=[z])
                            for z in (-3.6, 3.6)],
     "jump_near_barrier": [sojourn(0.0, KOU, GRID[:40], jump_to(level), seed=s)
