@@ -82,8 +82,8 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
         return rows, {"outer": 0, "sweeps": 0,
                       "wall": time.perf_counter() - start, "warning": "spot outside band"}
 
-    pricer = _make_pricer(cfg)
     threads = cfg.resolve_threads()
+    pricer = _make_pricer(cfg)
     plan = cfg.inversion
     if plan.backend == "sinh":
         for spec in problem.regimes:

@@ -84,11 +84,18 @@ class ProblemConfig:
     threads: int | None
 
     def resolve_threads(self) -> int:
+        """The document's thread count, else RSBARRIER_THREADS, else the core
+        count; a setting that is not a whole number >= 1 is a ConfigError."""
         if self.threads is not None:
             return self.threads
         env = os.environ.get(THREADS_ENV)
         if env:
-            return max(int(env), 1)
+            try:
+                count = int(env)
+            except ValueError:
+                raise ConfigError(f"{THREADS_ENV} must be a whole number >= 1, "
+                                  f"got {env!r}") from None
+            return _at_least_one(count, THREADS_ENV)
         return os.cpu_count() or 1
 
 
@@ -115,8 +122,8 @@ def _model_from_dict(d: dict) -> LevyModel:
 
 def _chain_from_dict(d: dict) -> MemoryChain:
     try:
-        m = int(d["m"])
-        n_mem = int(d["N"])
+        m = _whole(d["m"], "chain.m")
+        n_mem = _whole(d["N"], "chain.N")
         rates = d["rates"]
     except KeyError as exc:
         raise ConfigError(f"chain field missing: {exc}") from exc
@@ -150,6 +157,12 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _at_least_one(count: int, name: str) -> int:
+    if count < 1:
+        raise ConfigError(f"{name} must be a whole number >= 1, got {count!r}")
+    return count
+
+
 def _flag(value, name: str) -> bool:
     """A JSON boolean: the string "false" is a fault, not a true value."""
     if not isinstance(value, bool):
@@ -180,7 +193,7 @@ def _parse(doc: dict) -> ProblemConfig:
     upper = _finite(barriers["upper"], "barriers.upper")
     x0 = _finite(doc["x0"], "x0")
     maturity = _finite(doc["maturity"], "maturity")
-    init = tuple(int(v) for v in doc["initialHistory"])
+    init = tuple(_whole(v, "initialHistory") for v in doc["initialHistory"])
     if len(regimes) != chain.m:
         raise ConfigError(
             f"{len(regimes)} regimes but chain has m={chain.m}")
@@ -193,7 +206,7 @@ def _parse(doc: dict) -> ProblemConfig:
 
     g = doc.get("grid", {})
     grid = GridConfig(
-        m_power=int(g.get("mPower", DEFAULTS["grid.m_power"])),
+        m_power=_whole(g.get("mPower", DEFAULTS["grid.m_power"]), "grid.mPower"),
         domain_factor=_finite(g.get("domainFactor", DEFAULTS["grid.domain_factor"]),
                               "grid.domainFactor"),
         damping_scale=_finite(g.get("dampingScale", DEFAULTS["grid.damping_scale"]),
@@ -206,8 +219,10 @@ def _parse(doc: dict) -> ProblemConfig:
     tol = Tolerances(
         inner=_finite(t.get("inner", DEFAULTS["tolerances.inner"]), "tolerances.inner"),
         outer=_finite(t.get("outer", DEFAULTS["tolerances.outer"]), "tolerances.outer"),
-        max_outer=int(t.get("maxOuter", DEFAULTS["tolerances.max_outer"])),
-        max_sweeps=int(t.get("maxSweeps", DEFAULTS["tolerances.max_sweeps"])),
+        max_outer=_whole(t.get("maxOuter", DEFAULTS["tolerances.max_outer"]),
+                         "tolerances.maxOuter"),
+        max_sweeps=_whole(t.get("maxSweeps", DEFAULTS["tolerances.max_sweeps"]),
+                          "tolerances.maxSweeps"),
     )
     inv = doc.get("inversion", {})
     if "extendedPrecision" in inv:
@@ -217,8 +232,10 @@ def _parse(doc: dict) -> ProblemConfig:
     try:
         plan = InversionPlan(
             backend=inv.get("backend", DEFAULTS["inversion.backend"]),
-            n_gaver=int(inv.get("nGaver", DEFAULTS["inversion.n_gaver"])),
-            sinh_nodes=int(inv.get("sinhNodes", DEFAULTS["inversion.sinh_nodes"])),
+            n_gaver=_whole(inv.get("nGaver", DEFAULTS["inversion.n_gaver"]),
+                           "inversion.nGaver"),
+            sinh_nodes=_whole(inv.get("sinhNodes", DEFAULTS["inversion.sinh_nodes"]),
+                              "inversion.sinhNodes"),
             sinh_sigma0=None if sigma0 is None else float(sigma0),
             sinh_gamma=float(inv.get("sinhGamma", DEFAULTS["inversion.sinh_gamma"])),
             sinh_target_tol=float(inv.get("sinhTargetTol",
@@ -241,7 +258,8 @@ def _parse(doc: dict) -> ProblemConfig:
     threads = doc.get("threads")
     return ProblemConfig(problem=problem, grid=grid, tolerances=tol,
                          inversion=plan, mc=mc,
-                         threads=None if threads is None else int(threads))
+                         threads=None if threads is None
+                         else _at_least_one(_whole(threads, "threads"), "threads"))
 
 
 def read_document(path: str) -> dict:

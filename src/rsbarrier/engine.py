@@ -11,7 +11,8 @@ outer-side application over all rows, plus rate-weighted gathers of
 neighbour values.  The plans are dropped when the spectral value is done.
 Sweep 1 starts from zero, so it is the boundary term itself and transforms
 nothing; on a chain with lambda0 = 0 nothing couples, and it is the only
-sweep.
+sweep.  Later sweeps run in place in a ``Workspace`` made once per spectral
+value, so they allocate no array of the batch's size.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",
            "MAX_WORKING_BYTES"]
 
 MAX_WORKING_BYTES = 4 * 2**30
-# complex (histories, M) arrays alive at once in one sweep; tracemalloc reads
-# about 13 on a 24-history chain at M = 2^13 and 2^14
+# complex (histories, M) arrays alive at once at one spectral value;
+# tracemalloc reads a peak of about 11 over price_field on a 24-history chain
+# at M = 2^12 to 2^14 since the sweeps run in place (about 12 before)
 SWEEP_LIVE_ARRAYS = 16
 
 
@@ -204,6 +206,25 @@ def interpolate_field(u: SampledFunction, x0: float) -> np.ndarray:
     return out
 
 
+@dataclass
+class Workspace:
+    """The arrays one spectral value's sweeps run in, each shaped like the
+    batch (histories, M).  ``spare`` is the partner of a series term's own
+    array in the alternation of current and new iterates; ``gather`` takes
+    the coupling's gathered rows, then the sweep's step and the sup-norms'
+    sums; ``real`` takes a real plan's transforms and the magnitudes.  The
+    arrays are left unwritten until a sweep after the first needs them."""
+
+    spare: np.ndarray
+    gather: np.ndarray
+    real: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: tuple) -> "Workspace":
+        return cls(np.empty(shape, np.complex128), np.empty(shape, np.complex128),
+                   np.empty(shape))
+
+
 class QPricer:
     """Assembles Vt(q, .) over all histories for spectral values q."""
 
@@ -239,32 +260,47 @@ class QPricer:
         return self._factor_cache[key]
 
     def _groups(self):
+        """(head, rows) of each head present; a head's rows are contiguous,
+        since the head is the leading digit of the history code."""
         heads = self.problem.chain.heads()
-        return [(s, np.nonzero(heads == s)[0]) for s in range(1, self.problem.chain.m + 1)
-                if np.any(heads == s)]
+        groups = []
+        for s in range(1, self.problem.chain.m + 1):
+            rows = np.flatnonzero(heads == s)
+            if rows.size:
+                groups.append((s, slice(rows[0], rows[-1] + 1)))
+        return groups
 
     def _scale(self, q) -> float:
         return float(np.max(np.abs(self.problem.payoffs)) / abs(q))
 
-    def _coupling(self, cur: SampledFunction) -> SampledFunction:
+    def _coupling(self, cur: SampledFunction, out: np.ndarray,
+                  gather: np.ndarray) -> SampledFunction:
         """(Lambda0 - Lambda_h) * cur_h + sum_s lam_{s,h} * cur_{shift(h,s)},
-        accumulated in ascending target order for reproducibility."""
+        accumulated in ``out`` in ascending target order for
+        reproducibility; each neighbour's rows are gathered into ``gather``."""
         chain = self.problem.chain
-        out = cur.scale(chain.lambda0 - chain.lam_total)
+        out = cur.scale(chain.lambda0 - chain.lam_total, out=out)
         for j in range(chain.m - 1):
             idx = chain.codes_after_shift[:, j]
-            w = chain.rates[:, j]
-            out = out + cur.select(idx).scale(w)
+            w = np.asarray(chain.rates[:, j], np.complex128)
+            # the codes are in range; mode "raise" would buffer a copy of out
+            np.take(cur.values, idx, axis=0, out=gather, mode="clip")
+            gather *= w[:, None]
+            out = out.add(SampledFunction(self.grid, gather, cur.c_lo[idx] * w,
+                                          cur.c_hi[idx] * w), out=out.values)
         return out
 
     def _inner_iteration(self, side: str, boundary_data: SampledFunction, q,
-                         stats: IterationStats, plans: dict) -> SampledFunction:
+                         stats: IterationStats, plans: dict,
+                         work: Workspace) -> SampledFunction:
         """Jacobi sweeps for one series term; both coupling terms use the
         previous sweep's values, the boundary term is fixed.  Sweep 1 is the
         boundary term itself (the sweep from zero), taken without a
         transform; each later sweep is one batched inner-side and one
         outer-side application over all rows, each row scaled by its head's
-        1/Q."""
+        1/Q.  Later sweeps alternate between the term's own new array and
+        ``work.spare``; the one holding the answer is returned and the
+        other stays in ``work``."""
         problem, chain, grid = self.problem, self.problem.chain, self.grid
         q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
                             for s in range(1, chain.m + 1)], dtype=np.complex128)
@@ -286,32 +322,43 @@ class QPricer:
                      and np.all(self.problem.payoffs >= 0.0))
         if real_path:
             # monotonicity is tracked where the assembled answer lives: the
-            # open band, away from the sampled-jump ring at the barrier nodes
+            # open band, away from the sampled-jump ring at the barrier nodes;
+            # those nodes form one run, kept as a slice
             x = grid.x
             ring = max(0.1, 30.0 * grid.dx)
             mono_mask = (x > grid.lower + ring) & (x < grid.upper - ring)
             if not np.any(mono_mask):
                 mono_mask = (x > grid.lower) & (x < grid.upper)
+            nodes = np.flatnonzero(mono_mask)
+            mono = slice(nodes[0], nodes[-1] + 1)
         # sweep 1; with lambda0 = 0 every later sweep would couple nothing
         # and return the boundary term again
         cur = boundary
         diff = boundary.sup_norm()
         if real_path:
             stats.monotone_undershoot = min(stats.monotone_undershoot,
-                                            float(np.min(boundary.full().real[..., mono_mask])))
+                                            float(np.min(boundary.full().real[..., mono])))
         if chain.lambda0 == 0.0 or diff <= self.tol_inner * scale:
             stats.inner_sweeps.append(1)
             return cur
+        own = np.empty_like(work.spare)
         prev_diff, rising, sweep = diff, 0, 1
         for sweep in range(2, self.max_sweeps + 1):
-            # one expression, so no batch of this sweep outlives it
-            new = apply_epv(plan, indicator_soft(
-                apply_epv(inner_plan, self._coupling(cur)), region)).scale(row_inv_q) + boundary
-            diff = (new - cur).sup_norm()
+            buf = own if cur.values is not own else work.spare
+            new = self._coupling(cur, buf, work.gather)
+            new = apply_epv(inner_plan, new, out=buf, scratch=work.real)
+            new = indicator_soft(new, region, out=buf)
+            new = apply_epv(plan, new, out=buf, scratch=work.real)
+            new = new.scale(row_inv_q, out=buf).add(boundary, out=buf)
+            step = new.subtract(cur, out=work.gather)
+            # the sup-norm leaves the full samples of the step in its
+            # interior, where the monotone nodes lie
+            diff = step.sup_norm((step.values, work.real))
             if real_path:
-                worst = float(np.min((new - cur).full().real[..., mono_mask]))
+                worst = float(np.min(step.values.real[..., mono]))
                 stats.monotone_undershoot = min(stats.monotone_undershoot, worst)
-            noise_floor = 1e3 * np.finfo(float).eps * max(new.sup_norm(), 1e-300)
+            noise_floor = 1e3 * np.finfo(float).eps * max(
+                new.sup_norm((work.gather, work.real)), 1e-300)
             if diff > noise_floor:
                 ratio = diff / prev_diff
                 stats.contraction_ratios.append(ratio)
@@ -328,17 +375,18 @@ class QPricer:
             if diff <= self.tol_inner * scale:
                 break
         stats.inner_sweeps.append(sweep)
+        if cur.values is work.spare:
+            work.spare = own
         return cur
 
-    def price_field(self, q) -> ValueField:
-        problem, chain, grid = self.problem, self.problem.chain, self.grid
-        if complex(q).real <= 0 and complex(q).imag == 0:
-            raise SpectralParameterError("need Re q > 0 on the real path")
-        v0 = solve_v0(chain, problem.rates, problem.payoffs, q)
-        stats = IterationStats()
-        factors = self.factorizations(q)
-        plans = {side: OperatorPlan.build(factors, side) for side in ("plus", "minus")}
-
+    def _series(self, q, v0: np.ndarray, plans: dict,
+                stats: IterationStats) -> SampledFunction:
+        """v0 plus the alternating series of one-barrier corrections.  The
+        sweeps' workspace lives as long as this call, and each side's data
+        is dropped as soon as its term is in hand."""
+        chain, grid = self.problem.chain, self.grid
+        # this call's own: node threads share the pricer
+        work = Workspace.empty((chain.size, grid.size))
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)
         total = SampledFunction.constant(grid, v0)
@@ -346,14 +394,17 @@ class QPricer:
         rising = 0
         prev_norm = None
         for ell in range(1, self.max_outer + 1):
-            v_plus = self._inner_iteration("plus", minus_prev, q, stats, plans)
-            v_minus = self._inner_iteration("minus", plus_prev, q, stats, plans)
-            term = v_plus + v_minus
-            norm = term.sup_norm()
+            v_plus, minus_prev = self._inner_iteration(
+                "plus", minus_prev, q, stats, plans, work), None
+            v_minus, plus_prev = self._inner_iteration(
+                "minus", plus_prev, q, stats, plans, work), None
+            # the term is formed in the spare array, free between terms
+            term = v_plus.add(v_minus, out=work.spare)
+            norm = term.sup_norm((work.gather, work.real))
             stats.outer_terms.append(norm)
-            total = total + term.scale((-1.0) ** ell)
+            total = total.add(term.scale((-1.0) ** ell, out=term.values), out=total.values)
             if norm <= self.tol_outer * scale:
-                break
+                return total
             if prev_norm is not None and norm >= prev_norm:
                 rising += 1
                 if rising >= 3:
@@ -363,9 +414,18 @@ class QPricer:
                 rising = 0
             prev_norm = norm
             minus_prev, plus_prev = v_minus, v_plus
-        else:
-            raise DivergenceError(f"outer series needs more than "
-                                  f"{self.max_outer} terms at q={q}")
+        raise DivergenceError(f"outer series needs more than "
+                              f"{self.max_outer} terms at q={q}")
+
+    def price_field(self, q) -> ValueField:
+        problem, chain, grid = self.problem, self.problem.chain, self.grid
+        if complex(q).real <= 0 and complex(q).imag == 0:
+            raise SpectralParameterError("need Re q > 0 on the real path")
+        v0 = solve_v0(chain, problem.rates, problem.payoffs, q)
+        stats = IterationStats()
+        factors = self.factorizations(q)
+        plans = {side: OperatorPlan.build(factors, side) for side in ("plus", "minus")}
+        total = self._series(q, v0, plans, stats)
 
         # knock-out boundary condition: exactly zero outside the open band
         full = total.full()

@@ -142,6 +142,34 @@ class DualGrid:
     def interior(self) -> slice:
         return slice(self.guard, self.size - self.guard)
 
+    def side(self, which: int, interior: bool = False) -> tuple:
+        """``(index, where)`` that confine an elementwise ufunc on batched
+        rows to one side of ``ref_index``: the nodes below it (``which`` 0,
+        where c_lo applies) or at or above it (1), within the interior if
+        asked.  Use as ``f(a[index], b, out=out[index], where=where)``.
+
+        A side is a slice of each row unless it is at most a quarter of
+        numpy's ufunc buffer long: numpy then buffers, and allocates for,
+        operations on a batch of such row slices, so the side becomes a mask
+        over whole rows, which numpy runs unbuffered.
+        """
+        return self._sides[which, interior]
+
+    @cached_property
+    def _sides(self) -> dict:
+        halves = dict(enumerate(self.interior_halves()))
+        short = np.getbufsize() // 4
+        out = {}
+        for which, whole in enumerate((slice(None, self.ref_index), slice(self.ref_index, None))):
+            for interior, part in ((False, whole), (True, halves[which])):
+                if len(range(self.size)[part]) > short:
+                    out[which, interior] = ((..., part), True)
+                else:
+                    mask = np.zeros(self.size, dtype=bool)
+                    mask[part] = True
+                    out[which, interior] = (..., _frozen(mask))
+        return out
+
     def region_edge(self, region: Region) -> tuple[int, int]:
         """(barrier node, direction of the kept side) of a half-line region."""
         barrier, direction = region.value
@@ -156,11 +184,13 @@ class DualGrid:
     def half_line(self, node: int, direction: int, at_node: float) -> np.ndarray:
         """1 beyond ``node`` in ``direction`` (+1 up, -1 down), ``at_node`` at
         the node, 0 on the other side.  Read-only; the masks of the two
-        barrier nodes are built once."""
+        barrier nodes are built once.  The mask is complex, with zero
+        imaginary part, so complex data is multiplied by it without the
+        buffered cast that a real mask takes."""
         key = (node, direction, float(at_node))
         w = self._half_lines.get(key)
         if w is None:
-            w = (self.index > node if direction > 0 else self.index < node).astype(float)
+            w = (self.index > node if direction > 0 else self.index < node).astype(np.complex128)
             w[node] = at_node
             w = _frozen(w)
             if node in (self.lower_index, self.upper_index):
@@ -287,22 +317,25 @@ class SampledFunction:
         lead = res.shape[:-1]
         lo = np.broadcast_to(np.asarray(c_lo, np.complex128), lead)
         hi = np.broadcast_to(np.asarray(c_hi, np.complex128), lead)
-        res[..., :grid.ref_index] -= lo[..., None]
-        res[..., grid.ref_index:] -= hi[..., None]
+        for which, c in enumerate((lo, hi)):
+            ix, where = grid.side(which)
+            np.subtract(res[ix], c[..., None], out=res[ix], where=where)
         return cls(grid, res, lo, hi)
 
     @classmethod
     def beyond(cls, grid: DualGrid, full, c_lo, c_hi, node: int, direction: int,
-               at_node: float) -> "SampledFunction":
+               at_node: float, out: np.ndarray | None = None) -> "SampledFunction":
         """``full`` kept beyond ``node`` in ``direction`` and weighted by
         ``at_node`` at the node, zero on the other side.  The far-field
-        constant of the kept side stays; the other one becomes 0."""
+        constant of the kept side stays; the other one becomes 0.  The
+        residual goes to ``out`` when given (``full`` itself included), else
+        to a new array."""
         if direction > 0:
             c_lo = np.zeros_like(c_lo)
         else:
             c_hi = np.zeros_like(c_hi)
         return cls._split(grid, np.multiply(full, grid.half_line(node, direction, at_node),
-                                            dtype=np.complex128), c_lo, c_hi)
+                                            out=out, dtype=np.complex128), c_lo, c_hi)
 
     @classmethod
     def step(cls, grid: DualGrid, region: Region, c) -> "SampledFunction":
@@ -320,38 +353,59 @@ class SampledFunction:
     def shape(self):
         return self.values.shape[:-1]
 
-    def full(self) -> np.ndarray:
-        out = self.values.copy()
-        out[..., :self.grid.ref_index] += self.c_lo[..., None]
-        out[..., self.grid.ref_index:] += self.c_hi[..., None]
+    def full(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples with the far fields added back, in ``out`` when given
+        (``values`` itself included), else in a new array."""
+        if out is None:
+            out = self.values.copy()
+        elif out is not self.values:
+            np.copyto(out, self.values)
+        for which, c in enumerate((self.c_lo, self.c_hi)):
+            ix, where = self.grid.side(which)
+            np.add(out[ix], c[..., None], out=out[ix], where=where)
         return out
 
-    def __add__(self, other):
+    # ``out``, where taken, receives the residual (``values`` itself
+    # included); without it the residual is a new array
+    def add(self, other, out: np.ndarray | None = None) -> "SampledFunction":
         self._check(other)
-        return SampledFunction(self.grid, self.values + other.values,
+        return SampledFunction(self.grid, np.add(self.values, other.values, out=out),
                                self.c_lo + other.c_lo, self.c_hi + other.c_hi)
 
-    def __sub__(self, other):
+    def subtract(self, other, out: np.ndarray | None = None) -> "SampledFunction":
         self._check(other)
-        return SampledFunction(self.grid, self.values - other.values,
+        return SampledFunction(self.grid, np.subtract(self.values, other.values, out=out),
                                self.c_lo - other.c_lo, self.c_hi - other.c_hi)
 
-    def scale(self, factor) -> "SampledFunction":
+    __add__, __sub__ = add, subtract
+
+    def scale(self, factor, out: np.ndarray | None = None) -> "SampledFunction":
         """Multiply by a scalar or a per-row vector."""
         f = np.asarray(factor, np.complex128)
-        return SampledFunction(self.grid, self.values * f[..., None],
+        return SampledFunction(self.grid, np.multiply(self.values, f[..., None], out=out),
                                self.c_lo * f, self.c_hi * f)
 
     def _check(self, other):
         if other.grid is not self.grid and other.grid != self.grid:
             raise ValueError("operands live on different grids")
 
-    def sup_norm(self) -> float:
-        """Max magnitude over the interior samples and the far fields."""
-        lo, hi = self.grid.interior_halves()
-        m = float(np.maximum(
-            np.abs(self.values[..., lo] + self.c_lo[..., None]).max(initial=0.0),
-            np.abs(self.values[..., hi] + self.c_hi[..., None]).max(initial=0.0)))
+    def sup_norm(self, work: tuple | None = None) -> float:
+        """Max magnitude over the interior samples and the far fields.
+
+        ``work``, a complex and a real array shaped like ``values``, takes
+        the interior's sums and magnitudes in place of new arrays.  The
+        complex one may be ``values`` itself, which then holds the full
+        samples over the interior.
+        """
+        total, mag = (None, None) if work is None else work
+        peaks = []
+        for which, c in enumerate((self.c_lo, self.c_hi)):
+            ix, where = self.grid.side(which, interior=True)
+            s = np.add(self.values[ix], c[..., None],
+                       out=None if total is None else total[ix], where=where)
+            s = np.abs(s, out=None if mag is None else mag[ix], where=where)
+            peaks.append(np.max(s, where=where, initial=0.0))
+        m = float(np.maximum(*peaks))
         return max(m, float(np.abs(self.c_lo).max(initial=0.0)),
                    float(np.abs(self.c_hi).max(initial=0.0)))
 
@@ -364,12 +418,15 @@ class SampledFunction:
         self.c_hi[idx] = other.c_hi
 
 
-def indicator_soft(u: SampledFunction, region: Region) -> SampledFunction:
+def indicator_soft(u: SampledFunction, region: Region,
+                   out: np.ndarray | None = None) -> SampledFunction:
     """Indicator multiplication with the spectral (mid-value) node convention.
 
     The barrier node keeps half of u, the average of the closed and open
     brackets: complementary regions still partition unity exactly, and
-    sampled jumps stay centred on the barrier.
+    sampled jumps stay centred on the barrier.  The residual goes to
+    ``out`` when given (``u.values`` itself included), else to a new array.
     """
-    return SampledFunction.beyond(u.grid, u.full(), u.c_lo, u.c_hi,
-                                  *u.grid.region_edge(region), 0.5)
+    full = u.full(out)
+    return SampledFunction.beyond(u.grid, full, u.c_lo, u.c_hi,
+                                  *u.grid.region_edge(region), 0.5, out=full)

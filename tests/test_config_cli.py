@@ -186,6 +186,38 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
     assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
+# a thread count must be a whole number >= 1, whether the document, the
+# command line or RSBARRIER_THREADS gives it
+@pytest.mark.parametrize("source, value", [
+    ("env", "abc"), ("env", "0"), ("env", "-3"), ("env", "2.5"),
+    ("doc", 0), ("doc", -2), ("doc", True), ("doc", 2.7), ("doc", "2"),
+    ("flag", "0"), ("flag", "-1"),
+], ids=lambda v: str(v))
+def test_bad_thread_setting_is_config_error(tmp_path, capsys, monkeypatch, source, value):
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    argv = ["price"]
+    if source == "env":
+        monkeypatch.setenv("RSBARRIER_THREADS", value)
+    else:
+        monkeypatch.delenv("RSBARRIER_THREADS", raising=False)
+        if source == "doc":
+            doc["threads"] = value
+        else:
+            argv += ["--threads", value]
+    rc, out = _run_cli(tmp_path, doc, *argv)
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:") and "threads" in err[0].lower()
+
+
+def test_large_thread_counts_parse(monkeypatch):
+    # parsed and resolved only: no pool is started with these
+    monkeypatch.setenv("RSBARRIER_THREADS", "1000000")
+    assert parse_config(dict(BROWNIAN_DOC, threads=10**6)).resolve_threads() == 10**6
+    assert parse_config(dict(BROWNIAN_DOC, threads=4.0)).resolve_threads() == 4
+    assert parse_config(BROWNIAN_DOC).resolve_threads() == 1000000
+
+
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):
     # mc takes --seed only; argparse exits with code 2 on an unknown flag
     with pytest.raises(SystemExit) as exc:

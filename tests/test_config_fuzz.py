@@ -148,3 +148,30 @@ def test_bad_sinh_setting_is_config_error(key, value):
     doc["inversion"] = {"backend": "sinh", key: value}
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+# count keys that int() used to truncate or convert: each must be a whole
+# number, so a fraction, a string or a boolean is a config error
+@pytest.mark.parametrize("path, value", [
+    (("grid", "mPower"), 12.9), (("grid", "mPower"), "12"),
+    (("inversion", "nGaver"), 8.7), (("inversion", "sinhNodes"), 64.5),
+    (("tolerances", "maxOuter"), True), (("tolerances", "maxSweeps"), "50"),
+    (("chain", "m"), 1.5), (("chain", "N"), 0.5), (("initialHistory",), [1.7]),
+    (("initialHistory",), ["1"]),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_count_key_must_be_whole(path, value):
+    doc = copy.deepcopy(BASE)
+    mutate(doc, path, value)
+    with pytest.raises(ConfigError, match="whole number"):
+        parse_config(doc)
+
+
+def test_whole_float_counts_still_parse():
+    doc = copy.deepcopy(BASE)
+    doc["grid"]["mPower"] = 10.0
+    doc["inversion"]["nGaver"] = 8.0
+    doc["chain"]["N"] = 0.0
+    doc["initialHistory"] = [1.0]
+    cfg = parse_config(doc)
+    assert (cfg.grid.m_power, cfg.inversion.n_gaver, cfg.problem.chain.n_memory) == (10, 8, 0)
+    assert cfg.problem.initial_history.labels == (1,)

@@ -138,13 +138,13 @@ def test_first_sweep_transforms_nothing(monkeypatch):
     calls, per_iteration = [], []
     apply_epv, inner_iteration = engine.apply_epv, QPricer._inner_iteration
 
-    def counted_apply(plan, u):
+    def counted_apply(plan, u, *args, **kwargs):
         calls.append(plan.side)
-        return apply_epv(plan, u)
+        return apply_epv(plan, u, *args, **kwargs)
 
-    def counted_iteration(self, side, boundary_data, q, stats, plans):
+    def counted_iteration(self, side, boundary_data, q, stats, *args):
         before = len(calls)
-        out = inner_iteration(self, side, boundary_data, q, stats, plans)
+        out = inner_iteration(self, side, boundary_data, q, stats, *args)
         per_iteration.append((len(calls) - before, stats.inner_sweeps[-1]))
         return out
 
@@ -154,14 +154,33 @@ def test_first_sweep_transforms_nothing(monkeypatch):
     assert calls == [] and field.stats.inner_sweeps == [1] * len(per_iteration)
 
     per_iteration.clear()
+    kou_chain_pricer().price_field(2.0)
+    assert per_iteration and all(n == 2 * (sweeps - 1) for n, sweeps in per_iteration)
+    assert max(sweeps for _, sweeps in per_iteration) > 1
+
+
+def kou_chain_pricer(m_power=12):
+    # two Kou regimes with one step of memory; lambda0 > 0, so sweeps couple
     chain = MemoryChain(2, 1, np.array([[0.8], [1.6]]))
     prob = BarrierProblem(
         regimes=(RegimeSpec(KOU1, 0.02, 1.0), RegimeSpec(KOU2, 0.05, 1.0)),
         chain=chain, lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
         initial_history=HistoryIndex((1, 2)))
-    QPricer(prob, m_power=12).price_field(2.0)
-    assert per_iteration and all(n == 2 * (sweeps - 1) for n, sweeps in per_iteration)
-    assert max(sweeps for _, sweeps in per_iteration) > 1
+    return QPricer(prob, m_power=m_power)
+
+
+def test_kou_chain_transform_bits_are_pinned():
+    # the transform vectors of the coupled Kou chain, bit for bit, at a real q
+    # (real plans, real FFTs) and a complex q (complex FFTs); a change to the
+    # order of the sweeps' floating-point operations shows here
+    pricer = kou_chain_pricer()
+    pinned = {
+        2.0: ["(0.41131551659533927+0j)", "(0.336966889256089+0j)"],
+        3.0 + 2.0j: ["(0.22664817033034204-0.1291709463870775j)",
+                     "(0.20469840811225232-0.10007653308154249j)"],
+    }
+    for q, reprs in pinned.items():
+        assert [repr(complex(v)) for v in pricer.price_at(q)] == reprs
 
 
 def test_zero_payoff_gives_zero():
@@ -316,15 +335,20 @@ def test_working_set_guard_decides_from_the_estimate():
 
 
 
-def test_sweep_working_set_within_live_array_estimate():
-    # the size guard counts SWEEP_LIVE_ARRAYS batch arrays of histories x M
-    # complex values; one price_field on a 24-history chain must stay within it
+def depth_chain_pricer():
+    # 24 histories of three Brownian regimes, memory depth 3
     chain = MemoryChain.from_constant(3, 3, 0.7)
     regimes = tuple(RegimeSpec(BrownianDrift(mu=0.0, sigma2=s), r, 1.0)
                     for s, r in ((0.5, 0.0), (1.0, 0.01), (2.0, 0.02)))
     prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
                           spot=0.2, maturity=1.0, initial_history=HistoryIndex((1, 2, 1, 2)))
-    pricer = QPricer(prob, m_power=12)
+    return chain, QPricer(prob, m_power=12)
+
+
+def test_sweep_working_set_within_live_array_estimate():
+    # the size guard counts SWEEP_LIVE_ARRAYS batch arrays of histories x M
+    # complex values; one price_field on a 24-history chain must stay within it
+    chain, pricer = depth_chain_pricer()
     tracemalloc.start()
     try:
         pricer.price_field(3.0 + 2.0j)
@@ -332,3 +356,44 @@ def test_sweep_working_set_within_live_array_estimate():
     finally:
         tracemalloc.stop()
     assert peak / (chain.size * 2**12 * 16) <= SWEEP_LIVE_ARRAYS
+
+
+@pytest.mark.parametrize("q", [3.0, 3.0 + 2.0j], ids=["real_plans", "complex_plans"])
+def test_sweeps_allocate_no_batch_array(monkeypatch, q):
+    # a sweep runs in its spectral value's workspace: from sweep 3 on, its
+    # traced peak stays below a quarter of one histories x M complex array
+    # above what was allocated when it began
+    chain, pricer = depth_chain_pricer()
+    batch = chain.size * 2**12 * 16
+    coupling, inner_iteration = QPricer._coupling, QPricer._inner_iteration
+    sweeps, state = [], {}
+
+    def close_sweep():
+        if "start" in state:
+            sweeps.append((state["sweep"], tracemalloc.get_traced_memory()[1] - state.pop("start")))
+
+    def traced_coupling(self, *args, **kwargs):
+        # the coupling opens every sweep after the first
+        close_sweep()
+        state["sweep"] = state.get("sweep", 1) + 1
+        tracemalloc.reset_peak()
+        state["start"] = tracemalloc.get_traced_memory()[0]
+        return coupling(self, *args, **kwargs)
+
+    def traced_iteration(self, *args, **kwargs):
+        state.clear()
+        out = inner_iteration(self, *args, **kwargs)
+        close_sweep()
+        state.clear()
+        return out
+
+    monkeypatch.setattr(QPricer, "_coupling", traced_coupling)
+    monkeypatch.setattr(QPricer, "_inner_iteration", traced_iteration)
+    tracemalloc.start()
+    try:
+        pricer.price_field(q)
+    finally:
+        tracemalloc.stop()
+    later = [grown for sweep, grown in sweeps if sweep >= 3]
+    assert len(later) >= 10
+    assert max(later) < batch / 4, max(later) / batch

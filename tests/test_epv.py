@@ -5,6 +5,7 @@ from rsbarrier.errors import GridResolutionError
 from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.epv import (
+    DECAY_PROBE_STRIDE,
     OperatorPlan,
     apply_epv,
     apply_epv_inverse,
@@ -204,6 +205,26 @@ def test_nan_residual_rejected(setup):
     bad = SampledFunction(grid, np.full(grid.size, np.nan), 0.0, 0.0)
     with pytest.raises(GridResolutionError):
         apply_epv(plan(f, "plus"), bad)
+
+
+def test_decay_check_takes_the_full_sup_norm_between_probes(setup):
+    # the row peaks between the interior nodes that bound its sup-norm from
+    # below, so only the full sup-norm admits its edges; edges above that
+    # scale fail, and so do NaN edges and a NaN between the probed nodes,
+    # which makes the full sup-norm NaN
+    grid, f = setup
+    peak = grid.guard + DECAY_PROBE_STRIDE // 2
+    values = np.zeros(grid.size)
+    values[peak] = 1.0
+    values[:4] = 0.5 * grid.decay_tol
+    apply_epv(plan(f, "plus"), SampledFunction(grid, values, 0.0, 0.0))
+    for spoiled in ([(slice(0, 4), 2.0 * grid.decay_tol)], [(slice(0, 4), np.nan)],
+                    [(grid.interior(), 1.0), (peak + 1, np.nan)]):
+        bad = values.copy()
+        for at, value in spoiled:
+            bad[at] = value
+        with pytest.raises(GridResolutionError):
+            apply_epv(plan(f, "plus"), SampledFunction(grid, bad, 0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
