@@ -75,6 +75,7 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
     problem = cfg.problem
     tau = problem.maturity
     start = time.perf_counter()
+    threads = cfg.resolve_threads()  # a bad setting fails even when nothing is priced
     codes = range(problem.chain.size) if all_histories else \
         [encode(problem.chain.m, problem.initial_history)]
     if not problem.lower < problem.spot < problem.upper:
@@ -82,7 +83,6 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
         return rows, {"outer": 0, "sweeps": 0,
                       "wall": time.perf_counter() - start, "warning": "spot outside band"}
 
-    threads = cfg.resolve_threads()
     pricer = _make_pricer(cfg)
     plan = cfg.inversion
     if plan.backend == "sinh":

@@ -208,12 +208,12 @@ def interpolate_field(u: SampledFunction, x0: float) -> np.ndarray:
 
 @dataclass
 class Workspace:
-    """The arrays one spectral value's sweeps run in, each shaped like the
-    batch (histories, M).  ``spare`` is the partner of a series term's own
-    array in the alternation of current and new iterates; ``gather`` takes
-    the coupling's gathered rows, then the sweep's step and the sup-norms'
-    sums; ``real`` takes a real plan's transforms and the magnitudes.  The
-    arrays are left unwritten until a sweep after the first needs them."""
+    """The arrays one spectral value's series runs in, each shaped like the
+    batch (histories, M).  ``spare`` is the partner of a one-barrier
+    solve's own array in the alternation of current and new iterates, and
+    takes each series term once both solves are done; ``gather`` takes the
+    coupling's gathered rows, then a sweep's step and the sup-norms' sums;
+    ``real`` takes a real plan's transforms and the magnitudes."""
 
     spare: np.ndarray
     gather: np.ndarray

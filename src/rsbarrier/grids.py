@@ -184,13 +184,11 @@ class DualGrid:
     def half_line(self, node: int, direction: int, at_node: float) -> np.ndarray:
         """1 beyond ``node`` in ``direction`` (+1 up, -1 down), ``at_node`` at
         the node, 0 on the other side.  Read-only; the masks of the two
-        barrier nodes are built once.  The mask is complex, with zero
-        imaginary part, so complex data is multiplied by it without the
-        buffered cast that a real mask takes."""
+        barrier nodes are built once."""
         key = (node, direction, float(at_node))
         w = self._half_lines.get(key)
         if w is None:
-            w = (self.index > node if direction > 0 else self.index < node).astype(np.complex128)
+            w = (self.index > node if direction > 0 else self.index < node).astype(float)
             w[node] = at_node
             w = _frozen(w)
             if node in (self.lower_index, self.upper_index):

@@ -187,14 +187,17 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
 
 
 # a thread count must be a whole number >= 1, whether the document, the
-# command line or RSBARRIER_THREADS gives it
+# command line or RSBARRIER_THREADS gives it, and even when the spot lies
+# outside the band and nothing is priced
 @pytest.mark.parametrize("source, value", [
     ("env", "abc"), ("env", "0"), ("env", "-3"), ("env", "2.5"),
     ("doc", 0), ("doc", -2), ("doc", True), ("doc", 2.7), ("doc", "2"),
-    ("flag", "0"), ("flag", "-1"),
+    ("flag", "0"), ("flag", "-1"), ("env-spot-outside", "0"),
 ], ids=lambda v: str(v))
 def test_bad_thread_setting_is_config_error(tmp_path, capsys, monkeypatch, source, value):
     doc = copy.deepcopy(BROWNIAN_DOC)
+    if source == "env-spot-outside":
+        source, doc["x0"] = "env", 2.0
     argv = ["price"]
     if source == "env":
         monkeypatch.setenv("RSBARRIER_THREADS", value)
