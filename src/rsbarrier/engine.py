@@ -208,21 +208,25 @@ def interpolate_field(u: SampledFunction, x0: float) -> np.ndarray:
 
 @dataclass
 class Workspace:
-    """The arrays one spectral value's series runs in, each shaped like the
-    batch (histories, M).  ``spare`` is the partner of a one-barrier
-    solve's own array in the alternation of current and new iterates, and
-    takes each series term once both solves are done; ``gather`` takes the
-    coupling's gathered rows, then a sweep's step and the sup-norms' sums;
-    ``real`` takes a real plan's transforms and the magnitudes."""
+    """The arrays one spectral value's series runs in, shaped like the batch
+    (histories, M) and of the samples' dtype unless said otherwise.
+    ``spare`` is the partner of a one-barrier solve's own array in the
+    alternation of current and new iterates, and takes each series term
+    once both solves are done; ``gather`` takes the coupling's gathered
+    rows, then a sweep's step and the sup-norms' sums; ``real``, always
+    real, takes the magnitudes; ``half``, complex (histories, M/2 + 1) and
+    held only for real samples, takes a real plan's half spectra."""
 
     spare: np.ndarray
     gather: np.ndarray
     real: np.ndarray
+    half: np.ndarray | None
 
     @classmethod
-    def empty(cls, shape: tuple) -> "Workspace":
-        return cls(np.empty(shape, np.complex128), np.empty(shape, np.complex128),
-                   np.empty(shape))
+    def empty(cls, shape: tuple, dtype) -> "Workspace":
+        half = (np.empty(shape[:-1] + (shape[-1] // 2 + 1,), np.complex128)
+                if dtype == np.float64 else None)
+        return cls(np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape), half)
 
 
 class QPricer:
@@ -282,7 +286,7 @@ class QPricer:
         out = cur.scale(chain.lambda0 - chain.lam_total, out=out)
         for j in range(chain.m - 1):
             idx = chain.codes_after_shift[:, j]
-            w = np.asarray(chain.rates[:, j], np.complex128)
+            w = chain.rates[:, j]
             # the codes are in range; mode "raise" would buffer a copy of out
             np.take(cur.values, idx, axis=0, out=gather, mode="clip")
             gather *= w[:, None]
@@ -303,7 +307,7 @@ class QPricer:
         other stays in ``work``."""
         problem, chain, grid = self.problem, self.problem.chain, self.grid
         q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
-                            for s in range(1, chain.m + 1)], dtype=np.complex128)
+                            for s in range(1, chain.m + 1)])
         row_inv_q = np.array([1.0 / q_heads[s - 1]
                               for s in range(1, chain.m + 1)])[chain.heads() - 1]
 
@@ -313,7 +317,7 @@ class QPricer:
             first_touch, inner, region = first_touch_below, "plus", Region.ABOVE_LOWER
         plan, inner_plan = plans[side], plans[inner]
 
-        boundary = SampledFunction.zero(grid, (chain.size,))
+        boundary = SampledFunction.zero(grid, (chain.size,), work.spare.dtype)
         for s, idx in self._groups():
             boundary.assign(idx, first_touch(plan.head(s), boundary_data.select(idx)))
 
@@ -346,9 +350,9 @@ class QPricer:
         for sweep in range(2, self.max_sweeps + 1):
             buf = own if cur.values is not own else work.spare
             new = self._coupling(cur, buf, work.gather)
-            new = apply_epv(inner_plan, new, out=buf, scratch=work.real)
+            new = apply_epv(inner_plan, new, out=buf, scratch=work.half)
             new = indicator_soft(new, region, out=buf)
-            new = apply_epv(plan, new, out=buf, scratch=work.real)
+            new = apply_epv(plan, new, out=buf, scratch=work.half)
             new = new.scale(row_inv_q, out=buf).add(boundary, out=buf)
             step = new.subtract(cur, out=work.gather)
             # the sup-norm leaves the full samples of the step in its
@@ -386,7 +390,7 @@ class QPricer:
         is dropped as soon as its term is in hand."""
         chain, grid = self.problem.chain, self.grid
         # this call's own: node threads share the pricer
-        work = Workspace.empty((chain.size, grid.size))
+        work = Workspace.empty((chain.size, grid.size), v0.dtype)
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)
         total = SampledFunction.constant(grid, v0)
@@ -419,9 +423,14 @@ class QPricer:
 
     def price_field(self, q) -> ValueField:
         problem, chain, grid = self.problem, self.problem.chain, self.grid
-        if complex(q).real <= 0 and complex(q).imag == 0:
+        real = complex(q).imag == 0.0
+        if real and complex(q).real <= 0:
             raise SpectralParameterError("need Re q > 0 on the real path")
         v0 = solve_v0(chain, problem.rates, problem.payoffs, q)
+        if real:
+            # real samples at a real q; v0 is still solved in complex
+            # arithmetic, whose division by d + 0j rounds as G * (1/d)
+            q, v0 = complex(q).real, v0.real.copy()
         stats = IterationStats()
         factors = self.factorizations(q)
         plans = {side: OperatorPlan.build(factors, side) for side in ("plus", "minus")}

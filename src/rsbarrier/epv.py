@@ -21,10 +21,10 @@ inner-side and one outer-side application per sweep.
 
 At a real Q (GWR's nodes) the symbols are Hermitian and the operators map
 real data to real data, so a plan whose heads all have real Q is a real
-plan: it keeps the non-negative-frequency half of each symbol and applies
-it through real FFTs, once to the real part of the data and, unless it is
-all zero, once to the imaginary part.  Complex Q (sinh nodes) keeps the
-full spectrum and complex FFTs; the rest of an application is the same.
+plan: it keeps the non-negative-frequency half of each symbol and maps
+real (float64) samples through real FFTs.  Complex Q (sinh nodes) keeps the
+full spectrum and maps real or complex samples through complex FFTs; the
+rest of an application is the same.
 
 ``first_touch_above``/``first_touch_below`` compose these into the value of
 receiving given data at the first entrance of the region beyond a barrier;
@@ -182,11 +182,11 @@ def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
 
 
 def _damped_pass(g: np.ndarray, step: np.ndarray, plan: OperatorPlan,
-                 symbol: np.ndarray, spectrum: np.ndarray | None = None) -> np.ndarray:
+                 symbol: np.ndarray, spectrum: np.ndarray | None) -> None:
     """The multiplier, in place, on rows ``g`` (grouped by head) whose
-    far-field step is ``step``: complex rows through complex FFTs in place,
-    real rows (on a real plan) through real FFTs whose half spectrum goes
-    to ``spectrum``, or to a new array when none is given."""
+    far-field step is ``step``: on a real plan real rows through real FFTs
+    whose half spectrum goes to ``spectrum`` (a new array when None),
+    otherwise complex rows through complex FFTs in place."""
     grid = plan.grid
     # taper only the damping-suppressed side: wrapped mass from there is
     # re-amplified by undamping, while the other side's tail is real content
@@ -210,7 +210,6 @@ def _damped_pass(g: np.ndarray, step: np.ndarray, plan: OperatorPlan,
     np.subtract(g[ix], step, out=g[ix], where=where)
     g *= plan.window
     g *= grid.taper_both
-    return g
 
 
 def apply_multiplier(u: SampledFunction, plan: OperatorPlan, inverse: bool = False,
@@ -226,44 +225,36 @@ def apply_multiplier(u: SampledFunction, plan: OperatorPlan, inverse: bool = Fal
 
         out = c + undamp(ifft(symbol * fft(damp(step + residual)))) - step,
 
-    with the output residual confined to the plan's window beyond the band.
-    On a real plan the real and the imaginary part of the data each take
-    that path through real FFTs.  The imaginary pass is skipped when the
-    residuals and the steps have no imaginary part, since its image is then
-    exactly zero; a row's output never depends on the other rows.
+    with the output residual confined to the plan's window beyond the band;
+    a row's output never depends on the other rows.  A real plan takes real
+    samples only and gives real samples; a complex plan takes either and
+    gives complex samples.
 
-    The residual is written to ``out``, a C-contiguous complex array of the
-    residual's shape that may be ``u.values`` itself; a real plan
-    transforms in ``scratch``, a real array of that shape, and keeps its
-    half spectra in ``out`` meanwhile.  Either is a new array when not given.
+    The residual is written to ``out``, a C-contiguous array of the output
+    dtype and the residual's shape that may be ``u.values`` itself.  On a
+    real plan ``scratch``, a complex array of the residual's shape with
+    M/2 + 1 in place of M, takes the half spectra.  Either is a new array
+    when not given.
     """
     grid = u.grid
+    if plan.real and np.iscomplexobj(u.values):
+        raise ValueError("a real plan maps real samples; apply it to the real and "
+                         "the imaginary part apart")
     _check_decay(u, plan.heads, IllPosedApplicationError if inverse else GridResolutionError)
     step = (u.c_hi - u.c_lo) if plan.side == "plus" else (u.c_lo - u.c_hi)
     step = step.reshape(plan.heads, -1, 1)
     symbol = plan.inverse if inverse else plan.forward
+    dtype = np.float64 if plan.real else np.complex128
     if out is None:
-        out = np.empty(u.values.shape, np.complex128)
-    elif not (out.flags.c_contiguous and out.dtype == np.complex128
-              and out.shape == u.values.shape):
-        raise ValueError("out must be a C-contiguous complex array of the residual's shape")
-    values = u.values.reshape(plan.heads, -1, grid.size)
-    g = out.reshape(values.shape)
-    if not plan.real:
-        if out is not u.values:
-            np.copyto(g, values)
-        _damped_pass(g, step, plan, symbol)
-        return SampledFunction(grid, out, u.c_lo, u.c_hi)
-    # the imaginary part is read before ``out``, which may be ``u.values``,
-    # takes the spectra
-    imag = values.imag.copy() if np.any(values.imag) or np.any(step.imag) else None
-    real = np.empty(values.shape) if scratch is None else scratch.reshape(values.shape)
-    np.copyto(real, values.real)
-    spectrum = out.reshape(-1)[:real.size // grid.size * (grid.size // 2 + 1)]
-    _damped_pass(real, step.real, plan, symbol, spectrum.reshape(values.shape[:-1] + (-1,)))
-    np.copyto(g, real)
-    if imag is not None:
-        g += 1j * _damped_pass(imag, step.imag, plan, symbol)
+        out = np.empty(u.values.shape, dtype)
+    elif not (out.flags.c_contiguous and out.dtype == dtype and out.shape == u.values.shape):
+        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array "
+                         f"of the residual's shape")
+    g = out.reshape(plan.heads, -1, grid.size)
+    if out is not u.values:
+        np.copyto(g, u.values.reshape(g.shape))
+    spectrum = None if scratch is None else scratch.reshape(g.shape[:-1] + (-1,))
+    _damped_pass(g, step, plan, symbol, spectrum)
     return SampledFunction(grid, out, u.c_lo, u.c_hi)
 
 

@@ -266,18 +266,14 @@ def build_grid(lower: float, upper: float, m_power: int = 14,
                     guard=guard, decay_tol=decay_tol)
 
 
-def _far_field(c, lead: tuple) -> np.ndarray:
-    """An owned complex copy of ``c`` with shape ``lead``."""
-    c = np.asarray(c, np.complex128)
-    return (c if c.shape == lead else np.broadcast_to(c, lead)).copy()
-
-
 @dataclass
 class SampledFunction:
     """Far-field constants plus residual samples on a DualGrid.
 
     ``values`` holds the residual with shape (..., M); ``c_lo``/``c_hi`` are
-    scalars or arrays matching the leading dimensions.
+    scalars or arrays matching the leading dimensions.  All three are
+    float64 when none of them is complex, and complex128 otherwise: at a
+    real spectral value the operators map real data to real data.
     """
 
     grid: DualGrid
@@ -286,39 +282,38 @@ class SampledFunction:
     c_hi: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        parts = (self.values, self.c_lo, self.c_hi)
+        dtype = np.complex128 if any(map(np.iscomplexobj, parts)) else np.float64
+        self.values = np.asarray(self.values, dtype)
         if self.values.shape[-1] != self.grid.size:
             raise ValueError("residual length must match the grid")
-        lead = self.values.shape[:-1]
-        self.c_lo = _far_field(self.c_lo, lead)
-        self.c_hi = _far_field(self.c_hi, lead)
+        # owned copies, one per row
+        self.c_lo, self.c_hi = (np.full(self.shape, c, dtype) for c in (self.c_lo, self.c_hi))
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, grid: DualGrid, shape=()) -> "SampledFunction":
-        return cls(grid, np.zeros(shape + (grid.size,)), np.zeros(shape), np.zeros(shape))
+    def zero(cls, grid: DualGrid, shape=(), dtype=np.float64) -> "SampledFunction":
+        return cls(grid, np.zeros(shape + (grid.size,), dtype), np.zeros(shape), np.zeros(shape))
 
     @classmethod
     def constant(cls, grid: DualGrid, c) -> "SampledFunction":
-        c = np.asarray(c, np.complex128)
-        return cls(grid, np.zeros(c.shape + (grid.size,)), c.copy(), c.copy())
+        return cls(grid, np.zeros(np.shape(c) + (grid.size,)), c, c)
 
     @classmethod
     def from_samples(cls, grid: DualGrid, full, c_lo=0.0, c_hi=0.0) -> "SampledFunction":
         """Wrap full samples of a function with known far-field constants."""
-        return cls._split(grid, np.array(full, np.complex128), c_lo, c_hi)
+        return cls._split(grid, np.array(full), c_lo, c_hi)
 
     @classmethod
     def _split(cls, grid: DualGrid, res: np.ndarray, c_lo, c_hi) -> "SampledFunction":
         """Take the far-field constants out of the full samples ``res``, in
-        place; ``res`` must be a complex array no one else holds."""
-        lead = res.shape[:-1]
-        lo = np.broadcast_to(np.asarray(c_lo, np.complex128), lead)
-        hi = np.broadcast_to(np.asarray(c_hi, np.complex128), lead)
-        for which, c in enumerate((lo, hi)):
+        place when ``res`` already has the function's dtype; ``res`` must be
+        an array no one else holds."""
+        u = cls(grid, res, c_lo, c_hi)
+        for which, c in enumerate((u.c_lo, u.c_hi)):
             ix, where = grid.side(which)
-            np.subtract(res[ix], c[..., None], out=res[ix], where=where)
-        return cls(grid, res, lo, hi)
+            np.subtract(u.values[ix], c[..., None], out=u.values[ix], where=where)
+        return u
 
     @classmethod
     def beyond(cls, grid: DualGrid, full, c_lo, c_hi, node: int, direction: int,
@@ -333,7 +328,7 @@ class SampledFunction:
         else:
             c_hi = np.zeros_like(c_hi)
         return cls._split(grid, np.multiply(full, grid.half_line(node, direction, at_node),
-                                            out=out, dtype=np.complex128), c_lo, c_hi)
+                                            out=out), c_lo, c_hi)
 
     @classmethod
     def step(cls, grid: DualGrid, region: Region, c) -> "SampledFunction":
@@ -343,7 +338,7 @@ class SampledFunction:
         the effective discontinuity half a cell off the barrier, which the
         damped-FFT algebra turns into an O(dx) barrier displacement.
         """
-        c = np.asarray(c, np.complex128)
+        c = np.asarray(c)
         return cls.beyond(grid, c[..., None], c, c, *grid.region_edge(region), 0.5)
 
     # -- basic algebra ------------------------------------------------
@@ -379,7 +374,7 @@ class SampledFunction:
 
     def scale(self, factor, out: np.ndarray | None = None) -> "SampledFunction":
         """Multiply by a scalar or a per-row vector."""
-        f = np.asarray(factor, np.complex128)
+        f = np.asarray(factor)
         return SampledFunction(self.grid, np.multiply(self.values, f[..., None], out=out),
                                self.c_lo * f, self.c_hi * f)
 
@@ -390,10 +385,10 @@ class SampledFunction:
     def sup_norm(self, work: tuple | None = None) -> float:
         """Max magnitude over the interior samples and the far fields.
 
-        ``work``, a complex and a real array shaped like ``values``, takes
-        the interior's sums and magnitudes in place of new arrays.  The
-        complex one may be ``values`` itself, which then holds the full
-        samples over the interior.
+        ``work``, an array of the values' dtype and a real one, each shaped
+        like ``values``, takes the interior's sums and magnitudes in place
+        of new arrays.  The first may be ``values`` itself, which then holds
+        the full samples over the interior.
         """
         total, mag = (None, None) if work is None else work
         peaks = []

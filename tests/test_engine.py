@@ -183,6 +183,15 @@ def test_kou_chain_transform_bits_are_pinned():
         assert [repr(complex(v)) for v in pricer.price_at(q)] == reprs
 
 
+def test_samples_are_real_at_a_real_q():
+    # the sweeps carry float64 samples at a real q, given as a complex number
+    # or not, and complex ones otherwise
+    pricer = kou_chain_pricer()
+    for q, dtype in ((2.0, np.float64), (2.0 + 0j, np.float64), (3.0 + 2.0j, np.complex128)):
+        field = pricer.price_field(q)
+        assert field.functions.values.dtype == field.v0.dtype == dtype
+
+
 def test_zero_payoff_gives_zero():
     chain = MemoryChain.from_constant(1, 0, 0.0)
     prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 0.0),), chain=chain,

@@ -49,28 +49,33 @@ def core_mask(grid, away_from_barriers=0.05):
 
 
 def test_constants_preserved_exactly(setup):
+    # a real constant through the plans of a real Q, a complex one through
+    # those of a complex Q
     grid, f = setup
-    u = SampledFunction.constant(grid, 3.25 - 0.5j)
-    for side in ("plus", "minus"):
-        out = apply_epv(plan(f, side), u)
-        assert np.allclose(out.c_lo, 3.25 - 0.5j) and np.allclose(out.c_hi, 3.25 - 0.5j)
-        assert np.max(np.abs(out.values)) == 0.0
-        inv = apply_epv_inverse(plan(f, side), u)
-        assert np.allclose(inv.full(), 3.25 - 0.5j)
+    for fac, c in ((f, 3.25), (factorize_rational(BM2, 1.0 + 0.5j, grid), 3.25 - 0.5j)):
+        u = SampledFunction.constant(grid, c)
+        for side in ("plus", "minus"):
+            out = apply_epv(plan(fac, side), u)
+            assert np.allclose(out.c_lo, c) and np.allclose(out.c_hi, c)
+            assert np.max(np.abs(out.values)) == 0.0
+            inv = apply_epv_inverse(plan(fac, side), u)
+            assert np.allclose(inv.full(), c)
 
 
 def test_windowed_eigenfunction(setup):
     # needs a kernel short enough that the window looks flat to it, so a
-    # large spectral value; window kept inside the residual confinement
+    # large spectral value; window kept inside the residual confinement.  The
+    # real plan maps the real and imaginary parts of exp(i zeta x) apart
     grid, _ = setup
     f = factorize_rational(BM2, 100.0, grid)
     zeta = 3.0
     window = np.exp(-(grid.x / 3.0) ** 10)
-    u = SampledFunction(grid, window * np.exp(1j * zeta * grid.x), 0.0, 0.0)
-    out = apply_epv(plan(f, "plus"), u)
+    re, im = (apply_epv(plan(f, "plus"), SampledFunction(grid, window * part(zeta * grid.x),
+                                                         0.0, 0.0)).full()
+              for part in (np.cos, np.sin))
     inner = np.abs(grid.x) < 0.5
     target = f.phi_plus(np.array([zeta]))[0] * np.exp(1j * zeta * grid.x[inner])
-    assert np.max(np.abs(out.full()[inner] - target)) < 1e-6
+    assert np.max(np.abs(re[inner] + 1j * im[inner] - target)) < 1e-6
 
 
 def test_brownian_sup_exponential_law(setup):
@@ -233,6 +238,14 @@ def three_heads(kou_setup):
     return grid, [f, factorize_rational(KOU, 2.1, grid), factorize_rational(BM2, 1.7, grid)]
 
 
+@pytest.fixture(scope="module")
+def three_complex_heads(kou_setup):
+    grid, _ = kou_setup
+    return grid, [factorize_rational(KOU, 1.3 + 0.4j, grid),
+                  factorize_rational(KOU, 2.1 - 0.3j, grid),
+                  factorize_rational(BM2, 1.7 + 0.2j, grid)]
+
+
 def head_batch(grid, k, imag=1j):
     """3k rows: decaying bumps on far fields that differ row by row; real
     rows when ``imag`` is 0."""
@@ -256,8 +269,9 @@ def assert_batched_matches_alone(factors, side, inverse, u, k):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("inverse", [False, True])
-def test_batched_plan_matches_each_head_alone(three_heads, side, inverse):
-    grid, factors = three_heads
+def test_batched_plan_matches_each_head_alone(three_complex_heads, side, inverse):
+    # complex data on the plans of complex Q
+    grid, factors = three_complex_heads
     assert_batched_matches_alone(factors, side, inverse, head_batch(grid, 2), 2)
 
 
@@ -327,27 +341,20 @@ def test_real_plan_matches_complex_transform(real_q, side, inverse):
     assert np.max(np.abs(out.values - ref.values)) <= 1e-11 * ref.sup_norm()
 
 
-@pytest.mark.parametrize("side", ["plus", "minus"])
-@pytest.mark.parametrize("inverse", [False, True])
-def test_real_plan_splits_complex_data(kou_setup, side, inverse):
-    # complex data on a real plan: the real and imaginary parts are mapped
-    # apart, and a real row's output does not see a complex row beside it
+def test_real_plan_refuses_complex_samples(kou_setup):
+    # a real plan maps real samples only, even complex ones whose imaginary
+    # part is zero; a complex plan maps real samples as it maps them with a
+    # zero imaginary part
     grid, f = kou_setup
-    x = grid.x
-    bump = np.exp(-((x - 0.3) / 0.6) ** 2)
-    # a real row, a complex residual, and a real residual on complex far fields
-    rows = np.stack([np.exp(-x**2), (0.5 - 0.8j) * bump, bump])
-    u = SampledFunction(grid, rows, [0.2, 0.1j, 0.3], [1.0, 0.7 - 0.3j, 1.0 + 0.4j])
-    op = plan(f, side)
-    for rows_taken in (slice(None), slice(2, 3)):
-        v = u.select(rows_taken)
-        re = SampledFunction(grid, v.values.real, v.c_lo.real, v.c_hi.real)
-        im = SampledFunction(grid, v.values.imag, v.c_lo.imag, v.c_hi.imag)
-        assert np.array_equal(apply_multiplier(v, op, inverse).values,
-                              apply_multiplier(re, op, inverse).values
-                              + 1j * apply_multiplier(im, op, inverse).values)
-    assert np.array_equal(apply_multiplier(u, op, inverse).values[:1],
-                          apply_multiplier(u.select(slice(0, 1)), op, inverse).values)
+    u = SampledFunction(grid, np.exp(-grid.x**2), 0.2, 1.0)
+    as_complex = SampledFunction(grid, u.values + 0j, u.c_lo, u.c_hi)
+    for side in ("plus", "minus"):
+        with pytest.raises(ValueError, match="real plan"):
+            apply_epv(plan(f, side), as_complex)
+        complex_plan = plan(factorize_rational(KOU, 1.3 + 0.5j, grid), side)
+        out = apply_epv(complex_plan, u)
+        assert out.values.dtype == np.complex128
+        assert np.array_equal(out.values, apply_epv(complex_plan, as_complex).values)
 
 
 def test_plan_keeps_half_spectrum_only_at_real_q(kou_setup):

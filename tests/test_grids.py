@@ -52,6 +52,18 @@ def test_constant_and_full_roundtrip():
     assert np.allclose(v.full(), arbitrary)
 
 
+def test_samples_complex_only_when_a_part_is():
+    # float64 unless the residual or a far field is complex; then all three
+    # are complex128
+    g = small_grid()
+    real = np.exp(-g.x**2)
+    assert SampledFunction(g, real, 0, 1.0).values.dtype == np.float64
+    assert SampledFunction.step(g, Region.BELOW_UPPER, 2).c_lo.dtype == np.float64
+    for u in (SampledFunction(g, real, 0.0, 1j), SampledFunction(g, real + 0j, 0.0, 1.0),
+              SampledFunction.constant(g, 1.0 + 0j), SampledFunction.zero(g, (2,), complex)):
+        assert u.values.dtype == u.c_lo.dtype == u.c_hi.dtype == np.complex128
+
+
 def test_step_farfield_and_midvalue():
     g = small_grid()
     u = SampledFunction.step(g, Region.AT_OR_ABOVE_UPPER, 2.0)
