@@ -10,6 +10,7 @@ histories through one cache.
 from __future__ import annotations
 
 import argparse
+import cmath
 import copy
 import csv
 import math
@@ -171,10 +172,20 @@ def _cmd_mc(args) -> int:
 
 def _cmd_factors(args) -> int:
     cfg = parse_config(_document(args))
-    model = cfg.problem.regimes[args.regime - 1].model
+    regimes = cfg.problem.regimes
+    if not 1 <= args.regime <= len(regimes):
+        raise ConfigError(f"--regime must lie in 1..{len(regimes)}, got {args.regime}")
+    try:
+        q = complex(args.q_value)
+    except ValueError:
+        q = cmath.nan
+    if not cmath.isfinite(q):
+        raise ConfigError(f"--q-value must be a finite number such as 2.0 or 3+4j, "
+                          f"got {args.q_value!r}")
+    model = regimes[args.regime - 1].model
     grid = _grid(cfg)
     check_working_set(1, grid.size)
-    fact = factorize(model, complex(args.q_value), grid)
+    fact = factorize(model, q, grid)
     cs = fact.contour_symbols(0.0)
     resid = np.abs(cs.phi_plus * cs.phi_minus / fact.e_symbol(grid.xi) - 1.0)
     order = np.argsort(grid.xi)
@@ -225,19 +236,27 @@ def _cmd_convergence(args) -> int:
     parse_config(base)  # a bad document fails before the first price
     if args.param == "memoryN":
         _check_memory_ladder(base["chain"]["rates"])
+    kind = int if args.param == "memoryN" else _LADDERS[args.param][2]
+    ladder = []
+    for v in [v.strip() for v in args.values.split(",") if v.strip()]:
+        try:
+            ladder.append((v, kind(v)))
+        except ValueError:
+            raise ConfigError(f"--values: {args.param} takes {kind.__name__} values, "
+                              f"got {v!r}") from None
     rows = []
     prev = None
-    for v in [v.strip() for v in args.values.split(",") if v.strip()]:
+    for v, value in ladder:
         doc = copy.deepcopy(base)
         if args.param == "memoryN":
-            doc["chain"]["N"] = int(v)
+            doc["chain"]["N"] = value
             labels = [doc["initialHistory"][0]]
-            for _ in range(int(v)):
+            for _ in range(value):
                 labels.append(1 if labels[-1] != 1 else 2)
             doc["initialHistory"] = labels
         else:
-            section, key, kind = _LADDERS[args.param]
-            doc.setdefault(section, {})[key] = kind(v)
+            section, key, _ = _LADDERS[args.param]
+            doc.setdefault(section, {})[key] = value
         out_rows, _ = run_price(parse_config(doc))
         price = out_rows[0]["price"]
         diff = "" if prev is None else repr(abs(price - prev))

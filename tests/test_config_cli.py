@@ -242,6 +242,25 @@ def test_factors_cli(tmp_path):
     assert max(float(r["residual"]) for r in rows) < 1e-10
 
 
+# factors and convergence arguments that name no regime of the document or
+# no number of the ladder's kind: one config error line and exit 2, and a
+# ladder fails before its first price
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("factors", "--regime", "0"), ("factors", "--regime", "-1"),
+    ("factors", "--regime", "3"), ("factors", "--q-value", "abc"),
+    ("factors", "--q-value", "nan"), ("factors", "--q-value", "1e400"),
+    ("convergence", "--param", "nGaver", "--values", "abc"),
+    ("convergence", "--param", "mPower", "--values", "12.5"),
+    ("convergence", "--param", "tolOuter", "--values", "1e-8,abc"),
+], ids=" ".join)
+def test_bad_command_argument_is_config_error(tmp_path, capsys, argv):
+    rc, out = _run_cli(tmp_path, TWO_REGIME_DOC, *argv)
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
 def test_invert_demo_cli():
     buf = io.StringIO()
     with redirect_stdout(buf):
