@@ -24,7 +24,7 @@ from .models import BrownianDrift, KoBoL, KouJumpDiffusion, LevyModel
 from .montecarlo import McConfig
 
 __all__ = ["GridConfig", "Tolerances", "ProblemConfig", "read_document",
-           "load_config", "parse_config", "DEFAULTS"]
+           "parse_config", "DEFAULTS"]
 
 THREADS_ENV = "RSBARRIER_THREADS"
 
@@ -272,7 +272,3 @@ def read_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return doc
-
-
-def load_config(path: str) -> ProblemConfig:
-    return parse_config(read_document(path))

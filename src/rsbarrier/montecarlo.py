@@ -185,28 +185,16 @@ def simulate_price(problem: BarrierProblem, cfg: McConfig) -> McResult:
     if not problem.lower < problem.spot < problem.upper:
         return McResult(0.0, 0.0, cfg.paths, cfg.dt, cfg.seed,
                         time.perf_counter() - start)
-    if cfg.antithetic:
-        n_pairs = cfg.paths // 2
-        sums = 0.0
-        sumsq = 0.0
-        for pair in range(n_pairs):
-            rng_a = np.random.Generator(np.random.Philox(key=[cfg.seed, pair]))
-            rng_b = np.random.Generator(np.random.Philox(key=[cfg.seed, pair]))
-            a = _one_path(rng_a, problem, cfg)
-            b = _one_path(rng_b, problem, cfg, sign=-1.0)
-            v = 0.5 * (a + b)
-            sums += v
-            sumsq += v * v
-        n = n_pairs
-    else:
-        sums = 0.0
-        sumsq = 0.0
-        for idx in range(cfg.paths):
-            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, idx]))
-            v = _one_path(rng, problem, cfg)
-            sums += v
-            sumsq += v * v
-        n = cfg.paths
+    # one path per Philox key (seed, i), or an antithetic pair sharing it
+    n = cfg.paths // 2 if cfg.antithetic else cfg.paths
+    sums = sumsq = 0.0
+    for i in range(n):
+        v = _one_path(np.random.Generator(np.random.Philox(key=[cfg.seed, i])), problem, cfg)
+        if cfg.antithetic:
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+            v = 0.5 * (v + _one_path(rng, problem, cfg, sign=-1.0))
+        sums += v
+        sumsq += v * v
     mean = sums / n
     var = max(sumsq / n - mean * mean, 0.0)
     stderr = math.sqrt(var / n)
