@@ -342,9 +342,9 @@ def test_real_plan_matches_complex_transform(real_q, side, inverse):
 
 
 def test_real_plan_refuses_complex_samples(kou_setup):
-    # a real plan maps real samples only, even complex ones whose imaginary
-    # part is zero; a complex plan maps real samples as it maps them with a
-    # zero imaginary part
+    # a real plan refuses complex samples, even those whose imaginary part is
+    # zero; a complex plan maps real samples as it maps them with a zero
+    # imaginary part
     grid, f = kou_setup
     u = SampledFunction(grid, np.exp(-grid.x**2), 0.2, 1.0)
     as_complex = SampledFunction(grid, u.values + 0j, u.c_lo, u.c_hi)
