@@ -3,16 +3,20 @@
 For a fixed q with Re q > 0 the knock-out value transform splits as
 Vt = Vt0 + Vt1: Vt0 solves the barrier-free linear system over histories,
 and Vt1 is built as an alternating series of one-barrier corrections.
-Each series term solves a half-line problem by a Jacobi fixed point: all
-histories are updated from the previous sweep.  The operator depends only on
-a history's head, so ``price_field`` builds one ``epv.OperatorPlan`` per side
-from the m factorizations, and a sweep is one batched inner-side and one
-outer-side application over all rows, plus rate-weighted gathers of
-neighbour values.  The plans are dropped when the spectral value is done.
-Sweep 1 starts from zero, so it is the boundary term itself and transforms
-nothing; on a chain with lambda0 = 0 nothing couples, and it is the only
-sweep.  Later sweeps run in place in a ``Workspace`` made once per spectral
-value, so they allocate no array of the batch's size.
+Each series term solves a half-line problem by block Gauss-Seidel sweeps
+over the head groups.  The operator depends only on a history's head, and a
+history's rows are contiguous by head, so ``price_field`` builds one
+``epv.OperatorPlan`` per side from the m factorizations, and a sweep walks
+the groups in head order: each group gathers its rate-weighted neighbours,
+the groups before it already updated in this sweep, and takes one
+inner-side and one outer-side application of its head's plan.  At a real
+q the iteration is nonnegative, so it contracts at least as fast as Jacobi
+(Stein-Rosenberg) and, started from below, stays monotone.  The plans are
+dropped when the spectral value is done.  Sweep 1 starts from zero, so it
+is the boundary term itself and transforms nothing; on a chain with
+lambda0 = 0 nothing couples, and it is the only sweep.  Later sweeps run in
+place, in row slices of a ``Workspace`` made once per spectral value, so
+they allocate no array of the batch's size.
 """
 
 from __future__ import annotations
@@ -39,21 +43,22 @@ __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",
            "MAX_WORKING_BYTES"]
 
 MAX_WORKING_BYTES = 4 * 2**30
-# complex (histories, M) arrays alive at once at one spectral value;
-# tracemalloc reads a peak of about 11 over price_field on a 24-history chain
-# at M = 2^12 to 2^14 since the sweeps run in place (about 12 before)
-SWEEP_LIVE_ARRAYS = 16
+# complex (histories, M) arrays alive at once at one spectral value, by the
+# samples' dtype: tracemalloc reads a price_field peak of about 7.1 at a real
+# q and 10.7 at a complex one on a 24-history chain at M = 2^12
+SWEEP_LIVE_ARRAYS = {np.dtype(np.float64): 11, np.dtype(np.complex128): 16}
 
 
-def working_set_bytes(histories: int, size: int) -> int:
-    """Estimated peak bytes of the sweeps at one spectral value."""
-    return histories * size * 16 * SWEEP_LIVE_ARRAYS
+def working_set_bytes(histories: int, size: int, dtype=np.complex128) -> int:
+    """Estimated peak bytes of the sweeps at one spectral value whose
+    samples have the given dtype."""
+    return histories * size * 16 * SWEEP_LIVE_ARRAYS[np.dtype(dtype)]
 
 
-def check_working_set(histories: int, size: int) -> None:
+def check_working_set(histories: int, size: int, dtype=np.complex128) -> None:
     """Raise ResourceLimitError, before any array is built, when the estimate
     exceeds MAX_WORKING_BYTES."""
-    need = working_set_bytes(histories, size)
+    need = working_set_bytes(histories, size, dtype)
     if need > MAX_WORKING_BYTES:
         raise ResourceLimitError(f"{histories} histories on {size} grid nodes need "
                                  f"about {need / 2**30:.3g} GiB, above the "
@@ -210,23 +215,29 @@ def interpolate_field(u: SampledFunction, x0: float) -> np.ndarray:
 class Workspace:
     """The arrays one spectral value's series runs in, shaped like the batch
     (histories, M) and of the samples' dtype unless said otherwise.
-    ``spare`` is the partner of a one-barrier solve's own array in the
-    alternation of current and new iterates, and takes each series term
-    once both solves are done; ``gather`` takes the coupling's gathered
-    rows, then a sweep's step and the sup-norms' sums; ``real``, always
-    real, takes the magnitudes; ``half``, complex (histories, M/2 + 1) and
-    held only for real samples, takes a real plan's half spectra."""
+    ``term`` takes each head group's new rows during a sweep, and each
+    series term once both one-barrier solves are done; ``gather`` takes the
+    coupling's gathered rows and each group's step, then the sup-norms'
+    sums; ``real``, always real, takes the magnitudes; ``half``, complex
+    (histories, M/2 + 1) and held only for real samples, takes a real
+    plan's half spectra.  ``keep`` and ``rates`` are the coupling's weights
+    lambda0 - Lambda_h and lam_{h,j}, cast to the samples' dtype once."""
 
-    spare: np.ndarray
+    term: np.ndarray
     gather: np.ndarray
     real: np.ndarray
     half: np.ndarray | None
+    keep: np.ndarray
+    rates: np.ndarray
 
     @classmethod
-    def empty(cls, shape: tuple, dtype) -> "Workspace":
-        half = (np.empty(shape[:-1] + (shape[-1] // 2 + 1,), np.complex128)
+    def empty(cls, chain: MemoryChain, size: int, dtype) -> "Workspace":
+        shape = (chain.size, size)
+        half = (np.empty((chain.size, size // 2 + 1), np.complex128)
                 if dtype == np.float64 else None)
-        return cls(np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape), half)
+        return cls(np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape), half,
+                   (chain.lambda0 - chain.lam_total).astype(dtype),
+                   chain.rates.astype(dtype))
 
 
 class QPricer:
@@ -245,7 +256,8 @@ class QPricer:
         if (abs(self.grid.lower - problem.lower) > 1e-12 * band
                 or abs(self.grid.upper - problem.upper) > 1e-12 * band):
             raise ValueError("grid barriers do not match the problem")
-        check_working_set(problem.chain.size, self.grid.size)
+        # real samples need the least; price_field checks its own q's dtype
+        check_working_set(problem.chain.size, self.grid.size, np.float64)
         self.tol_inner = tol_inner
         self.tol_outer = tol_outer
         self.max_outer = max_outer
@@ -277,49 +289,57 @@ class QPricer:
     def _scale(self, q) -> float:
         return float(np.max(np.abs(self.problem.payoffs)) / abs(q))
 
-    def _coupling(self, cur: SampledFunction, out: np.ndarray,
-                  gather: np.ndarray) -> SampledFunction:
-        """(Lambda0 - Lambda_h) * cur_h + sum_s lam_{s,h} * cur_{shift(h,s)},
-        accumulated in ``out`` in ascending target order for
-        reproducibility; each neighbour's rows are gathered into ``gather``."""
-        chain = self.problem.chain
-        out = cur.scale(chain.lambda0 - chain.lam_total, out=out)
-        for j in range(chain.m - 1):
-            idx = chain.codes_after_shift[:, j]
-            w = chain.rates[:, j]
+    def _coupling(self, cur: SampledFunction, rows: slice,
+                  work: Workspace) -> SampledFunction:
+        """(Lambda0 - Lambda_h) * cur_h + sum_s lam_{s,h} * cur_{shift(h,s)}
+        on one head group's rows, accumulated in ``work.term`` in ascending
+        target order for reproducibility; each neighbour's rows are gathered
+        into ``work.gather``.  A switch changes the head, so every neighbour
+        lies in another group."""
+        codes = self.problem.chain.codes_after_shift[rows]
+        out, gather = work.term[rows], work.gather[rows]
+        keep, rates = work.keep[rows], work.rates[rows]
+        np.multiply(cur.values[rows], keep[:, None], out=out)
+        c_lo, c_hi = cur.c_lo[rows] * keep, cur.c_hi[rows] * keep
+        for j in range(codes.shape[1]):
+            idx, w = codes[:, j], rates[:, j]
             # the codes are in range; mode "raise" would buffer a copy of out
             np.take(cur.values, idx, axis=0, out=gather, mode="clip")
             gather *= w[:, None]
-            out = out.add(SampledFunction(self.grid, gather, cur.c_lo[idx] * w,
-                                          cur.c_hi[idx] * w), out=out.values)
-        return out
+            out += gather
+            c_lo = c_lo + cur.c_lo[idx] * w
+            c_hi = c_hi + cur.c_hi[idx] * w
+        return SampledFunction(self.grid, out, c_lo, c_hi)
 
     def _inner_iteration(self, side: str, boundary_data: SampledFunction, q,
                          stats: IterationStats, plans: dict,
                          work: Workspace) -> SampledFunction:
-        """Jacobi sweeps for one series term; both coupling terms use the
-        previous sweep's values, the boundary term is fixed.  Sweep 1 is the
-        boundary term itself (the sweep from zero), taken without a
-        transform; each later sweep is one batched inner-side and one
-        outer-side application over all rows, each row scaled by its head's
-        1/Q.  Later sweeps alternate between the term's own new array and
-        ``work.spare``; the one holding the answer is returned and the
-        other stays in ``work``."""
+        """Block Gauss-Seidel sweeps for one series term; the boundary term
+        is fixed.  Sweep 1 is the boundary term itself (the sweep from
+        zero), taken without a transform.  Each later sweep walks the head
+        groups in head order: group s couples to the rows as they stand,
+        so its neighbours in earlier groups are already this sweep's, then
+        takes head s's inner-side and outer-side applications, the scaling
+        by 1/Q_s and its boundary rows.  The group's new rows are formed in
+        ``work.term`` and its step in ``work.gather`` before they are
+        committed to the term's own array, which is returned; the sweep's
+        convergence, contraction and monotone checks then read every
+        group's step.  The rows of a group update together, so lumpable
+        copies of a history keep its bits."""
         problem, chain, grid = self.problem, self.problem.chain, self.grid
         q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
                             for s in range(1, chain.m + 1)])
-        row_inv_q = np.array([1.0 / q_heads[s - 1]
-                              for s in range(1, chain.m + 1)])[chain.heads() - 1]
 
         if side == "plus":
             first_touch, inner, region = first_touch_above, "minus", Region.BELOW_UPPER
         else:
             first_touch, inner, region = first_touch_below, "plus", Region.ABOVE_LOWER
-        plan, inner_plan = plans[side], plans[inner]
+        groups = [(s, rows, plans[side].head(s), plans[inner].head(s))
+                  for s, rows in self._groups()]
 
-        boundary = SampledFunction.zero(grid, (chain.size,), work.spare.dtype)
-        for s, idx in self._groups():
-            boundary.assign(idx, first_touch(plan.head(s), boundary_data.select(idx)))
+        boundary = SampledFunction.zero(grid, (chain.size,), work.term.dtype)
+        for _, rows, plan, _ in groups:
+            boundary.assign(rows, first_touch(plan, boundary_data.select(rows)))
 
         scale = self._scale(q)
         real_path = (complex(q).imag == 0.0
@@ -337,24 +357,37 @@ class QPricer:
             mono = slice(nodes[0], nodes[-1] + 1)
         # sweep 1; with lambda0 = 0 every later sweep would couple nothing
         # and return the boundary term again
-        cur = boundary
         diff = boundary.sup_norm()
         if real_path:
             stats.monotone_undershoot = min(stats.monotone_undershoot,
                                             float(np.min(boundary.full().real[..., mono])))
         if chain.lambda0 == 0.0 or diff <= self.tol_inner * scale:
             stats.inner_sweeps.append(1)
-            return cur
-        own = np.empty_like(work.spare)
+            return boundary
+        cur = SampledFunction(grid, boundary.values.copy(), boundary.c_lo, boundary.c_hi)
+        step = SampledFunction(grid, work.gather, np.zeros(chain.size), np.zeros(chain.size))
+        # per group, views made once: the rows of the iterate, the boundary
+        # term and the step, and the workspace rows its applications use
+        blocks = [(rows, plan, inner_plan, 1.0 / q_heads[s - 1], cur.rows(rows),
+                   boundary.rows(rows), step.rows(rows), work.term[rows],
+                   None if work.half is None else work.half[rows])
+                  for s, rows, plan, inner_plan in groups]
         prev_diff, rising, sweep = diff, 0, 1
         for sweep in range(2, self.max_sweeps + 1):
-            buf = own if cur.values is not own else work.spare
-            new = self._coupling(cur, buf, work.gather)
-            new = apply_epv(inner_plan, new, out=buf, scratch=work.half)
-            new = indicator_soft(new, region, out=buf)
-            new = apply_epv(plan, new, out=buf, scratch=work.half)
-            new = new.scale(row_inv_q, out=buf).add(boundary, out=buf)
-            step = new.subtract(cur, out=work.gather)
+            for rows, plan, inner_plan, inv_q, old, bnd, moved, out, half in blocks:
+                new = self._coupling(cur, rows, work)
+                new = apply_epv(inner_plan, new, out=out, scratch=half)
+                new = indicator_soft(new, region, out=out)
+                new = apply_epv(plan, new, out=out, scratch=half)
+                # scaled by 1/Q_s, plus the boundary rows, on the bare arrays
+                np.multiply(out, inv_q, out=out)
+                out += bnd.values
+                c_lo = new.c_lo * inv_q + bnd.c_lo
+                c_hi = new.c_hi * inv_q + bnd.c_hi
+                np.subtract(out, old.values, out=moved.values)
+                np.subtract(c_lo, old.c_lo, out=moved.c_lo)
+                np.subtract(c_hi, old.c_hi, out=moved.c_hi)
+                old.values[...], old.c_lo[...], old.c_hi[...] = out, c_lo, c_hi
             # the sup-norm leaves the full samples of the step in its
             # interior, where the monotone nodes lie
             diff = step.sup_norm((step.values, work.real))
@@ -362,7 +395,7 @@ class QPricer:
                 worst = float(np.min(step.values.real[..., mono]))
                 stats.monotone_undershoot = min(stats.monotone_undershoot, worst)
             noise_floor = 1e3 * np.finfo(float).eps * max(
-                new.sup_norm((work.gather, work.real)), 1e-300)
+                cur.sup_norm((work.term, work.real)), 1e-300)
             if diff > noise_floor:
                 ratio = diff / prev_diff
                 stats.contraction_ratios.append(ratio)
@@ -375,12 +408,9 @@ class QPricer:
                         f"(empirical rate {ratio:.3f}, bound {bound:.3f})",
                         empirical_rate=ratio, bound=bound)
             prev_diff = diff
-            cur = new
             if diff <= self.tol_inner * scale:
                 break
         stats.inner_sweeps.append(sweep)
-        if cur.values is work.spare:
-            work.spare = own
         return cur
 
     def _series(self, q, v0: np.ndarray, plans: dict,
@@ -390,7 +420,7 @@ class QPricer:
         is dropped as soon as its term is in hand."""
         chain, grid = self.problem.chain, self.grid
         # this call's own: node threads share the pricer
-        work = Workspace.empty((chain.size, grid.size), v0.dtype)
+        work = Workspace.empty(chain, grid.size, v0.dtype)
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)
         total = SampledFunction.constant(grid, v0)
@@ -402,8 +432,8 @@ class QPricer:
                 "plus", minus_prev, q, stats, plans, work), None
             v_minus, plus_prev = self._inner_iteration(
                 "minus", plus_prev, q, stats, plans, work), None
-            # the term is formed in the spare array, free between terms
-            term = v_plus.add(v_minus, out=work.spare)
+            # the term is formed in the workspace, free between solves
+            term = v_plus.add(v_minus, out=work.term)
             norm = term.sup_norm((work.gather, work.real))
             stats.outer_terms.append(norm)
             total = total.add(term.scale((-1.0) ** ell, out=term.values), out=total.values)
@@ -426,6 +456,7 @@ class QPricer:
         real = complex(q).imag == 0.0
         if real and complex(q).real <= 0:
             raise SpectralParameterError("need Re q > 0 on the real path")
+        check_working_set(chain.size, grid.size, np.float64 if real else np.complex128)
         v0 = solve_v0(chain, problem.rates, problem.payoffs, q)
         if real:
             # real samples at a real q; v0 is still solved in complex

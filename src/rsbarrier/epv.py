@@ -16,8 +16,9 @@ roll, the window) is built once per (spectral value, side) into an
 ``OperatorPlan`` with one row per regime head.  One application then covers
 every history row: the rows are grouped by head, which is the leading digit
 of the history code, so the groups are contiguous and equal in size and
-broadcast against the plan without a gather.  The engine makes one
-inner-side and one outer-side application per sweep.
+broadcast against the plan without a gather.  The engine's sweeps make
+one inner-side and one outer-side application per head group, each with
+that head's plan.
 
 At a real Q (GWR's nodes) the symbols are Hermitian and the operators map
 real data to real data, so a plan whose heads all have real Q is a real
@@ -33,6 +34,7 @@ they take the plan of one head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,15 +164,16 @@ def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
     lo, hi = (slice(half.start, half.stop, DECAY_PROBE_STRIDE)
               for half in grid.interior_halves())
     for h in range(heads):
-        edge_lo = float(np.max(np.abs(values[h, :, :k])))
-        edge_hi = float(np.max(np.abs(values[h, :, -k:])))
+        v, a, b = values[h], c_lo[h], c_hi[h]
+        edge_lo = float(np.abs(v[:, :k]).max())
+        edge_hi = float(np.abs(v[:, -k:]).max())
         edge = max(edge_lo, edge_hi)
-        # np.max, unlike max(), lets a NaN through to fail the comparison
-        bound = float(np.max([np.abs(values[h, :, lo] + c_lo[h][:, None]).max(initial=0.0),
-                              np.abs(values[h, :, hi] + c_hi[h][:, None]).max(initial=0.0),
-                              np.abs(c_lo[h]).max(initial=0.0),
-                              np.abs(c_hi[h]).max(initial=0.0)]))
-        if np.isfinite(np.sum(values[h])) and edge <= grid.decay_tol * max(bound, 1e-300):
+        probes = (np.abs(v[:, lo] + a[:, None]).max(initial=0.0),
+                  np.abs(v[:, hi] + b[:, None]).max(initial=0.0),
+                  np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+        # a NaN among the probes must fail the comparison; max() may drop it
+        bound = math.nan if any(map(math.isnan, probes)) else float(max(probes))
+        if np.isfinite(v.sum()) and edge <= grid.decay_tol * max(bound, 1e-300):
             continue
         scale = max(SampledFunction(grid, values[h], c_lo[h], c_hi[h]).sup_norm(), 1e-300)
         if not edge <= grid.decay_tol * scale:  # NaN fails too

@@ -50,6 +50,12 @@ class Region(Enum):
     AT_OR_BELOW_LOWER = ("lower", -1)    # 1_(-inf, h-]
 
 
+def _is_complex(x) -> bool:
+    """np.iscomplexobj, without its dispatch on arrays and numpy scalars."""
+    dtype = getattr(x, "dtype", None)
+    return dtype.kind == "c" if dtype is not None else np.iscomplexobj(x)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -283,12 +289,15 @@ class SampledFunction:
 
     def __post_init__(self):
         parts = (self.values, self.c_lo, self.c_hi)
-        dtype = np.complex128 if any(map(np.iscomplexobj, parts)) else np.float64
+        dtype = np.complex128 if any(map(_is_complex, parts)) else np.float64
         self.values = np.asarray(self.values, dtype)
         if self.values.shape[-1] != self.grid.size:
             raise ValueError("residual length must match the grid")
         # owned copies, one per row
-        self.c_lo, self.c_hi = (np.full(self.shape, c, dtype) for c in (self.c_lo, self.c_hi))
+        shape = self.values.shape[:-1]
+        self.c_lo, self.c_hi = np.empty(shape, dtype), np.empty(shape, dtype)
+        np.copyto(self.c_lo, parts[1], casting="unsafe")
+        np.copyto(self.c_hi, parts[2], casting="unsafe")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -404,6 +413,13 @@ class SampledFunction:
 
     def select(self, idx) -> "SampledFunction":
         return SampledFunction(self.grid, self.values[idx], self.c_lo[idx], self.c_hi[idx])
+
+    def rows(self, idx: slice) -> "SampledFunction":
+        """A run of rows that shares this function's arrays: a write through
+        either shows in both."""
+        view = SampledFunction(self.grid, self.values[idx], 0.0, 0.0)
+        view.c_lo, view.c_hi = self.c_lo[idx], self.c_hi[idx]
+        return view
 
     def assign(self, idx, other: "SampledFunction") -> None:
         self.values[idx] = other.values

@@ -172,12 +172,6 @@ class MemoryChain:
     def size(self) -> int:
         return len(self.histories)
 
-    def rate(self, s: int, h: HistoryIndex) -> float:
-        if s == h.head:
-            return 0.0
-        j = _targets(self.m, h.head).index(s)
-        return float(self.rates[encode(self.m, h), j])
-
     def heads(self) -> np.ndarray:
         return np.array([h.head for h in self.histories], dtype=np.intp)
 

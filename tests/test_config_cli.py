@@ -55,9 +55,10 @@ TWO_REGIME_DOC = {
 def test_rule_rates_materialized():
     cfg = parse_config(copy.deepcopy(TWO_REGIME_DOC))
     chain = cfg.problem.chain
-    from rsbarrier.histories import HistoryIndex
-    assert chain.rate(1, HistoryIndex((2, 1))) == pytest.approx(0.9)
-    assert chain.rate(2, HistoryIndex((1, 2))) == pytest.approx(0.5)
+    from rsbarrier.histories import HistoryIndex, encode
+    # m = 2: each history's one target is the other regime
+    assert chain.rates[encode(2, HistoryIndex((2, 1))), 0] == pytest.approx(0.9)
+    assert chain.rates[encode(2, HistoryIndex((1, 2))), 0] == pytest.approx(0.5)
 
 
 def test_config_validation_errors():

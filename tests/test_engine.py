@@ -132,7 +132,8 @@ def test_boundary_term_single_sweep_closed_form():
 
 def test_first_sweep_transforms_nothing(monkeypatch):
     # sweep 1 is the boundary term; each later sweep makes one inner-side and
-    # one outer-side application, and a chain with lambda0 = 0 has none
+    # one outer-side application per head group, and a chain with
+    # lambda0 = 0 has none
     from rsbarrier import engine
 
     calls, per_iteration = [], []
@@ -154,8 +155,12 @@ def test_first_sweep_transforms_nothing(monkeypatch):
     assert calls == [] and field.stats.inner_sweeps == [1] * len(per_iteration)
 
     per_iteration.clear()
-    kou_chain_pricer().price_field(2.0)
-    assert per_iteration and all(n == 2 * (sweeps - 1) for n, sweeps in per_iteration)
+    pricer = kou_chain_pricer()
+    groups = len(pricer._groups())
+    pricer.price_field(2.0)
+    assert groups == 2
+    assert per_iteration and all(n == 2 * groups * (sweeps - 1)
+                                 for n, sweeps in per_iteration)
     assert max(sweeps for _, sweeps in per_iteration) > 1
 
 
@@ -175,12 +180,22 @@ def test_kou_chain_transform_bits_are_pinned():
     # order of the sweeps' floating-point operations shows here
     pricer = kou_chain_pricer()
     pinned = {
-        2.0: ["(0.41131551659533927+0j)", "(0.336966889256089+0j)"],
-        3.0 + 2.0j: ["(0.22664817033034204-0.1291709463870775j)",
-                     "(0.20469840811225232-0.10007653308154249j)"],
+        2.0: ["(0.4113155165936921+0j)", "(0.3369668892548788+0j)"],
+        3.0 + 2.0j: ["(0.22664817033748244-0.1291709463899283j)",
+                     "(0.2046984081197901-0.10007653308089967j)"],
     }
     for q, reprs in pinned.items():
         assert [repr(complex(v)) for v in pricer.price_at(q)] == reprs
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0 + 2.0j], ids=["real", "complex"])
+def test_default_tolerance_meets_the_fixed_point(q):
+    # the sweeps stop at tol_inner = 1e-10 of the scale; solved to 1e-14,
+    # the coupled Kou chain's transform moves by less than 1e-10
+    default = kou_chain_pricer().price_at(q)
+    tight = kou_chain_pricer()
+    tight.tol_inner = 1e-14
+    assert np.max(np.abs(default - tight.price_at(q))) <= 1e-10
 
 
 def test_samples_are_real_at_a_real_q():
@@ -282,6 +297,30 @@ def test_memory_collapse_invariance():
     assert np.max(np.abs(values[0] - values[2])) < 1e-8
 
 
+@pytest.mark.parametrize("q", [2.0, 3.0 + 2.0j], ids=["real", "complex"])
+def test_sweeps_keep_lumpable_copies_bit_identical(q):
+    # criterion 4's chain: the rates read the head only, so at every depth
+    # each history is a lumpable copy of its head at N = 0, and the sweeps,
+    # which update a head group's rows together, must give it those bits
+    regimes = tuple(RegimeSpec(BrownianDrift(mu=0.0, sigma2=s2), 0.0, 1.0)
+                    for s2 in (0.5, 1.0, 1.5))
+    rules = [{"s": s, "history": [h0], "rate": 0.3 + 0.1 * s + 0.05 * h0}
+             for s in (1, 2, 3) for h0 in (1, 2, 3) if s != h0]
+    base = None
+    for n_mem in (0, 1, 2, 3):
+        chain = MemoryChain.from_rules(3, n_mem, 0.0, rules)
+        init = next(h for h in enumerate_histories(3, n_mem) if h.head == 1)
+        prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
+                              spot=0.2, maturity=1.0, initial_history=init)
+        field = QPricer(prob, m_power=10).price_field(q)
+        full, at = field.functions.full(), field.at(0.2)
+        if base is None:
+            base = full, at
+            assert max(field.stats.inner_sweeps) > 1
+        heads = chain.heads() - 1
+        assert np.all(full == base[0][heads]) and np.all(at == base[1][heads])
+
+
 def test_degenerate_chain_matches_single_regime_runs():
     regimes = (RegimeSpec(KOU1, 0.02, 1.0), RegimeSpec(KOU2, 0.05, 1.0))
     chain = MemoryChain.from_constant(2, 0, 0.0)
@@ -331,17 +370,39 @@ def test_determinism_bit_identical():
 
 def test_working_set_guard_decides_from_the_estimate():
     # only the estimate is exercised: no case here builds an array of the grid
-    assert working_set_bytes(3, 2**12) == 3 * 2**12 * 16 * SWEEP_LIVE_ARRAYS
-    per_history = working_set_bytes(1, 2**14)
-    fit = MAX_WORKING_BYTES // per_history
-    check_working_set(fit, 2**14)
-    with pytest.raises(ResourceLimitError):
-        check_working_set(fit + 1, 2**14)
-    with pytest.raises(ResourceLimitError):
-        check_working_set(100_000, 2**14)
+    for dtype in (np.float64, np.complex128):
+        assert working_set_bytes(3, 2**12, dtype) == \
+            3 * 2**12 * 16 * SWEEP_LIVE_ARRAYS[np.dtype(dtype)]
+        per_history = working_set_bytes(1, 2**14, dtype)
+        fit = MAX_WORKING_BYTES // per_history
+        check_working_set(fit, 2**14, dtype)
+        with pytest.raises(ResourceLimitError):
+            check_working_set(fit + 1, 2**14, dtype)
+        with pytest.raises(ResourceLimitError):
+            check_working_set(100_000, 2**14, dtype)
     with pytest.raises(ResourceLimitError):
         single_brownian(m_power=60)  # the grid is built lazily; the guard runs first
 
+
+def test_working_set_follows_the_samples_dtype():
+    # real samples need less: five histories on 2^22 nodes fit at a real q
+    # but not at a complex one, which price_field refuses before it builds
+    # an array of the grid
+    assert (working_set_bytes(5, 2**22, np.float64) <= MAX_WORKING_BYTES
+            < working_set_bytes(5, 2**22, np.complex128))
+    prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 1.0),) * 5,
+                          chain=MemoryChain.from_constant(5, 0, 0.0),
+                          lower=-1.0, upper=1.0, spot=0.0, maturity=1.0,
+                          initial_history=HistoryIndex((1,)))
+    pricer = QPricer(prob, m_power=22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            pricer.price_field(3.0 + 2.0j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22 * 8
 
 
 def depth_chain_pricer():
@@ -355,44 +416,49 @@ def depth_chain_pricer():
 
 
 def test_sweep_working_set_within_live_array_estimate():
-    # the size guard counts SWEEP_LIVE_ARRAYS batch arrays of histories x M
-    # complex values; one price_field on a 24-history chain must stay within it
-    chain, pricer = depth_chain_pricer()
-    tracemalloc.start()
-    try:
-        pricer.price_field(3.0 + 2.0j)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (chain.size * 2**12 * 16) <= SWEEP_LIVE_ARRAYS
+    # the size guard counts batch arrays of histories x M complex values, as
+    # many as the samples' dtype needs; one price_field on a 24-history chain
+    # must stay within the count of its q, real or complex
+    for q in (3.0, 3.0 + 2.0j):
+        chain, pricer = depth_chain_pricer()
+        tracemalloc.start()
+        try:
+            field = pricer.price_field(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= working_set_bytes(chain.size, 2**12, field.functions.values.dtype)
 
 
 @pytest.mark.parametrize("q", [3.0, 3.0 + 2.0j], ids=["real_plans", "complex_plans"])
 def test_sweeps_allocate_no_batch_array(monkeypatch, q):
-    # a sweep runs in its spectral value's workspace: from sweep 3 on, its
-    # traced peak stays below a quarter of one histories x M complex array
-    # above what was allocated when it began
+    # a sweep runs in its spectral value's workspace: from sweep 3 on, the
+    # traced peak of each head group's step (the last one's includes the
+    # sweep's checks) stays below a quarter of one histories x M complex
+    # array above what was allocated when it began
     chain, pricer = depth_chain_pricer()
     batch = chain.size * 2**12 * 16
     coupling, inner_iteration = QPricer._coupling, QPricer._inner_iteration
     sweeps, state = [], {}
 
-    def close_sweep():
+    def close_step():
         if "start" in state:
             sweeps.append((state["sweep"], tracemalloc.get_traced_memory()[1] - state.pop("start")))
 
-    def traced_coupling(self, *args, **kwargs):
-        # the coupling opens every sweep after the first
-        close_sweep()
-        state["sweep"] = state.get("sweep", 1) + 1
+    def traced_coupling(self, cur, rows, *args, **kwargs):
+        # the coupling opens each group's step; the first group's opens a
+        # sweep after the first
+        close_step()
+        if rows.start == 0:
+            state["sweep"] = state.get("sweep", 1) + 1
         tracemalloc.reset_peak()
         state["start"] = tracemalloc.get_traced_memory()[0]
-        return coupling(self, *args, **kwargs)
+        return coupling(self, cur, rows, *args, **kwargs)
 
     def traced_iteration(self, *args, **kwargs):
         state.clear()
         out = inner_iteration(self, *args, **kwargs)
-        close_sweep()
+        close_step()
         state.clear()
         return out
 

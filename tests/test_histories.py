@@ -100,11 +100,11 @@ def test_rate_lookup_and_shift_codes():
         rules=[{"s": 2, "history": [1, 3], "rate": 1.25}],
     )
     h = HistoryIndex((1, 3))
-    assert chain.rate(2, h) == pytest.approx(1.25)
-    assert chain.rate(3, h) == pytest.approx(0.5)
     i = encode(3, h)
-    j = 0  # targets of head 1 in ascending order: (2, 3)
-    assert chain.codes_after_shift[i, j] == encode(3, shift(h, 2))
+    # targets of head 1 in ascending order: (2, 3)
+    assert chain.rates[i, 0] == pytest.approx(1.25)
+    assert chain.rates[i, 1] == pytest.approx(0.5)
+    assert chain.codes_after_shift[i, 0] == encode(3, shift(h, 2))
 
 
 def test_rules_prefix_matching():
@@ -115,9 +115,11 @@ def test_rules_prefix_matching():
             {"s": 2, "history": [1, 3, 2], "rate": 0.9},
         ],
     )
-    assert chain.rate(2, HistoryIndex((1, 3, 2))) == pytest.approx(0.9)
-    assert chain.rate(2, HistoryIndex((1, 3, 1))) == pytest.approx(0.7)
-    assert chain.rate(2, HistoryIndex((3, 1, 3))) == pytest.approx(0.1)
+    # the rate into 2 is column 0 of head 1's targets (2, 3), column 1 of
+    # head 3's (1, 2)
+    assert chain.rates[encode(3, HistoryIndex((1, 3, 2))), 0] == pytest.approx(0.9)
+    assert chain.rates[encode(3, HistoryIndex((1, 3, 1))), 0] == pytest.approx(0.7)
+    assert chain.rates[encode(3, HistoryIndex((3, 1, 3))), 1] == pytest.approx(0.1)
 
 
 def test_size_guard():
