@@ -59,6 +59,12 @@ class GridConfig:
     damping_cap: float = DEFAULTS["grid.damping_cap"]
     decay_tol: float = DEFAULTS["grid.decay_tol"]
 
+    def __post_init__(self):
+        if not (self.damping_scale > 0 and self.damping_cap > 0):
+            raise ConfigError("dampingScale and dampingCap must be > 0")
+        if not 0 < self.decay_tol < 1:
+            raise ConfigError("decayTol must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -6,10 +6,11 @@ and Vt1 is built as an alternating series of one-barrier corrections.
 Each series term solves a half-line problem by block Gauss-Seidel sweeps
 over the head groups.  The operator depends only on a history's head, and a
 history's rows are contiguous by head, so ``price_field`` builds one
-``epv.OperatorPlan`` per side from the m factorizations, and a sweep walks
-the groups in head order: each group gathers its rate-weighted neighbours,
-the groups before it already updated in this sweep, and takes one
-inner-side and one outer-side application of its head's plan.  At a real
+``epv.OperatorPlan`` per side and head from that head's factorization, and
+a sweep walks the groups in head order: each group gathers its
+rate-weighted neighbours, the groups before it already updated in this
+sweep, and takes one inner-side and one outer-side application of its
+head's plan.  A plan and the rows given to it belong to one head.  At a real
 q the iteration is nonnegative, so it contracts at least as fast as Jacobi
 (Stein-Rosenberg) and, started from below, stays monotone.  The plans are
 dropped when the spectral value is done.  Sweep 1 starts from zero, so it
@@ -334,7 +335,7 @@ class QPricer:
             first_touch, inner, region = first_touch_above, "minus", Region.BELOW_UPPER
         else:
             first_touch, inner, region = first_touch_below, "plus", Region.ABOVE_LOWER
-        groups = [(s, rows, plans[side].head(s), plans[inner].head(s))
+        groups = [(s, rows, plans[side][s - 1], plans[inner][s - 1])
                   for s, rows in self._groups()]
 
         boundary = SampledFunction.zero(grid, (chain.size,), work.term.dtype)
@@ -464,7 +465,8 @@ class QPricer:
             q, v0 = complex(q).real, v0.real.copy()
         stats = IterationStats()
         factors = self.factorizations(q)
-        plans = {side: OperatorPlan.build(factors, side) for side in ("plus", "minus")}
+        plans = {side: [OperatorPlan.build(f, side) for f in factors]
+                 for side in ("plus", "minus")}
         total = self._series(q, v0, plans, stats)
 
         # knock-out boundary condition: exactly zero outside the open band

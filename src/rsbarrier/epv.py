@@ -11,32 +11,29 @@ the damping-amplified wraparound out of the interior; the output residual is
 confined to a window around the band and tapered at both guard bands.
 Accuracy claims exclude the guard band.
 
-What depends only on the factorizations (exp(omega*x), the symbols times the
-roll, the window) is built once per (spectral value, side) into an
-``OperatorPlan`` with one row per regime head.  One application then covers
-every history row: the rows are grouped by head, which is the leading digit
-of the history code, so the groups are contiguous and equal in size and
-broadcast against the plan without a gather.  The engine's sweeps make
-one inner-side and one outer-side application per head group, each with
-that head's plan.
+What depends only on one regime head's factorization (exp(omega*x), the
+symbols times the roll, the window) is built once per (spectral value,
+side, head) into an ``OperatorPlan``.  A plan and the rows given to it
+belong to one head: the operators depend on a history only through its
+head, the leading digit of the history code, so a head's rows are
+contiguous and the engine's sweeps make one inner-side and one outer-side
+application per head group, each with that head's plan.
 
 At a real Q (GWR's nodes) the symbols are Hermitian and the operators map
-real data to real data, so a plan whose heads all have real Q is a real
-plan: it keeps the non-negative-frequency half of each symbol and maps
-real (float64) samples through real FFTs.  Complex Q (sinh nodes) keeps the
-full spectrum and maps real or complex samples through complex FFTs; the
-rest of an application is the same.
+real data to real data, so a plan of a real Q is a real plan: it keeps the
+non-negative-frequency half of each symbol and maps real (float64) samples
+through real FFTs.  Complex Q (sinh nodes) keeps the full spectrum and maps
+real or complex samples through complex FFTs; the rest of an application is
+the same.
 
 ``first_touch_above``/``first_touch_below`` compose these into the value of
-receiving given data at the first entrance of the region beyond a barrier;
-they take the plan of one head.
+receiving given data at the first entrance of the region beyond a barrier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +44,6 @@ from .wiener_hopf import WHFactorization
 __all__ = [
     "OperatorPlan",
     "apply_epv",
-    "apply_epv_inverse",
     "apply_multiplier",
     "effective_omega",
 ]
@@ -84,25 +80,25 @@ def residual_window(factors: WHFactorization) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OperatorPlan:
-    """The arrays of E^side at one spectral value, one row per regime head.
+    """The arrays of E^side for one regime head at one spectral value.
 
-    Each array is stacked (heads, 1, .) so that it broadcasts against the
-    history rows grouped by head, (heads, rows per head, M): ``damp`` is
-    exp(omega*x) on the head's damping contour and ``undamp`` its
-    reciprocal, ``forward`` and ``inverse`` are phi^side and 1/phi^side on
-    that contour times the grid's spectral roll, and ``window`` confines the
-    output residual.  A plan depends only on the factorizations; it is built
-    once per (spectral value, side) and dropped with the node.
+    Each array is one row that broadcasts against the head's history rows:
+    ``damp`` is exp(omega*x) on the head's damping contour and ``undamp``
+    its reciprocal, ``forward`` and ``inverse`` are phi^side and 1/phi^side
+    on that contour times the grid's spectral roll, and ``window`` confines
+    the output residual.  A plan depends only on the head's factorization,
+    whose ``model`` it keeps; it is built once per (spectral value, side,
+    head) and dropped with the node.
 
-    ``real`` is set when every head's Q is real.  The symbols are then
-    Hermitian, phi(-xi + i omega) = conj phi(xi + i omega), so the operator
-    maps real data to real data: ``forward`` and ``inverse`` keep only the
-    M/2 + 1 non-negative-frequency bins, and applications take real FFTs.
+    ``real`` is set when Q is real.  The symbols are then Hermitian,
+    phi(-xi + i omega) = conj phi(xi + i omega), so the operator maps real
+    data to real data: ``forward`` and ``inverse`` keep only the M/2 + 1
+    non-negative-frequency bins, and applications take real FFTs.
     """
 
     grid: DualGrid
     side: str
-    models: tuple
+    model: object
     real: bool
     damp: np.ndarray
     undamp: np.ndarray
@@ -111,82 +107,62 @@ class OperatorPlan:
     window: np.ndarray
 
     @classmethod
-    def build(cls, factors: Sequence[WHFactorization], side: str) -> "OperatorPlan":
-        """Plan of E^side for the heads' factorizations, in head order."""
-        grid = factors[0].grid
-        real = all(complex(fac.Q).imag == 0.0 for fac in factors)
+    def build(cls, fac: WHFactorization, side: str) -> "OperatorPlan":
+        """Plan of E^side for one head's factorization."""
+        grid = fac.grid
+        real = complex(fac.Q).imag == 0.0
         bins = slice(grid.size // 2 + 1) if real else slice(None)
         roll = grid.roll[bins]
-        damp, forward, inverse, window = [], [], [], []
-        for fac in factors:
-            omega = effective_omega(fac, side)
-            cs = fac.contour_symbols(omega)
-            symbol = (cs.phi_plus if side == "plus" else cs.phi_minus)[bins]
-            damp.append(np.exp(omega * grid.x))
-            forward.append(symbol * roll)
-            inverse.append(1.0 / symbol * roll)
-            window.append(grid.window_mask(residual_window(fac)))
-        damp, forward, inverse, window = (np.stack(a)[:, None, :]
-                                          for a in (damp, forward, inverse, window))
-        rows = [_frozen(a) for a in (damp, 1.0 / damp, forward, inverse, window)]
-        return cls(grid, side, tuple(fac.model for fac in factors), real, *rows)
-
-    @property
-    def heads(self) -> int:
-        return len(self.models)
-
-    def head(self, s: int) -> "OperatorPlan":
-        """The plan of regime head s (1-based) alone."""
-        k = slice(s - 1, s)
-        return OperatorPlan(self.grid, self.side, self.models[k], self.real,
-                            self.damp[k], self.undamp[k], self.forward[k],
-                            self.inverse[k], self.window[k])
+        omega = effective_omega(fac, side)
+        cs = fac.contour_symbols(omega)
+        symbol = (cs.phi_plus if side == "plus" else cs.phi_minus)[bins]
+        damp = np.exp(omega * grid.x)
+        arrays = (damp, 1.0 / damp, symbol * roll, 1.0 / symbol * roll,
+                  grid.window_mask(residual_window(fac)))
+        return cls(grid, side, fac.model, real, *map(_frozen, arrays))
 
 
 # every DECAY_PROBE_STRIDE-th interior node enters _check_decay's lower bound
 DECAY_PROBE_STRIDE = 16
 
 
-def _check_decay(u: SampledFunction, heads: int, error_cls) -> None:
-    """Each head group's residual must have decayed at both grid ends,
-    relative to that group's own sup-norm; a NaN residual fails.
+def _check_decay(u: SampledFunction, error_cls) -> None:
+    """The residual must have decayed at both grid ends, relative to the
+    sup-norm of the rows given, which belong to one head; a NaN residual
+    fails.
 
     The edges are first held against a lower bound of the sup-norm: the far
     fields and every DECAY_PROBE_STRIDE-th interior node, each taken as the
     sup-norm takes it.  On finite data (a finite sum has no NaN or inf)
-    passing that passes the full test.  Any other group takes the full
+    passing that passes the full test.  Any other data takes the full
     sup-norm, which decides as it always has.
     """
-    grid = u.grid
+    grid, v = u.grid, u.values
     k = max(grid.guard // 4, 1)
-    values = u.values.reshape(heads, -1, grid.size)
-    c_lo, c_hi = u.c_lo.reshape(heads, -1), u.c_hi.reshape(heads, -1)
     lo, hi = (slice(half.start, half.stop, DECAY_PROBE_STRIDE)
               for half in grid.interior_halves())
-    for h in range(heads):
-        v, a, b = values[h], c_lo[h], c_hi[h]
-        edge_lo = float(np.abs(v[:, :k]).max())
-        edge_hi = float(np.abs(v[:, -k:]).max())
-        edge = max(edge_lo, edge_hi)
-        probes = (np.abs(v[:, lo] + a[:, None]).max(initial=0.0),
-                  np.abs(v[:, hi] + b[:, None]).max(initial=0.0),
-                  np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
-        # a NaN among the probes must fail the comparison; max() may drop it
-        bound = math.nan if any(map(math.isnan, probes)) else float(max(probes))
-        if np.isfinite(v.sum()) and edge <= grid.decay_tol * max(bound, 1e-300):
-            continue
-        scale = max(SampledFunction(grid, values[h], c_lo[h], c_hi[h]).sup_norm(), 1e-300)
-        if not edge <= grid.decay_tol * scale:  # NaN fails too
-            raise error_cls(
-                f"residual does not decay at the grid ends "
-                f"(edges {edge_lo:.2e}/{edge_hi:.2e} vs tol {grid.decay_tol * scale:.2e}); "
-                f"enlarge the domain or M"
-            )
+    edge_lo = float(np.abs(v[..., :k]).max())
+    edge_hi = float(np.abs(v[..., -k:]).max())
+    edge = max(edge_lo, edge_hi)
+    probes = (np.abs(v[..., lo] + u.c_lo[..., None]).max(initial=0.0),
+              np.abs(v[..., hi] + u.c_hi[..., None]).max(initial=0.0),
+              np.abs(u.c_lo).max(initial=0.0), np.abs(u.c_hi).max(initial=0.0))
+    # a NaN among the probes must fail the comparison; max() may drop it
+    bound = math.nan if any(map(math.isnan, probes)) else float(max(probes))
+    if np.isfinite(v.sum()) and edge <= grid.decay_tol * max(bound, 1e-300):
+        return
+    scale = max(u.sup_norm(), 1e-300)
+    if not edge <= grid.decay_tol * scale:  # NaN fails too
+        raise error_cls(
+            f"residual does not decay at the grid ends "
+            f"(edges {edge_lo:.2e}/{edge_hi:.2e} vs tol {grid.decay_tol * scale:.2e}); "
+            f"enlarge the domain or M"
+        )
 
 
 def _damped_pass(g: np.ndarray, step: np.ndarray, plan: OperatorPlan,
                  symbol: np.ndarray, spectrum: np.ndarray | None) -> None:
-    """The multiplier, in place, on rows ``g`` (grouped by head) whose
+    """The multiplier, in place, on rows ``g`` of the plan's head whose
     far-field step is ``step``: on a real plan real rows through real FFTs
     whose half spectrum goes to ``spectrum`` (a new array when None),
     otherwise complex rows through complex FFTs in place."""
@@ -220,11 +196,11 @@ def apply_multiplier(u: SampledFunction, plan: OperatorPlan, inverse: bool = Fal
                      scratch: np.ndarray | None = None) -> SampledFunction:
     """Apply the plan's multiplier (1/phi^side if ``inverse``) to every row.
 
-    The rows are split into ``plan.heads`` equal, contiguous groups, one per
-    head, and group h gets head h's arrays.  The multiplier is 1 at xi = 0,
-    so the far-field constants pass through unchanged.  The far-field step
-    is folded into the damped transform (it decays after damping; the sup
-    side damps the upper side, the inf side the lower), so
+    The rows belong to the plan's head, and every row gets its arrays.  The
+    multiplier is 1 at xi = 0, so the far-field constants pass through
+    unchanged.  The far-field step is folded into the damped transform (it
+    decays after damping; the sup side damps the upper side, the inf side
+    the lower), so
 
         out = c + undamp(ifft(symbol * fft(damp(step + residual)))) - step,
 
@@ -243,9 +219,8 @@ def apply_multiplier(u: SampledFunction, plan: OperatorPlan, inverse: bool = Fal
     if plan.real and np.iscomplexobj(u.values):
         raise ValueError("a real plan maps real samples; apply it to the real and "
                          "the imaginary part apart")
-    _check_decay(u, plan.heads, IllPosedApplicationError if inverse else GridResolutionError)
-    step = (u.c_hi - u.c_lo) if plan.side == "plus" else (u.c_lo - u.c_hi)
-    step = step.reshape(plan.heads, -1, 1)
+    _check_decay(u, IllPosedApplicationError if inverse else GridResolutionError)
+    step = ((u.c_hi - u.c_lo) if plan.side == "plus" else (u.c_lo - u.c_hi))[..., None]
     symbol = plan.inverse if inverse else plan.forward
     dtype = np.float64 if plan.real else np.complex128
     if out is None:
@@ -253,11 +228,9 @@ def apply_multiplier(u: SampledFunction, plan: OperatorPlan, inverse: bool = Fal
     elif not (out.flags.c_contiguous and out.dtype == dtype and out.shape == u.values.shape):
         raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array "
                          f"of the residual's shape")
-    g = out.reshape(plan.heads, -1, grid.size)
     if out is not u.values:
-        np.copyto(g, u.values.reshape(g.shape))
-    spectrum = None if scratch is None else scratch.reshape(g.shape[:-1] + (-1,))
-    _damped_pass(g, step, plan, symbol, spectrum)
+        np.copyto(out, u.values)
+    _damped_pass(out, step, plan, symbol, scratch)
     return SampledFunction(grid, out, u.c_lo, u.c_hi)
 
 
@@ -266,12 +239,6 @@ def apply_epv(plan: OperatorPlan, u: SampledFunction, out: np.ndarray | None = N
     """E^side: identity on constants, phi^side multiplier on the rest;
     ``out`` and ``scratch`` as in ``apply_multiplier``."""
     return apply_multiplier(u, plan, out=out, scratch=scratch)
-
-
-def apply_epv_inverse(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
-    """(E^side)^{-1}: multiplier 1/phi^side; meant for inverse-then-indicator-
-    then-forward compositions, where the growing intermediate is re-smoothed."""
-    return apply_multiplier(u, plan, inverse=True)
 
 
 def _boundary_value(full: np.ndarray, node: int, direction: int) -> np.ndarray:
@@ -302,12 +269,12 @@ def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
     two one-sided limits, so half of the killed-side limit (extrapolated) is
     removed before zeroing the killed side.
     """
-    z = apply_epv_inverse(plan, tail)
+    z = apply_multiplier(tail, plan, inverse=True)
     full = z.full(out=z.values)
     full[..., node] -= 0.5 * _boundary_value(full, node, -direction)
     z = SampledFunction.beyond(z.grid, full, z.c_lo, z.c_hi, node, direction, 1.0, out=full)
     out = apply_epv(plan, z, out=z.values)
-    if _creeps(plan.models[0], plan.side):
+    if _creeps(plan.model, plan.side):
         # creeping passage sees only the boundary value, which the peel set
         # to zero: the true contribution beyond the data region vanishes
         out = SampledFunction.beyond(out.grid, out.full(out=out.values), out.c_lo, out.c_hi,
@@ -316,10 +283,10 @@ def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
 
 
 def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
-    """E^side 1_beyond (E^side)^{-1} u for a one-head plan, beyond the
-    barrier of its side (at or above h+ for "plus", at or below h- for
-    "minus").  Whether the tail image is taken is decided over all of u's
-    rows, so the engine calls this once per head group.
+    """E^side 1_beyond (E^side)^{-1} u, beyond the barrier of the plan's
+    side (at or above h+ for "plus", at or below h- for "minus"), on rows
+    of the plan's head.  Whether the tail image is taken is decided over all
+    of u's rows, so the engine calls this once per head group.
 
     The data's boundary value c_b is peeled off first: the inverse of a hard
     step concentrates a delta on the barrier node, and the indicator would
@@ -328,8 +295,6 @@ def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     barrier by construction of c_b, so its mid-value there is zero whether
     or not u itself jumps, and its inverse image is delta-free.
     """
-    if plan.heads != 1:
-        raise ValueError("first touch takes the plan of one head")
     grid = u.grid
     region = Region.AT_OR_ABOVE_UPPER if plan.side == "plus" else Region.AT_OR_BELOW_LOWER
     node, direction = grid.region_edge(region)
@@ -347,11 +312,11 @@ def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
 
 def first_touch_above(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     """E+ 1_[h+,inf) (E+)^{-1} u: the value process started from receiving u
-    at the first entrance of [h+, inf).  ``plan`` is a one-head sup-side plan."""
+    at the first entrance of [h+, inf).  ``plan`` is a sup-side plan."""
     return _first_touch(plan, u)
 
 
 def first_touch_below(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     """E- 1_(-inf,h-] (E-)^{-1} u: the value process started from receiving u
-    at the first entrance of (-inf, h-].  ``plan`` is a one-head inf-side plan."""
+    at the first entrance of (-inf, h-].  ``plan`` is an inf-side plan."""
     return _first_touch(plan, u)

@@ -374,12 +374,7 @@ class SampledFunction:
         return SampledFunction(self.grid, np.add(self.values, other.values, out=out),
                                self.c_lo + other.c_lo, self.c_hi + other.c_hi)
 
-    def subtract(self, other, out: np.ndarray | None = None) -> "SampledFunction":
-        self._check(other)
-        return SampledFunction(self.grid, np.subtract(self.values, other.values, out=out),
-                               self.c_lo - other.c_lo, self.c_hi - other.c_hi)
-
-    __add__, __sub__ = add, subtract
+    __add__ = add
 
     def scale(self, factor, out: np.ndarray | None = None) -> "SampledFunction":
         """Multiply by a scalar or a per-row vector."""

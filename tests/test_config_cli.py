@@ -187,6 +187,27 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
     assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
+# grid settings outside their range: one config error line and exit 2 on
+# every model, before any grid is built, not a numeric error with wrong
+# advice, a silent price, or a decay check switched off.  A negative
+# dampingScale on brownian_band is left out: its unbounded analyticity strip
+# makes the grid check refuse that one too, as a too-wide domain.
+@pytest.mark.parametrize("config, key, value", [
+    (config, key, value) for config in ("kou_memory", "brownian_band")
+    for key, value in (("dampingCap", 0.0), ("dampingCap", -1.0), ("dampingScale", 0.0),
+                       ("dampingScale", -0.25), ("decayTol", 0.0), ("decayTol", -1e-6),
+                       ("decayTol", 2.0))
+    if (config, key, value) != ("brownian_band", "dampingScale", -0.25)
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_bad_grid_setting_is_config_error(tmp_path, capsys, config, key, value):
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    doc["grid"][key] = value
+    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
 # a thread count must be a whole number >= 1, whether the document, the
 # command line or RSBARRIER_THREADS gives it, and even when the spot lies
 # outside the band and nothing is priced

@@ -132,15 +132,15 @@ def test_boundary_term_single_sweep_closed_form():
 
 def test_first_sweep_transforms_nothing(monkeypatch):
     # sweep 1 is the boundary term; each later sweep makes one inner-side and
-    # one outer-side application per head group, and a chain with
-    # lambda0 = 0 has none
+    # one outer-side application per head group, each on that group's rows
+    # with that head's plan, and a chain with lambda0 = 0 has none
     from rsbarrier import engine
 
     calls, per_iteration = [], []
     apply_epv, inner_iteration = engine.apply_epv, QPricer._inner_iteration
 
     def counted_apply(plan, u, *args, **kwargs):
-        calls.append(plan.side)
+        calls.append((plan, u.values))
         return apply_epv(plan, u, *args, **kwargs)
 
     def counted_iteration(self, side, boundary_data, q, stats, *args):
@@ -162,6 +162,13 @@ def test_first_sweep_transforms_nothing(monkeypatch):
     assert per_iteration and all(n == 2 * groups * (sweeps - 1)
                                  for n, sweeps in per_iteration)
     assert max(sweeps for _, sweeps in per_iteration) > 1
+    # the rows are views of the sweep's workspace; their offset in it names
+    # the rows, and the plan's model names the head
+    regimes, rows_of = pricer.problem.regimes, dict(pricer._groups())
+    for plan, values in calls:
+        s = next(s for s, spec in enumerate(regimes, 1) if plan.model is spec.model)
+        start = (values.ctypes.data - values.base.ctypes.data) // values.strides[0]
+        assert rows_of[s] == slice(start, start + len(values))
 
 
 def kou_chain_pricer(m_power=12):

@@ -8,7 +8,6 @@ from rsbarrier.epv import (
     DECAY_PROBE_STRIDE,
     OperatorPlan,
     apply_epv,
-    apply_epv_inverse,
     apply_multiplier,
     effective_omega,
     first_touch_above,
@@ -25,7 +24,7 @@ KOBOL = KoBoL(nu=1.2, c=1.0, lambda_plus=8.0, lambda_minus=-4.0, mu=0.0)
 
 
 def plan(f, side):
-    return OperatorPlan.build([f], side)
+    return OperatorPlan.build(f, side)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def test_constants_preserved_exactly(setup):
             out = apply_epv(plan(fac, side), u)
             assert np.allclose(out.c_lo, c) and np.allclose(out.c_hi, c)
             assert np.max(np.abs(out.values)) == 0.0
-            inv = apply_epv_inverse(plan(fac, side), u)
+            inv = apply_multiplier(u, plan(fac, side), inverse=True)
             assert np.allclose(inv.full(), c)
 
 
@@ -93,7 +92,7 @@ def test_inverse_round_trip_smooth_bump(setup):
     bump = np.exp(-grid.x**2)
     u = SampledFunction(grid, bump, 0.0, 0.0)
     for side in ("plus", "minus"):
-        rt = apply_epv(plan(f, side), apply_epv_inverse(plan(f, side), u))
+        rt = apply_epv(plan(f, side), apply_multiplier(u, plan(f, side), inverse=True))
         assert np.max(np.abs(rt.full() - bump)[core_region(grid)]) < 1e-8
 
 
@@ -103,7 +102,7 @@ def test_inverse_recovers_step_image(setup):
     x, h = grid.x, grid.upper
     image = np.where(x >= h, 1.0, np.exp(-(h - x)))  # continuous, kink at h
     u = SampledFunction.from_samples(grid, image, 0.0, 1.0)
-    z = apply_epv_inverse(plan(f, "plus"), u)
+    z = apply_multiplier(u, plan(f, "plus"), inverse=True)
     target = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 1.0).full()
     err = np.abs(z.full() - target)
     assert err[core_mask(grid, away_from_barriers=1.0)].max() < 1e-6
@@ -238,59 +237,19 @@ def three_heads(kou_setup):
     return grid, [f, factorize_rational(KOU, 2.1, grid), factorize_rational(BM2, 1.7, grid)]
 
 
-@pytest.fixture(scope="module")
-def three_complex_heads(kou_setup):
-    grid, _ = kou_setup
-    return grid, [factorize_rational(KOU, 1.3 + 0.4j, grid),
-                  factorize_rational(KOU, 2.1 - 0.3j, grid),
-                  factorize_rational(BM2, 1.7 + 0.2j, grid)]
-
-
-def head_batch(grid, k, imag=1j):
-    """3k rows: decaying bumps on far fields that differ row by row; real
-    rows when ``imag`` is 0."""
-    rows, c_lo, c_hi = [], [], []
-    for i in range(3 * k):
-        rows.append((1.0 + 0.3 * imag * i) * np.exp(-((grid.x - 0.1 * i) / (0.5 + 0.1 * i)) ** 2))
-        c_lo.append(0.2 * i)
-        c_hi.append(1.0 - 0.1 * imag * i)
-    return SampledFunction(grid, np.array(rows), c_lo, c_hi)
-
-
-def assert_batched_matches_alone(factors, side, inverse, u, k):
-    # one application over all rows gives each head group, bit for bit, what
-    # that head's own plan gives its rows
-    op = apply_epv_inverse if inverse else apply_epv
-    batched = op(OperatorPlan.build(factors, side), u)
-    alone = [op(OperatorPlan.build([f], side), u.select(slice(h * k, (h + 1) * k)))
-             for h, f in enumerate(factors)]
-    assert np.array_equal(batched.values, np.concatenate([a.values for a in alone]))
-
-
-@pytest.mark.parametrize("side", ["plus", "minus"])
-@pytest.mark.parametrize("inverse", [False, True])
-def test_batched_plan_matches_each_head_alone(three_complex_heads, side, inverse):
-    # complex data on the plans of complex Q
-    grid, factors = three_complex_heads
-    assert_batched_matches_alone(factors, side, inverse, head_batch(grid, 2), 2)
-
-
-@pytest.mark.parametrize("side", ["plus", "minus"])
-@pytest.mark.parametrize("inverse", [False, True])
-def test_batched_real_plan_matches_each_head_alone(three_heads, side, inverse):
-    # the same on real data, which a real plan maps without a complex pass
-    grid, factors = three_heads
-    assert_batched_matches_alone(factors, side, inverse, head_batch(grid, 2, imag=0.0), 2)
-
-
 def test_decay_check_keeps_each_head_scale(three_heads):
-    # head 2's rows do not decay; head 1's sup-norm is 1e8 times larger, which
-    # would hide that under one scale taken over the whole batch
+    # each head's rows go through that head's own plan, as the engine's
+    # sweeps give them, and are held against their own sup-norm: heads 1 and
+    # 3 decay at scales 1e8 apart and pass, head 2's rows do not and raise
     grid, factors = three_heads
-    rows = np.stack([1e8 * np.exp(-grid.x**2), np.ones(grid.size), np.exp(-grid.x**2)])
-    u = SampledFunction(grid, rows, 0.0, 0.0)
-    with pytest.raises(GridResolutionError):
-        apply_epv(OperatorPlan.build(factors, "plus"), u)
+    rows = [1e8 * np.exp(-grid.x**2), np.ones(grid.size), np.exp(-grid.x**2)]
+    for head, (f, row) in enumerate(zip(factors, rows), start=1):
+        u = SampledFunction(grid, np.stack([row, 0.5 * row]), [0.0, 0.0], [0.0, 0.0])
+        if head == 2:
+            with pytest.raises(GridResolutionError):
+                apply_epv(plan(f, "plus"), u)
+        else:
+            apply_epv(plan(f, "plus"), u)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -301,7 +260,7 @@ def test_undamp_multiply_equals_divide(kou_setup, side):
     grid, f = kou_setup
     op = plan(f, side)
     rng = np.random.default_rng(5)
-    g = rng.standard_normal((2, 1, grid.size)) + 1j * rng.standard_normal((2, 1, grid.size))
+    g = rng.standard_normal((2, grid.size)) + 1j * rng.standard_normal((2, grid.size))
     assert np.array_equal(g / op.damp, g * op.undamp)
 
 
@@ -333,7 +292,7 @@ def test_real_plan_matches_complex_transform(real_q, side, inverse):
     x = grid.x
     u = SampledFunction(grid, np.exp(-(x / 0.3) ** 2) - 0.3 * np.exp(-((x - 0.2) / 0.5) ** 2),
                         0.4, 1.0)
-    op = OperatorPlan.build([f], side)
+    op = plan(f, side)
     assert op.real
     out = apply_multiplier(u, op, inverse)
     ref = complex_multiplier(u, f, side, inverse)
@@ -359,10 +318,8 @@ def test_real_plan_refuses_complex_samples(kou_setup):
 
 def test_plan_keeps_half_spectrum_only_at_real_q(kou_setup):
     grid, f = kou_setup
-    half, full = (2, 1, grid.size // 2 + 1), (2, 1, grid.size)
-    real = OperatorPlan.build([f, factorize_rational(KOU, 2.1, grid)], "plus")
-    assert real.real and real.forward.shape == real.inverse.shape == half
-    assert real.head(2).real and real.head(2).forward.shape[-1] == half[-1]
-    mixed = OperatorPlan.build([f, factorize_rational(KOU, 2.1 + 0.5j, grid)], "plus")
-    assert not mixed.real and mixed.forward.shape == mixed.inverse.shape == full
-    assert not mixed.head(1).real and mixed.head(1).forward.shape[-1] == grid.size
+    real = plan(f, "plus")
+    assert real.real and real.forward.shape == real.inverse.shape == (grid.size // 2 + 1,)
+    complex_plan = plan(factorize_rational(KOU, 2.1 + 0.5j, grid), "plus")
+    assert not complex_plan.real
+    assert complex_plan.forward.shape == complex_plan.inverse.shape == (grid.size,)

@@ -20,7 +20,7 @@ XS = np.array([-2.5, -1.0, -0.3, 0.0, 0.4, 1.3, 2.2])
 
 
 def plan(factors, side):
-    return OperatorPlan.build([factors], side)
+    return OperatorPlan.build(factors, side)
 
 
 @pytest.fixture(scope="module")

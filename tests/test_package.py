@@ -31,10 +31,36 @@ def test_imports_are_stdlib_or_declared_dependencies():
                 for dep in project["dependencies"]}
     allowed = set(sys.stdlib_module_names) | declared | {"rsbarrier"}
     imported = set()
-    for path in (ROOT / "src" / "rsbarrier").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for _, tree in module_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - allowed == set()
+
+
+def test_every_imported_name_is_used():
+    # the project declares no linter, so this stands in for an unused-import
+    # rule: a module uses each name it imports or lists it in __all__
+    unused = {}
+    for path, tree in module_trees():
+        imported, exported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used - exported:
+            unused[path.name] = sorted(imported - used - exported)
+    assert unused == {}
+
+
+def module_trees():
+    """(path, syntax tree) of every module of the package."""
+    for path in sorted((ROOT / "src" / "rsbarrier").glob("*.py")):
+        yield path, ast.parse(path.read_text())
