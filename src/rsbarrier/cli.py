@@ -1,10 +1,11 @@
 """Command-line surface: price, mc, factors, invert-demo, convergence.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.  All
-numeric output is CSV.  The price pipeline evaluates the transform at the
-inversion nodes (concurrently across nodes, results reduced in fixed node
-order) and inverts per history; per-node evaluations are shared by all
-histories through one cache.
+numeric output is CSV.  ``price_histories`` is the one pricing driver: it
+evaluates the transform at the inversion nodes (concurrently across nodes,
+results kept in fixed node order, one array shared by all histories) and
+inverts history by history.  ``price``, ``convergence`` and the acceptance
+criteria all price through it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .engine import QPricer, check_working_set
 from .errors import ConfigError, RsBarrierError
 from .grids import DualGrid, build_grid
 from .histories import encode
-from .inversion import gwr_invert, gwr_nodes, sinh_invert, sinh_nodes, sinh_plan
+from .inversion import (InversionPlan, gwr_invert, gwr_nodes, sinh_evaluated,
+                        sinh_invert, sinh_nodes, sinh_plan)
 from .models import sinh_inversion_admissible
 from .montecarlo import simulate_price
 from .wiener_hopf import factorize
@@ -51,68 +53,64 @@ def _make_pricer(cfg: ProblemConfig) -> QPricer:
 
 
 def _evaluate_nodes(pricer: QPricer, nodes, threads: int):
-    """Transform vectors at every node, plus aggregated iteration stats."""
-    results = [None] * len(nodes)
-
-    def work(i):
-        field = pricer.price_field(nodes[i])
+    """The transform at the spot, one row per node in node order and one
+    column per history code, plus the most outer terms and inner sweeps
+    that any node took."""
+    def work(q):
+        field = pricer.price_field(q)
         return field.at(pricer.problem.spot), field.stats
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, out in enumerate(pool.map(work, range(len(nodes)))):
-                results[i] = out
+            results = list(pool.map(work, nodes))
     else:
-        for i in range(len(nodes)):
-            results[i] = work(i)
-    values = {complex(nodes[i]): results[i][0] for i in range(len(nodes))}
-    outer = max(len(r[1].outer_terms) for r in results)
-    sweeps = max(r[1].max_inner_sweeps for r in results)
+        results = [work(q) for q in nodes]
+    values = np.array([v for v, _ in results])
+    outer = max(len(stats.outer_terms) for _, stats in results)
+    sweeps = max(stats.max_inner_sweeps for _, stats in results)
     return values, outer, sweeps
+
+
+def price_histories(pricer: QPricer, inversion: InversionPlan, threads: int = 1):
+    """The price of every history, by history code, and the most outer terms
+    and inner sweeps that any node took: the transform at the spot on the
+    back end's nodes, inverted history by history."""
+    tau, n_gaver = pricer.problem.maturity, inversion.n_gaver
+    if inversion.backend == "sinh":
+        splan = inversion.materialize(tau)
+        nodes = sinh_nodes(splan)[0][sinh_evaluated(splan)]
+        values, outer, sweeps = _evaluate_nodes(pricer, nodes, threads)
+        prices = [sinh_invert(column, tau, splan).value for column in values.T]
+    else:
+        values, outer, sweeps = _evaluate_nodes(pricer, gwr_nodes(tau, n_gaver), threads)
+        prices = [gwr_invert(column.real, tau, n_gaver).value for column in values.T]
+    return prices, {"outer": outer, "sweeps": sweeps}
 
 
 def run_price(cfg: ProblemConfig, all_histories: bool = False):
     """Price rows for the configured history (or all of them)."""
-    problem = cfg.problem
-    tau = problem.maturity
+    problem, plan = cfg.problem, cfg.inversion
     start = time.perf_counter()
     threads = cfg.resolve_threads()  # a bad setting fails even when nothing is priced
     codes = range(problem.chain.size) if all_histories else \
         [encode(problem.chain.m, problem.initial_history)]
-    if not problem.lower < problem.spot < problem.upper:
-        rows = [dict(history=int(c), price=0.0) for c in codes]
-        return rows, {"outer": 0, "sweeps": 0,
-                      "wall": time.perf_counter() - start, "warning": "spot outside band"}
-
-    pricer = _make_pricer(cfg)
-    plan = cfg.inversion
-    if plan.backend == "sinh":
-        for spec in problem.regimes:
-            if not sinh_inversion_admissible(spec.model):
-                print(f"warning: sinh back end not established for {spec.model}",
-                      file=sys.stderr)
-        splan = plan.materialize(tau)
-        qs, _ = sinh_nodes(splan)
-        # sinh_invert evaluates only the upper half of the symmetric node set
-        eval_nodes = list(qs[(splan.n_nodes + 1) // 2:])
-        values, outer, sweeps = _evaluate_nodes(pricer, eval_nodes, threads)
-
-        def invert_history(idx):
-            return sinh_invert(lambda q: complex(values[complex(q)][idx]),
-                               tau, splan).value
-        depth = splan.n_nodes
+    meta = {"backend": plan.backend,
+            "depth": plan.sinh_nodes if plan.backend == "sinh" else plan.n_gaver,
+            "outer": 0, "sweeps": 0, "warning": None}
+    if problem.lower < problem.spot < problem.upper:
+        pricer = _make_pricer(cfg)
+        if plan.backend == "sinh":
+            for spec in problem.regimes:
+                if not sinh_inversion_admissible(spec.model):
+                    print(f"warning: sinh back end not established for {spec.model}",
+                          file=sys.stderr)
+        prices, iterations = price_histories(pricer, plan, threads)
+        meta.update(iterations)
     else:
-        qs = gwr_nodes(tau, plan.n_gaver)
-        values, outer, sweeps = _evaluate_nodes(pricer, list(qs), threads)
-
-        def invert_history(idx):
-            samples = [values[complex(q)][idx].real for q in qs]
-            return gwr_invert(samples, tau, plan.n_gaver).value
-        depth = plan.n_gaver
-
-    rows = [dict(history=int(c), price=invert_history(int(c))) for c in codes]
-    meta = {"backend": plan.backend, "depth": depth, "outer": outer,
-            "sweeps": sweeps, "wall": time.perf_counter() - start}
+        prices = [0.0] * problem.chain.size
+        meta["warning"] = "spot outside band"
+    rows = [dict(history=int(c), price=prices[c]) for c in codes]
+    meta["wall"] = time.perf_counter() - start
     return rows, meta
 
 
@@ -150,13 +148,12 @@ def _write_csv(path, header, rows):
 def _cmd_price(args) -> int:
     cfg = parse_config(_document(args))
     rows, meta = run_price(cfg, all_histories=args.all_histories)
-    if "warning" in meta:
+    if meta["warning"]:
         print(f"warning: {meta['warning']}", file=sys.stderr)
     header = ["history", "price", "backend", "depth", "outer_terms",
               "max_inner_sweeps", "wall_time"]
-    csv_rows = [[r["history"], repr(r["price"]), meta.get("backend", cfg.inversion.backend),
-                 meta.get("depth", ""), meta.get("outer", ""), meta.get("sweeps", ""),
-                 f"{meta['wall']:.3f}"] for r in rows]
+    csv_rows = [[r["history"], repr(r["price"]), meta["backend"], meta["depth"],
+                 meta["outer"], meta["sweeps"], f"{meta['wall']:.3f}"] for r in rows]
     _write_csv(args.out, header, csv_rows)
     return 0
 
@@ -205,8 +202,7 @@ def _cmd_invert_demo(args) -> int:
     ]
     rows = []
     for name, fn, tau, truth in pairs:
-        samples = fn(gwr_nodes(tau, 8))
-        gwr = gwr_invert(list(np.atleast_1d(samples)), tau, 8).value
+        gwr = gwr_invert(fn(gwr_nodes(tau, 8)), tau, 8).value
         snh = sinh_invert(fn, tau, sinh_plan(tau, n_nodes=64)).value
         rows.append([name, repr(abs(gwr - truth)), repr(abs(snh - truth))])
     _write_csv(args.out, ["pair", "gwr_error", "sinh_error"], rows)

@@ -345,23 +345,12 @@ class QPricer:
         scale = self._scale(q)
         real_path = (complex(q).imag == 0.0
                      and np.all(self.problem.payoffs >= 0.0))
-        if real_path:
-            # monotonicity is tracked where the assembled answer lives: the
-            # open band, away from the sampled-jump ring at the barrier nodes;
-            # those nodes form one run, kept as a slice
-            x = grid.x
-            ring = max(0.1, 30.0 * grid.dx)
-            mono_mask = (x > grid.lower + ring) & (x < grid.upper - ring)
-            if not np.any(mono_mask):
-                mono_mask = (x > grid.lower) & (x < grid.upper)
-            nodes = np.flatnonzero(mono_mask)
-            mono = slice(nodes[0], nodes[-1] + 1)
         # sweep 1; with lambda0 = 0 every later sweep would couple nothing
         # and return the boundary term again
         diff = boundary.sup_norm()
         if real_path:
-            stats.monotone_undershoot = min(stats.monotone_undershoot,
-                                            float(np.min(boundary.full().real[..., mono])))
+            worst = float(np.min(boundary.full().real[..., grid.monotone_nodes]))
+            stats.monotone_undershoot = min(stats.monotone_undershoot, worst)
         if chain.lambda0 == 0.0 or diff <= self.tol_inner * scale:
             stats.inner_sweeps.append(1)
             return boundary
@@ -393,7 +382,7 @@ class QPricer:
             # interior, where the monotone nodes lie
             diff = step.sup_norm((step.values, work.real))
             if real_path:
-                worst = float(np.min(step.values.real[..., mono]))
+                worst = float(np.min(step.values.real[..., grid.monotone_nodes]))
                 stats.monotone_undershoot = min(stats.monotone_undershoot, worst)
             noise_floor = 1e3 * np.finfo(float).eps * max(
                 cur.sup_norm((work.term, work.real)), 1e-300)
@@ -471,14 +460,7 @@ class QPricer:
 
         # knock-out boundary condition: exactly zero outside the open band
         full = total.full()
-        outside = (grid.index <= grid.lower_index) | (grid.index >= grid.upper_index)
-        stats.boundary_residual = float(np.max(np.abs(full[..., outside])))
-        full[..., outside] = 0.0
+        stats.boundary_residual = float(np.max(np.abs(full[..., grid.outside_band])))
+        full[..., grid.outside_band] = 0.0
         clipped = SampledFunction.from_samples(grid, full, 0.0, 0.0)
         return ValueField(q=complex(q), v0=v0, functions=clipped, stats=stats)
-
-    def price_at(self, q, x0: float | None = None) -> np.ndarray:
-        x0 = self.problem.spot if x0 is None else x0
-        if not self.problem.lower < x0 < self.problem.upper:
-            return np.zeros(self.problem.chain.size, dtype=np.complex128)
-        return self.price_field(q).at(x0)

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ContourError, GridResolutionError, IllPosedApplicationError
 from .grids import DualGrid, Region, SampledFunction, _frozen
+from .models import BrownianDrift, KouJumpDiffusion
 from .wiener_hopf import WHFactorization
 
 __all__ = [
@@ -251,8 +252,6 @@ def _boundary_value(full: np.ndarray, node: int, direction: int) -> np.ndarray:
 def _creeps(model, side: str) -> bool:
     """Whether the barrier on this side can only be hit by creeping (no jumps
     across it); first touch then happens exactly at the barrier."""
-    from .models import BrownianDrift, KouJumpDiffusion
-
     if isinstance(model, BrownianDrift):
         return True
     if isinstance(model, KouJumpDiffusion):

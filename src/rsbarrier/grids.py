@@ -145,8 +145,22 @@ class DualGrid:
     def taper_both(self) -> np.ndarray:
         return _frozen(self.taper_lo * self.taper_hi)
 
-    def interior(self) -> slice:
-        return slice(self.guard, self.size - self.guard)
+    @cached_property
+    def monotone_nodes(self) -> slice:
+        """The open band away from the sampled-jump ring at the barrier nodes,
+        where the sweeps track monotonicity at a real q; one run of nodes."""
+        x = self.x
+        ring = max(0.1, 30.0 * self.dx)
+        mask = (x > self.lower + ring) & (x < self.upper - ring)
+        if not np.any(mask):
+            mask = (x > self.lower) & (x < self.upper)
+        nodes = np.flatnonzero(mask)
+        return slice(nodes[0], nodes[-1] + 1)
+
+    @cached_property
+    def outside_band(self) -> np.ndarray:
+        """Nodes on or beyond a barrier, where a knock-out value is zero."""
+        return _frozen((self.index <= self.lower_index) | (self.index >= self.upper_index))
 
     def side(self, which: int, interior: bool = False) -> tuple:
         """``(index, where)`` that confine an elementwise ufunc on batched
@@ -373,8 +387,6 @@ class SampledFunction:
         self._check(other)
         return SampledFunction(self.grid, np.add(self.values, other.values, out=out),
                                self.c_lo + other.c_lo, self.c_hi + other.c_hi)
-
-    __add__ = add
 
     def scale(self, factor, out: np.ndarray | None = None) -> "SampledFunction":
         """Multiply by a scalar or a per-row vector."""

@@ -27,6 +27,7 @@ __all__ = [
     "SinhPlan",
     "sinh_plan",
     "sinh_nodes",
+    "sinh_evaluated",
     "sinh_invert",
     "SinhResult",
     "InversionPlan",
@@ -245,30 +246,39 @@ class SinhResult:
     n_evaluations: int
 
 
-def sinh_invert(evaluator, tau: float, plan: SinhPlan) -> SinhResult:
+def sinh_evaluated(plan: SinhPlan) -> slice:
+    """The nodes ``sinh_invert`` reads F at: the upper half of the symmetric
+    node set, from the real-axis node at its middle when the count is odd,
+    since F(conj q) = conj F(q) for a real f gives the rest."""
+    return slice(plan.n_nodes // 2, plan.n_nodes)
+
+
+def sinh_invert(transform, tau: float, plan: SinhPlan) -> SinhResult:
     """Trapezoid sum over the deformed contour.
 
-    ``evaluator`` maps complex q to F(q) and must be analytic in the plan's
-    sector.  The node set is conjugate-symmetric and F(conj q) = conj F(q)
-    for a real f, so ``evaluator`` is called only on the upper half, nodes
-    (n_nodes + 1) // 2 onward.
+    ``transform`` holds F at the nodes ``sinh_evaluated(plan)`` selects, in
+    node order, or maps complex q to F(q) and is then called on those nodes
+    alone; F must be analytic in the plan's sector.
     """
     if tau <= 0.0:
         raise PlanError("tau must be > 0")
     q, w = sinh_nodes(plan)
     n = plan.n_nodes
-    half = (n + 1) // 2
+    upper = range(n)[sinh_evaluated(plan)]
+    samples = [transform(q[i]) for i in upper] if callable(transform) else transform
+    if len(samples) != len(upper):
+        raise PlanError(f"need {len(upper)} samples, got {len(samples)}")
     terms = np.empty(n, dtype=np.complex128)
-    for i in range(half, n):
-        terms[i] = w[i] * np.exp(q[i] * tau) * evaluator(q[i])
-    for i in range(0, half):
+    for i, f in zip(upper, samples):
+        terms[i] = w[i] * np.exp(q[i] * tau) * f
+    for i in range(upper.start):
         terms[i] = np.conj(terms[n - 1 - i])
     total = 0.0 + 0.0j
     for t in terms:  # fixed summation order for bit reproducibility
         total += t
     tail = max(abs(terms[0]), abs(terms[-1]))
     return SinhResult(value=float(total.real), error_estimate=float(tail),
-                      min_re_q=float(q.real.min()), n_evaluations=n - half)
+                      min_re_q=float(q.real.min()), n_evaluations=len(upper))
 
 
 @dataclass(frozen=True)

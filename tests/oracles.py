@@ -120,7 +120,8 @@ def full_by_masks(u: SampledFunction) -> np.ndarray:
 
 def sup_norm_by_masks(u: SampledFunction) -> float:
     """Max magnitude over the interior of ``full_by_masks`` and the far fields."""
-    m = float(np.max(np.abs(full_by_masks(u)[..., u.grid.interior()])))
+    interior = slice(u.grid.guard, u.grid.size - u.grid.guard)
+    m = float(np.max(np.abs(full_by_masks(u)[..., interior])))
     return max(m, float(np.max(np.abs(u.c_lo), initial=0.0)),
                float(np.max(np.abs(u.c_hi), initial=0.0)))
 

@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from rsbarrier.cli import price_histories
 from rsbarrier.engine import BarrierProblem, QPricer, RegimeSpec
 from rsbarrier.grids import build_grid
 from rsbarrier.histories import HistoryIndex, MemoryChain, enumerate_histories
-from rsbarrier.inversion import gwr_invert, gwr_nodes, sinh_invert, sinh_plan
+from rsbarrier.inversion import InversionPlan, gwr_invert, gwr_nodes, sinh_invert, sinh_plan
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.montecarlo import McConfig, brownian_band_series, simulate_price
 from rsbarrier.wiener_hopf import factorize_integral, factorize_rational
@@ -26,6 +27,12 @@ KOU_B = KouJumpDiffusion(mu=-0.02, sigma2=0.08, lambda_j=5.0, p=0.6,
 KOBOL = KoBoL(nu=1.2, c=1.0, lambda_plus=8.0, lambda_minus=-4.0, mu=0.0)
 
 QS = [0.5, 1.0, 10.0, 3 + 4j]
+GWR = InversionPlan()  # n_gaver = 8
+
+
+def gwr_prices(problem, **pricer_args):
+    """Every history's GWR price through the pricing driver, by history code."""
+    return price_histories(QPricer(problem, **pricer_args), GWR)[0]
 
 
 def _report(name, ok, detail):
@@ -63,17 +70,13 @@ def brownian_pipeline():
                           lower=-1.0, upper=1.0, spot=0.0, maturity=1.0,
                           initial_history=HistoryIndex((1,)))
 
-    def run(m_power=14, threads=1):
-        pricer = QPricer(prob, m_power=m_power)
-        nodes = gwr_nodes(1.0, 8)
-        samples = [pricer.price_at(q)[0].real for q in nodes]
-        return gwr_invert(samples, 1.0, 8).value, samples
+    def run():
+        return gwr_prices(prob, m_power=14)[0]
 
     start = time.perf_counter()
-    price, samples = run()
+    price = run()
     elapsed = time.perf_counter() - start
-    return {"price": price, "samples": samples, "elapsed": elapsed,
-            "run": run, "problem": prob}
+    return {"price": price, "elapsed": elapsed, "run": run, "problem": prob}
 
 
 def test_criterion_2_brownian_oracle(brownian_pipeline):
@@ -96,11 +99,7 @@ def kou_memory_setup():
         initial_history=HistoryIndex((1, 2)))
 
     def engine_price(m_power=14):
-        pricer = QPricer(prob, m_power=m_power)
-        nodes = gwr_nodes(0.5, 8)
-        idx = 0  # canonical code of history (1, 2)
-        samples = [pricer.price_at(q)[idx].real for q in nodes]
-        return gwr_invert(samples, 0.5, 8).value
+        return gwr_prices(prob, m_power=m_power)[0]  # code 0: history (1, 2)
 
     return prob, engine_price
 
@@ -137,12 +136,10 @@ def reduction_prices():
                                   upper=1.0, spot=0.2, maturity=1.0,
                                   initial_history=init)
             # tight tolerances: the rho table amplifies truncation-level
-            # differences between runs by several orders
-            pricer = QPricer(prob, m_power=12, tol_inner=1e-13, tol_outer=1e-12)
-            nodes = gwr_nodes(1.0, 8)
-            idx = 0  # head-1 history in canonical order
-            samples = [pricer.price_at(q)[idx].real for q in nodes]
-            prices[n_mem] = gwr_invert(samples, 1.0, 8).value
+            # differences between runs by several orders; code 0 is the
+            # head-1 history in canonical order
+            prices[n_mem] = gwr_prices(prob, m_power=12, tol_inner=1e-13,
+                                       tol_outer=1e-12)[0]
         return prices
 
     start = time.perf_counter()
@@ -220,19 +217,9 @@ def test_criterion_6_inversion_suite(brownian_pipeline):
     # back-end agreement on a Brownian instance (GWR is the bottleneck)
     prob = brownian_pipeline["problem"]
     pricer = QPricer(prob, m_power=12)
-    nodes = gwr_nodes(1.0, 8)
-    gwr_price = gwr_invert([pricer.price_at(qq)[0].real for qq in nodes],
-                           1.0, 8).value
-    plan = sinh_plan(1.0, n_nodes=24, target_tol=1e-7)
-    cache = {}
-
-    def evaluator(z):
-        key = complex(z)
-        if key not in cache:
-            cache[key] = complex(pricer.price_at(key)[0])
-        return cache[key]
-
-    sinh_price = sinh_invert(evaluator, 1.0, plan).value
+    gwr_price = price_histories(pricer, GWR)[0][0]
+    sinh = InversionPlan(backend="sinh", sinh_nodes=24, sinh_target_tol=1e-7)
+    sinh_price = price_histories(pricer, sinh)[0][0]
     agree = abs(gwr_price - sinh_price)
     elapsed = time.perf_counter() - start
     ok = (e1 < 1e-6 and e2 < 1e-7 and e3 < 1e-12 and
@@ -250,21 +237,15 @@ def test_criterion_7_degenerate_chain():
     chain = MemoryChain.from_constant(2, 0, 0.0)
     prob = BarrierProblem(regimes=regimes, chain=chain, lower=-0.3, upper=0.3,
                           spot=0.0, maturity=0.5, initial_history=HistoryIndex((1,)))
-    nodes = gwr_nodes(0.5, 8)
-    tight = dict(tol_inner=1e-13, tol_outer=1e-12)
-    multi_pricer = QPricer(prob, m_power=13, **tight)
-    multi_samples = np.array([multi_pricer.price_at(q).real for q in nodes])
+    tight = dict(m_power=13, tol_inner=1e-13, tol_outer=1e-12)
+    multi = gwr_prices(prob, **tight)
     worst = 0.0
     for i, spec in enumerate(regimes):
         solo = BarrierProblem(regimes=(spec,),
                               chain=MemoryChain.from_constant(1, 0, 0.0),
                               lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
                               initial_history=HistoryIndex((1,)))
-        pricer = QPricer(solo, m_power=13, **tight)
-        solo_samples = [pricer.price_at(q)[0].real for q in nodes]
-        a = gwr_invert(list(multi_samples[:, i]), 0.5, 8).value
-        b = gwr_invert(solo_samples, 0.5, 8).value
-        worst = max(worst, abs(a - b))
+        worst = max(worst, abs(multi[i] - gwr_prices(solo, **tight)[0]))
     ok = worst < 1e-9
     _report("criterion 7 (degenerate-chain equivalence)", ok,
             f"max price difference {worst:.2e} < 1e-9")
@@ -274,7 +255,7 @@ def test_criterion_7_degenerate_chain():
 
 def test_criterion_8_determinism(brownian_pipeline, kou_memory_setup,
                                  reduction_prices):
-    again = brownian_pipeline["run"]()[0]
+    again = brownian_pipeline["run"]()
     crit2_ok = again == brownian_pipeline["price"]
 
     _, engine_price = kou_memory_setup

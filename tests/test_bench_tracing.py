@@ -21,25 +21,35 @@ from rsbarrier import montecarlo  # noqa: E402
 
 
 def test_tracer_records_every_trace_point():
+    # kou_memory under both back ends, each of which must invert through the
+    # name the tracer wraps, once per history
     with open(os.path.join(os.path.dirname(BENCH), "configs", "kou_memory.json")) as fh:
         doc = json.load(fh)
     doc["grid"] = {"mPower": 10}
     doc["mc"]["paths"] = 1000
-    workload = PricingWorkload(doc)
     tracer = Tracer()
     tracer.install()
+    runs = {}
     try:
-        seconds, prices = workload.run(threads=2, round_index=0)
+        for backend in ("gwr", "sinh"):
+            doc["inversion"]["backend"] = backend
+            workload = PricingWorkload(copy.deepcopy(doc))
+            first = len(tracer.spans)
+            _, prices = workload.run(threads=2, round_index=0)
+            inverts = sum(span[1] == "inversion.invert" for span in tracer.spans[first:])
+            runs[backend] = prices, inverts, workload.worst_residual
         cfg = parse_config(copy.deepcopy(doc))
         # looked up at call time, as the Monte Carlo workload does
         montecarlo.simulate_price(cfg.problem, cfg.mc)
     finally:
         tracer.uninstall()
-    assert len(prices) == 2 and all(0.0 < p < 1.0 for p in prices)
+    for backend, (prices, inverts, worst_residual) in runs.items():
+        assert len(prices) == 2 and all(0.0 < p < 1.0 for p in prices), backend
+        assert inverts == len(prices), backend
+        # inspect_pricer saw the pricer run_price built
+        assert 0.0 < worst_residual <= RESIDUAL_BOUND, backend
     recorded = summarize(tracer.spans)
     assert {name for _, _, name in TRACE_POINTS} <= set(recorded)
     assert tracer.counts["epv.fft_points"] > 0
     assert tracer.counts["engine.inner_sweeps"] > 0
-    # inspect_pricer saw the pricer run_price built
-    assert 0.0 < workload.worst_residual <= RESIDUAL_BOUND
     assert all(math.isfinite(rec["total_s"]) for rec in recorded.values())

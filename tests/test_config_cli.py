@@ -159,6 +159,23 @@ def test_kobol_price_thread_independent():
     assert prices[0] == prices[1] == prices[2]
 
 
+@pytest.mark.parametrize("backend, reprs", [
+    ("gwr", ["0.8332339389726177", "0.5898726377497454"]),
+    ("sinh", ["0.833181563769975", "0.5899032199899747"]),
+])
+def test_kou_memory_price_bits_are_pinned(backend, reprs):
+    # every history's price of the coupled Kou chain, bit for bit, at either
+    # thread count; a change to the order of any floating-point operation
+    # from the nodes to the inversion shows here
+    doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
+    doc["inversion"]["backend"] = backend
+    doc["grid"] = {"mPower": 10}
+    for threads in (1, 2):
+        doc["threads"] = threads
+        rows, _ = run_price(parse_config(doc), all_histories=True)
+        assert [repr(r["price"]) for r in rows] == reprs
+
+
 def test_mc_cli(tmp_path):
     rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "mc")
     assert rc == 0

@@ -35,6 +35,11 @@ def single_brownian(m_power=13):
     return QPricer(prob, m_power=m_power)
 
 
+def at_spot(pricer, q):
+    """The transform of every history at the problem's spot."""
+    return pricer.price_field(q).at(pricer.problem.spot)
+
+
 def cosh_transform(q, x, rate=0.0, half=1.0, sigma2=1.0):
     qt = q + rate
     k = math.sqrt(2.0 * qt / sigma2)
@@ -106,7 +111,7 @@ def test_v0_rejects_bad_q():
 def test_brownian_transform_matches_cosh_oracle():
     pricer = single_brownian(m_power=14)
     for q in (0.7, 1.5, 4.0, 11.0):
-        got = pricer.price_at(q)[0].real
+        got = at_spot(pricer, q)[0].real
         assert got == pytest.approx(cosh_transform(q, 0.0), abs=2e-6)
 
 
@@ -192,17 +197,17 @@ def test_kou_chain_transform_bits_are_pinned():
                      "(0.2046984081197901-0.10007653308089967j)"],
     }
     for q, reprs in pinned.items():
-        assert [repr(complex(v)) for v in pricer.price_at(q)] == reprs
+        assert [repr(complex(v)) for v in at_spot(pricer, q)] == reprs
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0 + 2.0j], ids=["real", "complex"])
 def test_default_tolerance_meets_the_fixed_point(q):
     # the sweeps stop at tol_inner = 1e-10 of the scale; solved to 1e-14,
     # the coupled Kou chain's transform moves by less than 1e-10
-    default = kou_chain_pricer().price_at(q)
+    default = at_spot(kou_chain_pricer(), q)
     tight = kou_chain_pricer()
     tight.tol_inner = 1e-14
-    assert np.max(np.abs(default - tight.price_at(q))) <= 1e-10
+    assert np.max(np.abs(default - at_spot(tight, q))) <= 1e-10
 
 
 def test_samples_are_real_at_a_real_q():
@@ -238,9 +243,9 @@ def test_far_barriers_reduce_to_v0():
 
 def test_price_outside_band_is_zero():
     pricer = single_brownian(m_power=12)
-    assert np.all(pricer.price_at(1.0, x0=-1.0) == 0.0)
-    assert np.all(pricer.price_at(1.0, x0=1.3) == 0.0)
     field = pricer.price_field(1.0)
+    assert np.all(field.at(-1.0) == 0.0)
+    assert np.all(field.at(1.3) == 0.0)
     assert np.all(field.at(pricer.grid.lower) == 0.0)
 
 
@@ -368,8 +373,8 @@ def test_interpolation_near_barrier_one_sided():
 
 
 def test_determinism_bit_identical():
-    a = single_brownian(m_power=12).price_at(1.7)[0]
-    b = single_brownian(m_power=12).price_at(1.7)[0]
+    a = at_spot(single_brownian(m_power=12), 1.7)[0]
+    b = at_spot(single_brownian(m_power=12), 1.7)[0]
     assert a == b
 
 

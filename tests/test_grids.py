@@ -82,7 +82,8 @@ def test_soft_partition_and_weights():
     assert w1[g.upper_index] == 0.5
     rng = np.random.default_rng(5)
     u = SampledFunction.from_samples(g, rng.standard_normal(g.size), 0.0, 0.7)
-    parts = indicator_soft(u, Region.BELOW_UPPER) + indicator_soft(u, Region.AT_OR_ABOVE_UPPER)
+    parts = indicator_soft(u, Region.BELOW_UPPER).add(
+        indicator_soft(u, Region.AT_OR_ABOVE_UPPER))
     assert np.allclose(parts.full(), u.full(), atol=1e-14)
 
 
@@ -105,8 +106,9 @@ def test_indicator_linearity_property(a, b):
     g = small_grid(m_power=8)
     u = SampledFunction.constant(g, a)
     v = SampledFunction.constant(g, b)
-    lhs = indicator_soft(u + v, Region.AT_OR_BELOW_LOWER)
-    rhs = indicator_soft(u, Region.AT_OR_BELOW_LOWER) + indicator_soft(v, Region.AT_OR_BELOW_LOWER)
+    lhs = indicator_soft(u.add(v), Region.AT_OR_BELOW_LOWER)
+    rhs = indicator_soft(u, Region.AT_OR_BELOW_LOWER).add(
+        indicator_soft(v, Region.AT_OR_BELOW_LOWER))
     assert np.allclose(lhs.full(), rhs.full(), atol=1e-12)
 
 

@@ -11,6 +11,7 @@ from rsbarrier.inversion import (
     SinhPlan,
     gwr_invert,
     gwr_nodes,
+    sinh_evaluated,
     sinh_invert,
     sinh_nodes,
     sinh_plan,
@@ -101,6 +102,23 @@ def test_sinh_forty_evaluations():
     res = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, plan)
     assert res.n_evaluations == 40
     assert abs(res.value - E_INV) < 1e-10
+
+
+@pytest.mark.parametrize("n_nodes", [79, 80])
+def test_sinh_samples_invert_as_the_evaluator_does(n_nodes):
+    # samples at the nodes sinh_evaluated selects give the evaluator's bits,
+    # an odd count's real-axis middle node included; a sample count other
+    # than theirs is refused
+    plan = sinh_plan(1.0, n_nodes=n_nodes)
+    fn = lambda q: 1.0 / (q + 1.0)  # noqa: E731
+    samples = [fn(q) for q in sinh_nodes(plan)[0][sinh_evaluated(plan)]]
+    assert len(samples) == (n_nodes + 1) // 2
+    res = sinh_invert(samples, 1.0, plan)
+    assert res == sinh_invert(fn, 1.0, plan)
+    assert abs(res.value - E_INV) < 1e-10
+    for wrong in (samples[1:], samples + samples[:1]):
+        with pytest.raises(PlanError):
+            sinh_invert(wrong, 1.0, plan)
 
 
 def test_sinh_rejects_shallow_sector():

@@ -109,14 +109,14 @@ def test_grid_backend_cross_validation_inner_step(kou_pair):
     seed = PiecewiseExp.step_above(grid.upper, 0.8)
     exact = ex.sweep_plus(v.scale(0.4), grid.upper) + ex.first_touch_above(seed, grid.upper)
 
-    vg = (SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.55)
-          + SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, 0.3))
+    vg = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.55).add(
+        SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, 0.3))
     sweep = apply_epv(plan(factors, "plus"),
                       indicator_soft(apply_epv(plan(factors, "minus"), vg.scale(0.4)),
                                      Region.BELOW_UPPER)).scale(1.0 / Q)
     boundary = first_touch_above(
         plan(factors, "plus"), SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, 0.8))
-    on_grid = sweep + boundary
+    on_grid = sweep.add(boundary)
     mask = (core_region(grid)
             & (np.abs(grid.x - grid.upper) > 0.05)
             & (np.abs(grid.x - grid.lower) > 0.05))
