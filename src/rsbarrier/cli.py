@@ -34,22 +34,15 @@ from .wiener_hopf import factorize
 
 
 def _grid(cfg: ProblemConfig) -> DualGrid:
-    g = cfg.grid
+    p = cfg.problem
     try:
-        return build_grid(cfg.problem.lower, cfg.problem.upper,
-                          m_power=g.m_power, domain_factor=g.domain_factor,
-                          models=[r.model for r in cfg.problem.regimes],
-                          damping_scale=g.damping_scale, damping_cap=g.damping_cap,
-                          decay_tol=g.decay_tol)
+        return build_grid(p.lower, p.upper, [r.model for r in p.regimes], cfg.grid)
     except ValueError as exc:  # the band does not fit 2^mPower nodes
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
 def _make_pricer(cfg: ProblemConfig) -> QPricer:
-    return QPricer(cfg.problem, grid=_grid(cfg),
-                   tol_inner=cfg.tolerances.inner, tol_outer=cfg.tolerances.outer,
-                   max_outer=cfg.tolerances.max_outer,
-                   max_sweeps=cfg.tolerances.max_sweeps)
+    return QPricer(cfg.problem, _grid(cfg), cfg.tolerances)
 
 
 def _evaluate_nodes(pricer: QPricer, nodes, threads: int):
@@ -77,7 +70,7 @@ def price_histories(pricer: QPricer, inversion: InversionPlan, threads: int = 1)
     back end's nodes, inverted history by history."""
     tau, n_gaver = pricer.problem.maturity, inversion.n_gaver
     if inversion.backend == "sinh":
-        splan = inversion.materialize(tau)
+        splan = sinh_plan(tau, inversion)
         nodes = sinh_nodes(splan)[0][sinh_evaluated(splan)]
         values, outer, sweeps = _evaluate_nodes(pricer, nodes, threads)
         prices = [sinh_invert(column, tau, splan).value for column in values.T]
@@ -200,10 +193,10 @@ def _cmd_invert_demo(args) -> int:
         ("1/q@tau=1.5", lambda q: 1.0 / q, 1.5, 1.0),
         ("1/q^2@tau=2", lambda q: 1.0 / q**2, 2.0, 2.0),
     ]
-    rows = []
+    plan, rows = InversionPlan(), []
     for name, fn, tau, truth in pairs:
-        gwr = gwr_invert(fn(gwr_nodes(tau, 8)), tau, 8).value
-        snh = sinh_invert(fn, tau, sinh_plan(tau, n_nodes=64)).value
+        gwr = gwr_invert(fn(gwr_nodes(tau, plan.n_gaver)), tau, plan.n_gaver).value
+        snh = sinh_invert(fn, tau, sinh_plan(tau, plan)).value
         rows.append([name, repr(abs(gwr - truth)), repr(abs(snh - truth))])
     _write_csv(args.out, ["pair", "gwr_error", "sinh_error"], rows)
     return 0
@@ -240,6 +233,8 @@ def _cmd_convergence(args) -> int:
         except ValueError:
             raise ConfigError(f"--values: {args.param} takes {kind.__name__} values, "
                               f"got {v!r}") from None
+    if not ladder:
+        raise ConfigError(f"--values lists no value, got {args.values!r}")
     rows = []
     prev = None
     for v, value in ladder:

@@ -4,6 +4,8 @@ Model objects use the exact wire names "type", "mu", "sigma2", "lambdaJ",
 "p", "alphaPlus", "alphaMinus", "nu", "c", "lambdaPlus", "lambdaMinus".
 Chain rates come either as a dense array keyed by canonical history code or
 as a rule table with a default; the loader materializes the dense table.
+Each settings section maps its keys to one dataclass's fields, whose defaults
+are the only defaults.  A key the parser does not read is a fault anywhere.
 """
 
 from __future__ import annotations
@@ -17,67 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RsBarrierError
-from .engine import BarrierProblem, RegimeSpec
+from .engine import BarrierProblem, RegimeSpec, Tolerances
+from .grids import GridConfig
 from .histories import HistoryIndex, MemoryChain
-from .inversion import InversionPlan
+from .inversion import InversionPlan, sinh_plan
 from .models import BrownianDrift, KoBoL, KouJumpDiffusion, LevyModel
 from .montecarlo import McConfig
 
-__all__ = ["GridConfig", "Tolerances", "ProblemConfig", "read_document",
-           "parse_config", "DEFAULTS"]
+__all__ = ["ProblemConfig", "read_document", "parse_config", "DEFAULTS"]
 
 THREADS_ENV = "RSBARRIER_THREADS"
-
-DEFAULTS = {
-    "grid.m_power": 14,
-    "grid.domain_factor": 10.0,
-    "grid.damping_scale": 0.25,
-    "grid.damping_cap": 1.0,
-    "grid.decay_tol": 1e-6,
-    "tolerances.inner": 1e-10,
-    "tolerances.outer": 1e-8,
-    "tolerances.max_outer": 200,
-    "tolerances.max_sweeps": 500,
-    "inversion.backend": "gwr",
-    "inversion.n_gaver": 8,
-    "inversion.sinh_nodes": 64,
-    "inversion.sinh_gamma": 0.75 * math.pi,
-    "inversion.sinh_target_tol": 1e-10,
-    "mc.paths": 100_000,
-    "mc.dt": 1e-3,
-    "mc.bridge": True,
-    "mc.antithetic": False,
-    "seed": 20260809,
-}
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    m_power: int = DEFAULTS["grid.m_power"]
-    domain_factor: float = DEFAULTS["grid.domain_factor"]
-    damping_scale: float = DEFAULTS["grid.damping_scale"]
-    damping_cap: float = DEFAULTS["grid.damping_cap"]
-    decay_tol: float = DEFAULTS["grid.decay_tol"]
-
-    def __post_init__(self):
-        if not (self.damping_scale > 0 and self.damping_cap > 0):
-            raise ConfigError("dampingScale and dampingCap must be > 0")
-        if not 0 < self.decay_tol < 1:
-            raise ConfigError("decayTol must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    inner: float = DEFAULTS["tolerances.inner"]
-    outer: float = DEFAULTS["tolerances.outer"]
-    max_outer: int = DEFAULTS["tolerances.max_outer"]
-    max_sweeps: int = DEFAULTS["tolerances.max_sweeps"]
-
-    def __post_init__(self):
-        if self.inner <= 0 or self.outer <= 0:
-            raise ConfigError("tolerances must be > 0")
-        if self.max_outer < 1 or self.max_sweeps < 1:
-            raise ConfigError("maxOuter and maxSweeps must be >= 1")
 
 
 @dataclass
@@ -103,49 +54,6 @@ class ProblemConfig:
                                   f"got {env!r}") from None
             return _at_least_one(count, THREADS_ENV)
         return os.cpu_count() or 1
-
-
-def _model_from_dict(d: dict) -> LevyModel:
-    kind = d.get("type")
-    try:
-        if kind == "BrownianDrift":
-            return BrownianDrift(mu=float(d["mu"]), sigma2=float(d["sigma2"]))
-        if kind == "KouJumpDiffusion":
-            return KouJumpDiffusion(mu=float(d["mu"]), sigma2=float(d["sigma2"]),
-                                    lambda_j=float(d["lambdaJ"]), p=float(d["p"]),
-                                    alpha_plus=float(d["alphaPlus"]),
-                                    alpha_minus=float(d["alphaMinus"]))
-        if kind == "KoBoL":
-            return KoBoL(nu=float(d["nu"]), c=float(d["c"]),
-                         lambda_plus=float(d["lambdaPlus"]),
-                         lambda_minus=float(d["lambdaMinus"]), mu=float(d["mu"]))
-    except KeyError as exc:
-        raise ConfigError(f"model field missing: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-    raise ConfigError(f"unknown model type {kind!r}")
-
-
-def _chain_from_dict(d: dict) -> MemoryChain:
-    try:
-        m = _whole(d["m"], "chain.m")
-        n_mem = _whole(d["N"], "chain.N")
-        rates = d["rates"]
-    except KeyError as exc:
-        raise ConfigError(f"chain field missing: {exc}") from exc
-    lambda0 = d.get("lambda0")
-    try:
-        if isinstance(rates, dict) and "dense" in rates:
-            table = np.asarray(rates["dense"], dtype=float)
-            return MemoryChain(m, n_mem, table, lambda0)
-        if isinstance(rates, dict):
-            return MemoryChain.from_rules(m, n_mem, float(rates.get("default", 0.0)),
-                                          rates.get("rules", []), lambda0)
-        if isinstance(rates, (int, float)):
-            return MemoryChain.from_constant(m, n_mem, float(rates), lambda0)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid chain rates: {exc}") from exc
-    raise ConfigError("chain rates must be a number, a dense table, or a rule table")
 
 
 def _finite(value, name: str) -> float:
@@ -176,9 +84,67 @@ def _flag(value, name: str) -> bool:
     return value
 
 
+def _finite_or_none(value, name: str) -> float | None:
+    """A finite number, or JSON null for a setting the code chooses."""
+    return None if value is None else _finite(value, name)
+
+
+def _object(value, path: str, required, optional=()) -> dict:
+    """``value``, a JSON object with every ``required`` key and no key outside
+    ``required`` and ``optional``; ``path`` is empty for the document itself."""
+    where = path or "the document"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"missing key {prefix}{key}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key {prefix}{key}; {where} takes "
+                              f"{', '.join(sorted([*required, *optional]))}")
+    return value
+
+
+# settings section -> (its dataclass, JSON key -> (field, reader)); a key the
+# document leaves out takes the field's default, and a reader of None leaves
+# the value for the dataclass to check
+_SECTIONS = {
+    "grid": (GridConfig, {
+        "mPower": ("m_power", _whole), "domainFactor": ("domain_factor", _finite),
+        "dampingScale": ("damping_scale", _finite),
+        "dampingCap": ("damping_cap", _finite), "decayTol": ("decay_tol", _finite)}),
+    "tolerances": (Tolerances, {
+        "inner": ("inner", _finite), "outer": ("outer", _finite),
+        "maxOuter": ("max_outer", _whole), "maxSweeps": ("max_sweeps", _whole)}),
+    "inversion": (InversionPlan, {
+        "backend": ("backend", None), "nGaver": ("n_gaver", _whole),
+        "sinhNodes": ("sinh_nodes", _whole), "sinhSigma0": ("sinh_sigma0", _finite_or_none),
+        "sinhGamma": ("sinh_gamma", _finite), "sinhTargetTol": ("sinh_target_tol", _finite)}),
+    "mc": (McConfig, {
+        "paths": ("paths", _whole), "dt": ("dt", _finite),
+        "bridge": ("bridge", _flag), "antithetic": ("antithetic", _flag)}),
+}
+# model type -> (its class, JSON key -> field)
+_MODELS = {
+    "BrownianDrift": (BrownianDrift, {"mu": "mu", "sigma2": "sigma2"}),
+    "KouJumpDiffusion": (KouJumpDiffusion, {
+        "mu": "mu", "sigma2": "sigma2", "lambdaJ": "lambda_j", "p": "p",
+        "alphaPlus": "alpha_plus", "alphaMinus": "alpha_minus"}),
+    "KoBoL": (KoBoL, {"nu": "nu", "c": "c", "lambdaPlus": "lambda_plus",
+                      "lambdaMinus": "lambda_minus", "mu": "mu"}),
+}
+
+# each optional setting's default by "section.field"; the seed is top-level
+DEFAULTS = {f"{section}.{name}": getattr(cls, name)
+            for section, (cls, table) in _SECTIONS.items()
+            for name, _ in table.values() if getattr(cls, name) is not None}
+DEFAULTS["seed"] = McConfig.seed
+
+
 def parse_config(doc: dict) -> ProblemConfig:
-    """The validated problem of a config document.  Every fault in the
-    document, a value of the wrong type included, raises ``ConfigError``."""
+    """The validated problem of a config document.  Every fault in it, a wrong
+    type or a key the parser does not read included, raises ``ConfigError``."""
     try:
         return _parse(doc)
     except KeyError as exc:
@@ -187,82 +153,87 @@ def parse_config(doc: dict) -> ProblemConfig:
         raise ConfigError(f"invalid value: {exc}") from exc
 
 
+def _settings(doc: dict, section: str, **given):
+    """The section's dataclass, built from the document's keys and ``given``."""
+    cls, table = _SECTIONS[section]
+    for key, value in _object(doc.get(section, {}), section, (), table).items():
+        name, read = table[key]
+        given[name] = value if read is None else read(value, f"{section}.{key}")
+    return cls(**given)
+
+
+def _model(d, path: str) -> LevyModel:
+    kind = d.get("type") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"unknown model type {kind!r} at {path}; "
+                          f"known types are {', '.join(_MODELS)}")
+    cls, wire = _MODELS[kind]
+    _object(d, path, ("type", *wire))
+    try:
+        return cls(**{name: float(d[key]) for key, name in wire.items()})
+    except ValueError as exc:
+        raise ConfigError(f"invalid model parameters: {exc}") from exc
+
+
+def _chain(d) -> MemoryChain:
+    d = _object(d, "chain", ("m", "N", "rates"), ("lambda0",))
+    m, n_mem = _whole(d["m"], "chain.m"), _whole(d["N"], "chain.N")
+    rates, lambda0 = d["rates"], d.get("lambda0")
+    try:
+        if isinstance(rates, dict) and "dense" in rates:
+            table = np.asarray(_object(rates, "chain.rates", ("dense",))["dense"], dtype=float)
+            return MemoryChain(m, n_mem, table, lambda0)
+        if isinstance(rates, dict):
+            rules = _object(rates, "chain.rates", (), ("default", "rules")).get("rules", [])
+            for i, rule in enumerate(rules):
+                _object(rule, f"chain.rates.rules[{i}]", ("s", "history", "rate"))
+            return MemoryChain.from_rules(m, n_mem, float(rates.get("default", 0.0)),
+                                          rules, lambda0)
+        if isinstance(rates, (int, float)):
+            return MemoryChain.from_constant(m, n_mem, float(rates), lambda0)
+    except ValueError as exc:
+        raise ConfigError(f"invalid chain rates: {exc}") from exc
+    raise ConfigError("chain rates must be a number, a dense table, or a rule table")
+
+
 def _parse(doc: dict) -> ProblemConfig:
-    regimes = tuple(
-        RegimeSpec(model=_model_from_dict(r["model"]),
-                   rate=_finite(r["r"], "r"), payoff=_finite(r["G"], "G"))
-        for r in doc["regimes"]
-    )
-    chain = _chain_from_dict(doc["chain"])
-    barriers = doc["barriers"]
+    _object(doc, "", ("regimes", "chain", "barriers", "x0", "maturity", "initialHistory"),
+            ("seed", "threads", *_SECTIONS))
+    regimes = []
+    for i, r in enumerate(doc["regimes"]):
+        path = f"regimes[{i}]"
+        r = _object(r, path, ("model", "r", "G"))
+        regimes.append(RegimeSpec(model=_model(r["model"], f"{path}.model"),
+                                  rate=_finite(r["r"], f"{path}.r"),
+                                  payoff=_finite(r["G"], f"{path}.G")))
+    chain = _chain(doc["chain"])
+    barriers = _object(doc["barriers"], "barriers", ("lower", "upper"))
     lower = _finite(barriers["lower"], "barriers.lower")
     upper = _finite(barriers["upper"], "barriers.upper")
     x0 = _finite(doc["x0"], "x0")
     maturity = _finite(doc["maturity"], "maturity")
     init = tuple(_whole(v, "initialHistory") for v in doc["initialHistory"])
     if len(regimes) != chain.m:
-        raise ConfigError(
-            f"{len(regimes)} regimes but chain has m={chain.m}")
+        raise ConfigError(f"{len(regimes)} regimes but chain has m={chain.m}")
     if len(init) != chain.n_memory + 1:
-        raise ConfigError(
-            f"initial history must list N+1={chain.n_memory + 1} states")
-    problem = BarrierProblem(regimes=regimes, chain=chain, lower=lower,
+        raise ConfigError(f"initial history must list N+1={chain.n_memory + 1} states")
+    problem = BarrierProblem(regimes=tuple(regimes), chain=chain, lower=lower,
                              upper=upper, spot=x0, maturity=maturity,
                              initial_history=HistoryIndex(init))
-
-    g = doc.get("grid", {})
-    grid = GridConfig(
-        m_power=_whole(g.get("mPower", DEFAULTS["grid.m_power"]), "grid.mPower"),
-        domain_factor=_finite(g.get("domainFactor", DEFAULTS["grid.domain_factor"]),
-                              "grid.domainFactor"),
-        damping_scale=_finite(g.get("dampingScale", DEFAULTS["grid.damping_scale"]),
-                              "grid.dampingScale"),
-        damping_cap=_finite(g.get("dampingCap", DEFAULTS["grid.damping_cap"]),
-                            "grid.dampingCap"),
-        decay_tol=_finite(g.get("decayTol", DEFAULTS["grid.decay_tol"]), "grid.decayTol"),
-    )
-    t = doc.get("tolerances", {})
-    tol = Tolerances(
-        inner=_finite(t.get("inner", DEFAULTS["tolerances.inner"]), "tolerances.inner"),
-        outer=_finite(t.get("outer", DEFAULTS["tolerances.outer"]), "tolerances.outer"),
-        max_outer=_whole(t.get("maxOuter", DEFAULTS["tolerances.max_outer"]),
-                         "tolerances.maxOuter"),
-        max_sweeps=_whole(t.get("maxSweeps", DEFAULTS["tolerances.max_sweeps"]),
-                          "tolerances.maxSweeps"),
-    )
-    inv = doc.get("inversion", {})
-    if "extendedPrecision" in inv:
-        raise ConfigError("inversion.extendedPrecision is no longer a setting: GWR "
-                          "always runs in double precision; remove the key")
-    sigma0 = inv.get("sinhSigma0")
+    grid, tolerances = _settings(doc, "grid"), _settings(doc, "tolerances")
     try:
-        plan = InversionPlan(
-            backend=inv.get("backend", DEFAULTS["inversion.backend"]),
-            n_gaver=_whole(inv.get("nGaver", DEFAULTS["inversion.n_gaver"]),
-                           "inversion.nGaver"),
-            sinh_nodes=_whole(inv.get("sinhNodes", DEFAULTS["inversion.sinh_nodes"]),
-                              "inversion.sinhNodes"),
-            sinh_sigma0=None if sigma0 is None else float(sigma0),
-            sinh_gamma=float(inv.get("sinhGamma", DEFAULTS["inversion.sinh_gamma"])),
-            sinh_target_tol=float(inv.get("sinhTargetTol",
-                                          DEFAULTS["inversion.sinh_target_tol"])),
-        )
+        plan = _settings(doc, "inversion")
         if plan.backend == "sinh":
-            plan.materialize(maturity)  # a contour that cannot be built fails here
+            sinh_plan(maturity, plan)  # a contour that cannot be built fails here
+    except ConfigError:
+        raise
     except (RsBarrierError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid inversion plan: {exc}") from exc
-    mc_doc = doc.get("mc", {})
-    mc = McConfig(
-        paths=_whole(mc_doc.get("paths", DEFAULTS["mc.paths"]), "mc.paths"),
-        dt=float(mc_doc.get("dt", DEFAULTS["mc.dt"])),
-        seed=_whole(doc.get("seed", DEFAULTS["seed"]), "seed"),
-        bridge=_flag(mc_doc.get("bridge", DEFAULTS["mc.bridge"]), "mc.bridge"),
-        antithetic=_flag(mc_doc.get("antithetic", DEFAULTS["mc.antithetic"]),
-                         "mc.antithetic"),
-    )
+    seed = {"seed": _whole(doc["seed"], "seed")} if "seed" in doc else {}
+    mc = _settings(doc, "mc", **seed)
     mc.validate(maturity)
     threads = doc.get("threads")
-    return ProblemConfig(problem=problem, grid=grid, tolerances=tol,
+    return ProblemConfig(problem=problem, grid=grid, tolerances=tolerances,
                          inversion=plan, mc=mc,
                          threads=None if threads is None
                          else _at_least_one(_whole(threads, "threads"), "threads"))

@@ -28,19 +28,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ContractionFailureError,
     DivergenceError,
     ResourceLimitError,
     SpectralParameterError,
 )
-from .grids import DualGrid, Region, SampledFunction, build_grid, indicator_soft
+from .grids import DualGrid, Region, SampledFunction, indicator_soft
 from .histories import HistoryIndex, MemoryChain
 from .models import LevyModel
 from .epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below
 from .wiener_hopf import factorize
 
 __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",
-           "QPricer", "solve_v0", "check_working_set", "working_set_bytes",
+           "Tolerances", "QPricer", "solve_v0", "check_working_set", "working_set_bytes",
            "MAX_WORKING_BYTES"]
 
 MAX_WORKING_BYTES = 4 * 2**30
@@ -241,28 +242,37 @@ class Workspace:
                    chain.rates.astype(dtype))
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """Stopping rules: a sweep's step (``inner``) and a series term (``outer``)
+    relative to max|G|/|q|, and the most sweeps and terms allowed."""
+
+    inner: float = 1e-10
+    outer: float = 1e-8
+    max_outer: int = 200
+    max_sweeps: int = 500
+
+    def __post_init__(self):
+        if self.inner <= 0 or self.outer <= 0:
+            raise ConfigError("tolerances must be > 0")
+        if self.max_outer < 1 or self.max_sweeps < 1:
+            raise ConfigError("maxOuter and maxSweeps must be >= 1")
+
+
 class QPricer:
     """Assembles Vt(q, .) over all histories for spectral values q."""
 
-    def __init__(self, problem: BarrierProblem, grid: DualGrid | None = None,
-                 m_power: int = 14, domain_factor: float = 10.0,
-                 tol_inner: float = 1e-10, tol_outer: float = 1e-8,
-                 max_outer: int = 200, max_sweeps: int = 500):
+    def __init__(self, problem: BarrierProblem, grid: DualGrid,
+                 tolerances: Tolerances = Tolerances()):
         self.problem = problem
-        models = [r.model for r in problem.regimes]
-        self.grid = grid if grid is not None else build_grid(
-            problem.lower, problem.upper, m_power=m_power,
-            domain_factor=domain_factor, models=models)
+        self.grid = grid
         band = problem.upper - problem.lower
         if (abs(self.grid.lower - problem.lower) > 1e-12 * band
                 or abs(self.grid.upper - problem.upper) > 1e-12 * band):
             raise ValueError("grid barriers do not match the problem")
         # real samples need the least; price_field checks its own q's dtype
         check_working_set(problem.chain.size, self.grid.size, np.float64)
-        self.tol_inner = tol_inner
-        self.tol_outer = tol_outer
-        self.max_outer = max_outer
-        self.max_sweeps = max_sweeps
+        self.tolerances = tolerances
         self._factor_cache: dict = {}
 
     # -- factorizations, one per regime head, at Q(s; q) -----------------
@@ -342,7 +352,7 @@ class QPricer:
         for _, rows, plan, _ in groups:
             boundary.assign(rows, first_touch(plan, boundary_data.select(rows)))
 
-        scale = self._scale(q)
+        tol = self.tolerances.inner * self._scale(q)
         real_path = (complex(q).imag == 0.0
                      and np.all(self.problem.payoffs >= 0.0))
         # sweep 1; with lambda0 = 0 every later sweep would couple nothing
@@ -351,7 +361,7 @@ class QPricer:
         if real_path:
             worst = float(np.min(boundary.full().real[..., grid.monotone_nodes]))
             stats.monotone_undershoot = min(stats.monotone_undershoot, worst)
-        if chain.lambda0 == 0.0 or diff <= self.tol_inner * scale:
+        if chain.lambda0 == 0.0 or diff <= tol:
             stats.inner_sweeps.append(1)
             return boundary
         cur = SampledFunction(grid, boundary.values.copy(), boundary.c_lo, boundary.c_hi)
@@ -363,7 +373,7 @@ class QPricer:
                    None if work.half is None else work.half[rows])
                   for s, rows, plan, inner_plan in groups]
         prev_diff, rising, sweep = diff, 0, 1
-        for sweep in range(2, self.max_sweeps + 1):
+        for sweep in range(2, self.tolerances.max_sweeps + 1):
             for rows, plan, inner_plan, inv_q, old, bnd, moved, out, half in blocks:
                 new = self._coupling(cur, rows, work)
                 new = apply_epv(inner_plan, new, out=out, scratch=half)
@@ -398,7 +408,7 @@ class QPricer:
                         f"(empirical rate {ratio:.3f}, bound {bound:.3f})",
                         empirical_rate=ratio, bound=bound)
             prev_diff = diff
-            if diff <= self.tol_inner * scale:
+            if diff <= tol:
                 break
         stats.inner_sweeps.append(sweep)
         return cur
@@ -414,10 +424,10 @@ class QPricer:
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)
         total = SampledFunction.constant(grid, v0)
-        scale = self._scale(q)
+        tol, max_outer = self.tolerances.outer * self._scale(q), self.tolerances.max_outer
         rising = 0
         prev_norm = None
-        for ell in range(1, self.max_outer + 1):
+        for ell in range(1, max_outer + 1):
             v_plus, minus_prev = self._inner_iteration(
                 "plus", minus_prev, q, stats, plans, work), None
             v_minus, plus_prev = self._inner_iteration(
@@ -427,7 +437,7 @@ class QPricer:
             norm = term.sup_norm((work.gather, work.real))
             stats.outer_terms.append(norm)
             total = total.add(term.scale((-1.0) ** ell, out=term.values), out=total.values)
-            if norm <= self.tol_outer * scale:
+            if norm <= tol:
                 return total
             if prev_norm is not None and norm >= prev_norm:
                 rising += 1
@@ -439,7 +449,7 @@ class QPricer:
             prev_norm = norm
             minus_prev, plus_prev = v_minus, v_plus
         raise DivergenceError(f"outer series needs more than "
-                              f"{self.max_outer} terms at q={q}")
+                              f"{max_outer} terms at q={q}")
 
     def price_field(self, q) -> ValueField:
         problem, chain, grid = self.problem, self.problem.chain, self.grid

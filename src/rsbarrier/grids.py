@@ -23,9 +23,11 @@ import sys
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import analyticity_strip
 
 __all__ = [
+    "GridConfig",
     "DualGrid",
     "SampledFunction",
     "Region",
@@ -84,7 +86,7 @@ class DualGrid:
     omega_plus: float
     omega_minus: float
     guard: int
-    decay_tol: float = 1e-6
+    decay_tol: float
     _half_lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     split_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -235,25 +237,47 @@ class DualGrid:
         return w
 
 
-def build_grid(lower: float, upper: float, m_power: int = 14,
-               domain_factor: float = 10.0, models=(), damping_scale: float = 0.25,
-               damping_cap: float = 1.0, decay_tol: float = 1e-6) -> DualGrid:
+@dataclass(frozen=True)
+class GridConfig:
+    """The settings ``build_grid`` reads, and the decay tolerance that each
+    operator application checks its output against."""
+
+    m_power: int = 14
+    domain_factor: float = 10.0
+    damping_scale: float = 0.25
+    damping_cap: float = 1.0
+    decay_tol: float = 1e-6
+
+    def __post_init__(self):
+        if not self.domain_factor > 0:
+            raise ConfigError("domainFactor must be > 0")
+        if not (self.damping_scale > 0 and self.damping_cap > 0):
+            raise ConfigError("dampingScale and dampingCap must be > 0")
+        if not 0 < self.decay_tol < 1:
+            raise ConfigError("decayTol must lie in (0, 1)")
+
+
+def build_grid(lower: float, upper: float, models, settings: GridConfig) -> DualGrid:
     """Place both barriers on grid nodes and size the domain around them.
 
     The domain spans ``domain_factor`` band-widths on each side of the band;
     dx is chosen so (upper - lower)/dx is an integer, hence zero snap
-    distance.  Damping defaults to -min(cap, scale*|strip edge|) on the plus
-    side (mirrored on the minus side), taken over all supplied models.
+    distance, and the band holds the 4 strictly interior nodes that
+    ``engine.interpolate_field`` reads.  Damping is -min(cap, scale*|strip
+    edge|) on the plus side (mirrored on the minus side), over all models.
     """
     if not upper > lower:
         raise ValueError("need lower < upper")
-    size = 2**m_power
+    size = 2**settings.m_power
     band = upper - lower
-    width = (1.0 + 2.0 * domain_factor) * band
+    width = (1.0 + 2.0 * settings.domain_factor) * band
     dx_target = width / size
-    n_band = max(int(round(band / dx_target)), 2)
+    n_band = int(round(band / dx_target))
+    if n_band < 5:
+        raise ValueError(f"the band spans {n_band} cells, too few for the 4 interior nodes "
+                         f"the spot's interpolation reads; raise mPower or lower domainFactor")
     dx = band / n_band
-    k_lo = int(round(domain_factor * band / dx))
+    k_lo = int(round(settings.domain_factor * band / dx))
     x_min = lower - k_lo * dx
     lower_index = k_lo
     upper_index = k_lo + n_band
@@ -268,8 +292,8 @@ def build_grid(lower: float, upper: float, m_power: int = 14,
         lo, hi = analyticity_strip(model)
         edge_lo = min(edge_lo, abs(lo))
         edge_hi = min(edge_hi, abs(hi))
-    omega_plus = -min(damping_cap, damping_scale * edge_lo)
-    omega_minus = min(damping_cap, damping_scale * edge_hi)
+    omega_plus = -min(settings.damping_cap, settings.damping_scale * edge_lo)
+    omega_minus = min(settings.damping_cap, settings.damping_scale * edge_hi)
     # damping scales by exp(+-omega*x), and window_mask squares distances of
     # up to a few times the reach in roll-off widths: over an absurdly wide
     # domain either would overflow
@@ -283,7 +307,7 @@ def build_grid(lower: float, upper: float, m_power: int = 14,
     return DualGrid(x_min=x_min, dx=dx, size=size, lower_index=lower_index,
                     upper_index=upper_index, ref_index=ref_index,
                     omega_plus=omega_plus, omega_minus=omega_minus,
-                    guard=guard, decay_tol=decay_tol)
+                    guard=guard, decay_tol=settings.decay_tol)
 
 
 @dataclass

@@ -186,21 +186,20 @@ class MemoryChain:
         """Materialize the dense table from (s, history-prefix) -> rate rules.
 
         A rule history shorter than N+1 matches every history extending it;
-        the most specific (longest) match wins.
+        the most specific (longest) match wins.  A rule that matches no
+        (history, target) pair, one longer than N+1 included, is a ValueError.
         """
         histories = enumerate_histories(m, n_memory)
         table = np.full((len(histories), max(m - 1, 0)), float(default))
-        parsed = []
-        for rule in rules:
-            s = int(rule["s"])
-            hist = tuple(int(v) for v in rule["history"])
-            if len(hist) > n_memory + 1:
-                raise ValueError(f"rule history longer than N+1: {hist}")
-            parsed.append((s, hist, float(rule["rate"])))
-        parsed.sort(key=lambda r: len(r[1]))  # longer (more specific) last
+        parsed = sorted(((int(r["s"]), tuple(int(v) for v in r["history"]), float(r["rate"]))
+                         for r in rules), key=lambda r: len(r[1]))  # longer last
         for s, hist, rate in parsed:
-            for i, h in enumerate(histories):
-                if h.labels[: len(hist)] == hist and s != h.head:
-                    table[i, _targets(m, h.head).index(s)] = rate
+            rows = [i for i, h in enumerate(histories)
+                    if h.labels[: len(hist)] == hist and s != h.head]
+            if not (rows and 1 <= s <= m):
+                raise ValueError(f"the rule for s={s}, history {list(hist)} matches "
+                                 f"no (history, target) pair")
+            for i in rows:
+                table[i, _targets(m, histories[i].head).index(s)] = rate
         return cls(m, n_memory, table, lambda0)
 

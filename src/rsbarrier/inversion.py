@@ -169,21 +169,23 @@ class SinhPlan:
                 raise PlanError("node outside the sector Sigma_gamma + sigma0")
 
 
-def sinh_plan(tau: float, n_nodes: int = 64, sigma0: float | None = None,
-              gamma: float = 0.75 * math.pi, target_tol: float = 1e-10) -> SinhPlan:
+def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
     """Balance truncation, discretization and roundoff for the target tolerance.
 
     The tilt omega sits mid-margin; shifting the contour up by v keeps it
     clear of singularities on the negative real axis only while
     sin(omega+v) <= sin(omega)/apex_fraction, so the balanced apex fraction
     is 1/(2 cos omega), used here with a 5% margin, giving a y-strip of
-    half-width d = omega on both sides.  The step follows from equating exp(-2*pi*d/step) with the
-    target; the scale b is capped so the contour apex
-    sigma0*(1 - apex_fraction) stays right of the origin, which forces
+    half-width d = omega on both sides.  The step follows from equating
+    exp(-2*pi*d/step) with the target; the scale b is capped so the contour
+    apex sigma0*(1 - apex_fraction) stays right of the origin, which forces
     sigma0 up when the node budget is generous.  exp(sigma0*tau) amplifies
     roundoff, so the requested depth is relaxed until all three error
-    sources fit.
+    sources fit.  ``settings`` gives the ``sinh_*`` fields; sigma0 None is
+    chosen here.
     """
+    n_nodes, sigma0 = settings.sinh_nodes, settings.sinh_sigma0
+    gamma, target_tol = settings.sinh_gamma, settings.sinh_target_tol
     if tau <= 0.0:
         raise PlanError("tau must be > 0")
     if not 0.0 < target_tol < 1.0:
@@ -283,7 +285,8 @@ def sinh_invert(transform, tau: float, plan: SinhPlan) -> SinhResult:
 
 @dataclass(frozen=True)
 class InversionPlan:
-    """Back-end selection plus its parameters."""
+    """Back-end selection plus its parameters; ``sinh_plan`` reads the
+    ``sinh_*`` ones."""
 
     backend: str = "gwr"  # "gwr" | "sinh"
     n_gaver: int = 8
@@ -297,8 +300,4 @@ class InversionPlan:
             raise PlanError(f"unknown inversion backend {self.backend!r}")
         if self.backend == "gwr":
             _check_n_gaver(self.n_gaver)
-
-    def materialize(self, tau: float) -> SinhPlan:
-        return sinh_plan(tau, n_nodes=self.sinh_nodes, sigma0=self.sinh_sigma0,
-                         gamma=self.sinh_gamma, target_tol=self.sinh_target_tol)
 

@@ -32,9 +32,9 @@ _BRIDGE_REACH = 20.0
 
 @dataclass(frozen=True)
 class McConfig:
-    paths: int
-    dt: float
-    seed: int
+    paths: int = 100_000
+    dt: float = 1e-3
+    seed: int = 20260809
     bridge: bool = True
     antithetic: bool = False
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from rsbarrier.cli import price_histories
-from rsbarrier.engine import BarrierProblem, QPricer, RegimeSpec
-from rsbarrier.grids import build_grid
+from rsbarrier.engine import BarrierProblem, RegimeSpec
 from rsbarrier.histories import HistoryIndex, MemoryChain, enumerate_histories
-from rsbarrier.inversion import InversionPlan, gwr_invert, gwr_nodes, sinh_invert, sinh_plan
+from rsbarrier.inversion import InversionPlan, gwr_invert, gwr_nodes, sinh_invert
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.montecarlo import McConfig, brownian_band_series, simulate_price
 from rsbarrier.wiener_hopf import factorize_integral, factorize_rational
+
+import builders as build
 
 BM1 = BrownianDrift(mu=0.0, sigma2=1.0)
 KOU_A = KouJumpDiffusion(mu=0.03, sigma2=0.02, lambda_j=2.0, p=0.4,
@@ -30,9 +31,9 @@ QS = [0.5, 1.0, 10.0, 3 + 4j]
 GWR = InversionPlan()  # n_gaver = 8
 
 
-def gwr_prices(problem, **pricer_args):
+def gwr_prices(problem, **settings):
     """Every history's GWR price through the pricing driver, by history code."""
-    return price_histories(QPricer(problem, **pricer_args), GWR)[0]
+    return price_histories(build.pricer(problem, **settings), GWR)[0]
 
 
 def _report(name, ok, detail):
@@ -44,7 +45,7 @@ def _report(name, ok, detail):
 
 def test_criterion_1_product_identity():
     start = time.perf_counter()
-    grid = build_grid(-1.0, 1.0, m_power=12, models=[BM1, KOU_A, KOU_B, KOBOL])
+    grid = build.grid(-1.0, 1.0, [BM1, KOU_A, KOU_B, KOBOL], m_power=12)
     worst_rational = 0.0
     for model in (BM1, KOU_A, KOU_B):
         for q in QS:
@@ -138,8 +139,7 @@ def reduction_prices():
             # tight tolerances: the rho table amplifies truncation-level
             # differences between runs by several orders; code 0 is the
             # head-1 history in canonical order
-            prices[n_mem] = gwr_prices(prob, m_power=12, tol_inner=1e-13,
-                                       tol_outer=1e-12)[0]
+            prices[n_mem] = gwr_prices(prob, m_power=12, inner=1e-13, outer=1e-12)[0]
         return prices
 
     start = time.perf_counter()
@@ -178,7 +178,7 @@ def test_criterion_5_contraction_monotonicity():
     worst_margin = -math.inf
     terms_ok = True
     for prob, qs in instances:
-        pricer = QPricer(prob, m_power=12)
+        pricer = build.pricer(prob, m_power=12)
         for q in qs:
             field = pricer.price_field(q)
             stats = field.stats
@@ -208,15 +208,15 @@ def test_criterion_6_inversion_suite(brownian_pipeline):
     q = gwr_nodes(0.7, 8)
     e3 = abs(gwr_invert(1.0 / q, 0.7, 8).value - 1.0)
     s1 = abs(sinh_invert(lambda z: 1.0 / (z + 1.0), 1.0,
-                         sinh_plan(1.0, 64)).value - math.exp(-1.0))
+                         build.sinh(1.0, sinh_nodes=64)).value - math.exp(-1.0))
     s2 = abs(sinh_invert(lambda z: 1.0 / z**2, 2.0,
-                         sinh_plan(2.0, 64)).value - 2.0)
+                         build.sinh(2.0, sinh_nodes=64)).value - 2.0)
     s3 = abs(sinh_invert(lambda z: 1.0 / z, 1.5,
-                         sinh_plan(1.5, 64)).value - 1.0)
+                         build.sinh(1.5, sinh_nodes=64)).value - 1.0)
 
     # back-end agreement on a Brownian instance (GWR is the bottleneck)
     prob = brownian_pipeline["problem"]
-    pricer = QPricer(prob, m_power=12)
+    pricer = build.pricer(prob, m_power=12)
     gwr_price = price_histories(pricer, GWR)[0][0]
     sinh = InversionPlan(backend="sinh", sinh_nodes=24, sinh_target_tol=1e-7)
     sinh_price = price_histories(pricer, sinh)[0][0]
@@ -237,7 +237,7 @@ def test_criterion_7_degenerate_chain():
     chain = MemoryChain.from_constant(2, 0, 0.0)
     prob = BarrierProblem(regimes=regimes, chain=chain, lower=-0.3, upper=0.3,
                           spot=0.0, maturity=0.5, initial_history=HistoryIndex((1,)))
-    tight = dict(m_power=13, tol_inner=1e-13, tol_outer=1e-12)
+    tight = dict(m_power=13, inner=1e-13, outer=1e-12)
     multi = gwr_prices(prob, **tight)
     worst = 0.0
     for i, spec in enumerate(regimes):

@@ -78,6 +78,16 @@ def test_config_validation_errors():
     doc["tolerances"] = {"outer": -1.0}
     with pytest.raises(ConfigError):
         parse_config(doc)
+    # a rate rule that matches no (history, target) pair on m = 3, N = 1: a
+    # history with a repeated label, a switch into the head, a label above m
+    doc = copy.deepcopy(TWO_REGIME_DOC)
+    doc["regimes"].append(copy.deepcopy(doc["regimes"][1]))
+    doc["chain"]["m"] = 3
+    for rule in ({"s": 2, "history": [1, 1]}, {"s": 1, "history": [1]},
+                 {"s": 2, "history": [4]}):
+        doc["chain"]["rates"] = {"default": 0.5, "rules": [dict(rule, rate=0.9)]}
+        with pytest.raises(ConfigError, match="matches no"):
+            parse_config(doc)
 
 
 # every number parse_config reads into the problem, as a path into the document
@@ -215,6 +225,9 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
                        ("dampingScale", -0.25), ("decayTol", 0.0), ("decayTol", -1e-6),
                        ("decayTol", 2.0))
     if (config, key, value) != ("brownian_band", "dampingScale", -0.25)
+] + [
+    # a band of 2 or 3 cells, too few for the spot's interpolation stencil
+    ("brownian_band", "mPower", 5), ("brownian_band", "mPower", 6),
 ], ids=lambda v: v if isinstance(v, str) else repr(v))
 def test_bad_grid_setting_is_config_error(tmp_path, capsys, config, key, value):
     doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
@@ -222,7 +235,49 @@ def test_bad_grid_setting_is_config_error(tmp_path, capsys, config, key, value):
     rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
     err = capsys.readouterr().err.splitlines()
     assert (rc, out) == (2, "")
-    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0], err
+
+
+def test_smallest_band_grid_prices():
+    # mPower 7 puts 6 cells in brownian_band's band, the fewest that
+    # mPower can give with 4 strictly interior nodes
+    doc = json.loads((ROOT / "configs" / "brownian_band.json").read_text())
+    doc["grid"]["mPower"] = 7
+    doc["threads"] = 1
+    rows, _ = run_price(parse_config(doc))
+    truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 1.0)
+    assert abs(rows[0]["price"] - truth) < 0.02
+
+
+# a key the parser does not read, misspelt or misplaced, in each object of
+# the document: one config error line that names the key's path, and exit 2
+@pytest.mark.parametrize("doc_name, where", [
+    ("kou_memory", "grid.mpower"), ("kou_memory", "tolerances.Inner"),
+    ("kou_memory", "inversion.backEnd"), ("kou_memory", "mc.Paths"),
+    ("kou_memory", "thread"), ("kou_memory", "X0"),
+    ("kou_memory", "chain.lambda_0"), ("kou_memory", "chain.rates.default"),
+    ("kou_memory", "regimes[1].rate"), ("kou_memory", "regimes[0].model.nu"),
+    ("kou_memory", "barriers.Upper"), ("two_regime", "chain.rates.rule"),
+    ("two_regime", "chain.rates.rules[0].target"),
+    ("two_regime", "regimes[1].model.lambdaJ"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, doc_name, where):
+    if doc_name == "kou_memory":
+        doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
+    else:
+        doc = copy.deepcopy(TWO_REGIME_DOC)
+    path = []
+    for part in where.split("."):
+        name, _, index = part.partition("[")
+        path += [name] + ([int(index[:-1])] if index else [])
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = 1
+    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith(f"config error: unknown key {where};"), err
 
 
 # a thread count must be a whole number >= 1, whether the document, the
@@ -292,6 +347,8 @@ def test_factors_cli(tmp_path):
     ("convergence", "--param", "nGaver", "--values", "abc"),
     ("convergence", "--param", "mPower", "--values", "12.5"),
     ("convergence", "--param", "tolOuter", "--values", "1e-8,abc"),
+    ("convergence", "--param", "mPower", "--values", ""),
+    ("convergence", "--param", "nGaver", "--values", ",,"),
 ], ids=" ".join)
 def test_bad_command_argument_is_config_error(tmp_path, capsys, argv):
     rc, out = _run_cli(tmp_path, TWO_REGIME_DOC, *argv)

@@ -20,6 +20,8 @@ from rsbarrier.histories import HistoryIndex, MemoryChain, enumerate_histories
 from rsbarrier.inversion import gwr_nodes
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 
+import builders as build
+
 BM = BrownianDrift(mu=0.0, sigma2=1.0)
 KOU1 = KouJumpDiffusion(mu=0.03, sigma2=0.02, lambda_j=2.0, p=0.4,
                         alpha_plus=15.0, alpha_minus=10.0)
@@ -32,7 +34,7 @@ def single_brownian(m_power=13):
     prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 1.0),), chain=chain,
                           lower=-1.0, upper=1.0, spot=0.0, maturity=1.0,
                           initial_history=HistoryIndex((1,)))
-    return QPricer(prob, m_power=m_power)
+    return build.pricer(prob, m_power=m_power)
 
 
 def at_spot(pricer, q):
@@ -176,14 +178,14 @@ def test_first_sweep_transforms_nothing(monkeypatch):
         assert rows_of[s] == slice(start, start + len(values))
 
 
-def kou_chain_pricer(m_power=12):
+def kou_chain_pricer(**tolerances):
     # two Kou regimes with one step of memory; lambda0 > 0, so sweeps couple
     chain = MemoryChain(2, 1, np.array([[0.8], [1.6]]))
     prob = BarrierProblem(
         regimes=(RegimeSpec(KOU1, 0.02, 1.0), RegimeSpec(KOU2, 0.05, 1.0)),
         chain=chain, lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
         initial_history=HistoryIndex((1, 2)))
-    return QPricer(prob, m_power=m_power)
+    return build.pricer(prob, m_power=12, **tolerances)
 
 
 def test_kou_chain_transform_bits_are_pinned():
@@ -202,11 +204,10 @@ def test_kou_chain_transform_bits_are_pinned():
 
 @pytest.mark.parametrize("q", [2.0, 3.0 + 2.0j], ids=["real", "complex"])
 def test_default_tolerance_meets_the_fixed_point(q):
-    # the sweeps stop at tol_inner = 1e-10 of the scale; solved to 1e-14,
+    # the sweeps stop at the inner tolerance, 1e-10 of the scale; solved to 1e-14,
     # the coupled Kou chain's transform moves by less than 1e-10
     default = at_spot(kou_chain_pricer(), q)
-    tight = kou_chain_pricer()
-    tight.tol_inner = 1e-14
+    tight = kou_chain_pricer(inner=1e-14)
     assert np.max(np.abs(default - at_spot(tight, q))) <= 1e-10
 
 
@@ -224,7 +225,7 @@ def test_zero_payoff_gives_zero():
     prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 0.0),), chain=chain,
                           lower=-1.0, upper=1.0, spot=0.0, maturity=1.0,
                           initial_history=HistoryIndex((1,)))
-    field = QPricer(prob, m_power=12).price_field(1.0)
+    field = build.pricer(prob, m_power=12).price_field(1.0)
     assert np.allclose(field.v0, 0.0)
     assert field.functions.sup_norm() == pytest.approx(0.0, abs=1e-14)
 
@@ -234,7 +235,7 @@ def test_far_barriers_reduce_to_v0():
     prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 1.0),), chain=chain,
                           lower=-10.0, upper=10.0, spot=0.0, maturity=1.0,
                           initial_history=HistoryIndex((1,)))
-    pricer = QPricer(prob, m_power=13)
+    pricer = build.pricer(prob, m_power=13)
     field = pricer.price_field(1.0)
     # the correction is barrier-local; already negligible at the spot by ell=2
     assert field.stats.outer_terms[1] < 1e-5
@@ -268,7 +269,7 @@ def kou_memory_field():
         regimes=(RegimeSpec(KOU1, 0.02, 1.0), RegimeSpec(KOU2, 0.05, 1.0)),
         chain=chain, lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
         initial_history=HistoryIndex((1, 2)))
-    pricer = QPricer(prob, m_power=13)
+    pricer = build.pricer(prob, m_power=13)
     q = 2.0 * math.log(2.0) / 0.5
     return chain, prob, pricer.price_field(q), q
 
@@ -302,7 +303,7 @@ def test_memory_collapse_invariance():
         init = next(h for h in enumerate_histories(3, n_mem) if h.head == 1)
         prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
                               spot=0.2, maturity=1.0, initial_history=init)
-        v = QPricer(prob, m_power=12).price_field(1.5).at(0.2)
+        v = build.pricer(prob, m_power=12).price_field(1.5).at(0.2)
         heads = chain.heads()
         assert max(np.ptp(v[heads == s].real) for s in (1, 2, 3)) < 1e-10
         values[n_mem] = np.array([v[heads == s][0].real for s in (1, 2, 3)])
@@ -324,7 +325,7 @@ def test_sweeps_keep_lumpable_copies_bit_identical(q):
         init = next(h for h in enumerate_histories(3, n_mem) if h.head == 1)
         prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
                               spot=0.2, maturity=1.0, initial_history=init)
-        field = QPricer(prob, m_power=10).price_field(q)
+        field = build.pricer(prob, m_power=10).price_field(q)
         full, at = field.functions.full(), field.at(0.2)
         if base is None:
             base = full, at
@@ -338,12 +339,12 @@ def test_degenerate_chain_matches_single_regime_runs():
     chain = MemoryChain.from_constant(2, 0, 0.0)
     prob = BarrierProblem(regimes=regimes, chain=chain, lower=-0.3, upper=0.3,
                           spot=0.0, maturity=0.5, initial_history=HistoryIndex((1,)))
-    multi = QPricer(prob, m_power=12).price_field(3.0).at(0.0)
+    multi = build.pricer(prob, m_power=12).price_field(3.0).at(0.0)
     for i, spec in enumerate(regimes):
         solo_prob = BarrierProblem(regimes=(spec,), chain=MemoryChain.from_constant(1, 0, 0.0),
                                    lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
                                    initial_history=HistoryIndex((1,)))
-        solo = QPricer(solo_prob, m_power=12).price_field(3.0).at(0.0)[0]
+        solo = build.pricer(solo_prob, m_power=12).price_field(3.0).at(0.0)[0]
         assert abs(multi[i] - solo) < 1e-9
 
 
@@ -355,7 +356,7 @@ def test_band_nesting_monotone():
         prob = BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 1.0),), chain=chain,
                               lower=-half, upper=half, spot=0.0, maturity=1.0,
                               initial_history=HistoryIndex((1,)))
-        values.append(QPricer(prob, m_power=12).price_field(1.0).at(0.0)[0].real)
+        values.append(build.pricer(prob, m_power=12).price_field(1.0).at(0.0)[0].real)
     assert values[0] < values[1] < values[2]
 
 
@@ -406,7 +407,7 @@ def test_working_set_follows_the_samples_dtype():
                           chain=MemoryChain.from_constant(5, 0, 0.0),
                           lower=-1.0, upper=1.0, spot=0.0, maturity=1.0,
                           initial_history=HistoryIndex((1,)))
-    pricer = QPricer(prob, m_power=22)
+    pricer = build.pricer(prob, m_power=22)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
@@ -424,7 +425,7 @@ def depth_chain_pricer():
                     for s, r in ((0.5, 0.0), (1.0, 0.01), (2.0, 0.02)))
     prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
                           spot=0.2, maturity=1.0, initial_history=HistoryIndex((1, 2, 1, 2)))
-    return chain, QPricer(prob, m_power=12)
+    return chain, build.pricer(prob, m_power=12)
 
 
 def test_sweep_working_set_within_live_array_estimate():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rsbarrier.errors import GridResolutionError
-from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
+from rsbarrier.grids import Region, SampledFunction, indicator_soft
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.epv import (
     DECAY_PROBE_STRIDE,
@@ -15,6 +15,7 @@ from rsbarrier.epv import (
 )
 from rsbarrier.wiener_hopf import factorize, factorize_rational
 
+import builders as build
 from oracles import complex_multiplier, core_region, undamped_multiplier
 
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
@@ -29,13 +30,13 @@ def plan(f, side):
 
 @pytest.fixture(scope="module")
 def setup():
-    grid = build_grid(-1.0, 1.0, m_power=14, models=[BM2])
+    grid = build.grid(-1.0, 1.0, m_power=14, models=[BM2])
     return grid, factorize_rational(BM2, 1.0, grid)
 
 
 @pytest.fixture(scope="module")
 def kou_setup():
-    grid = build_grid(-1.0, 1.0, m_power=13, models=[KOU])
+    grid = build.grid(-1.0, 1.0, m_power=13, models=[KOU])
     return grid, factorize_rational(KOU, 1.3, grid)
 
 
@@ -273,7 +274,7 @@ def test_undamp_multiply_equals_divide(kou_setup, side):
 def real_q(request):
     # the band and grid size of configs/kobol_single.json, at a real Q
     model = {"brownian": BM2, "kou": KOU, "kobol": KOBOL}[request.param]
-    grid = build_grid(-0.5, 0.5, m_power=13, models=[model])
+    grid = build.grid(-0.5, 0.5, m_power=13, models=[model])
     return grid, factorize(model, 1.3, grid)
 
 

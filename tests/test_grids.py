@@ -5,18 +5,18 @@ from hypothesis import given, strategies as st
 from rsbarrier.grids import (
     Region,
     SampledFunction,
-    build_grid,
     indicator_soft,
 )
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 
+import builders as build
 from oracles import full_by_masks, sup_norm_by_masks
 
 BM = BrownianDrift(mu=0.0, sigma2=1.0)
 
 
 def small_grid(m_power=10):
-    return build_grid(-1.0, 1.0, m_power=m_power, models=[BM])
+    return build.grid(-1.0, 1.0, m_power=m_power, models=[BM])
 
 
 def test_barriers_on_nodes_and_conjugacy():
@@ -37,7 +37,7 @@ def test_domain_extent():
 def test_damping_inside_strips():
     kou = KouJumpDiffusion(mu=0.0, sigma2=0.1, lambda_j=1.0, p=0.5,
                            alpha_plus=3.0, alpha_minus=2.0)
-    g = build_grid(-1.0, 1.0, m_power=10, models=[kou])
+    g = build.grid(-1.0, 1.0, m_power=10, models=[kou])
     assert -3.0 < g.omega_plus < 0.0 < g.omega_minus < 2.0
     assert g.omega_plus == pytest.approx(-0.75)
     assert g.omega_minus == pytest.approx(0.5)

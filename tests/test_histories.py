@@ -105,6 +105,12 @@ def test_rate_lookup_and_shift_codes():
     assert chain.rates[i, 0] == pytest.approx(1.25)
     assert chain.rates[i, 1] == pytest.approx(0.5)
     assert chain.codes_after_shift[i, 0] == encode(3, shift(h, 2))
+    # a rule that matches no (history, target) pair is refused, not dropped:
+    # no history repeats a label, none switches into its head, and m = 3
+    for rule in ({"s": 2, "history": [1, 1]}, {"s": 1, "history": [1]},
+                 {"s": 2, "history": [4]}):
+        with pytest.raises(ValueError, match="matches no"):
+            MemoryChain.from_rules(3, 1, default=0.5, rules=[dict(rule, rate=1.25)])
 
 
 def test_rules_prefix_matching():

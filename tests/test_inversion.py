@@ -14,8 +14,9 @@ from rsbarrier.inversion import (
     sinh_evaluated,
     sinh_invert,
     sinh_nodes,
-    sinh_plan,
 )
+
+import builders as build
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -85,20 +86,20 @@ def test_gwr_polynomial_extrapolation(coeffs, tau):
 
 
 def test_sinh_known_pairs_default_nodes():
-    plan = sinh_plan(1.0, n_nodes=64)
+    plan = build.sinh(1.0, sinh_nodes=64)
     res = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, plan)
     assert abs(res.value - E_INV) < 1e-10
 
-    plan = sinh_plan(1.5, n_nodes=64)
+    plan = build.sinh(1.5, sinh_nodes=64)
     assert abs(sinh_invert(lambda q: 1.0 / q, 1.5, plan).value - 1.0) < 1e-10
 
-    plan = sinh_plan(2.0, n_nodes=64)
+    plan = build.sinh(2.0, sinh_nodes=64)
     assert abs(sinh_invert(lambda q: 1.0 / q**2, 2.0, plan).value - 2.0) < 1e-10
 
 
 def test_sinh_forty_evaluations():
     # 40 evaluator calls via conjugate symmetry (80 symmetric nodes)
-    plan = sinh_plan(1.0, n_nodes=80)
+    plan = build.sinh(1.0, sinh_nodes=80)
     res = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, plan)
     assert res.n_evaluations == 40
     assert abs(res.value - E_INV) < 1e-10
@@ -109,7 +110,7 @@ def test_sinh_samples_invert_as_the_evaluator_does(n_nodes):
     # samples at the nodes sinh_evaluated selects give the evaluator's bits,
     # an odd count's real-axis middle node included; a sample count other
     # than theirs is refused
-    plan = sinh_plan(1.0, n_nodes=n_nodes)
+    plan = build.sinh(1.0, sinh_nodes=n_nodes)
     fn = lambda q: 1.0 / (q + 1.0)  # noqa: E731
     samples = [fn(q) for q in sinh_nodes(plan)[0][sinh_evaluated(plan)]]
     assert len(samples) == (n_nodes + 1) // 2
@@ -125,11 +126,11 @@ def test_sinh_rejects_shallow_sector():
     with pytest.raises(PlanError):
         SinhPlan(sigma0=2.0, gamma=math.pi / 2, omega=0.3, b=1.0, step=0.1, n_nodes=16)
     with pytest.raises(PlanError):
-        sinh_plan(1.0, gamma=0.4 * math.pi)
+        build.sinh(1.0, sinh_gamma=0.4 * math.pi)
 
 
 def test_sinh_node_symmetry_and_sector():
-    plan = sinh_plan(1.0, n_nodes=48)
+    plan = build.sinh(1.0, sinh_nodes=48)
     q, w = sinh_nodes(plan)
     assert np.allclose(q, np.conj(q[::-1]))
     assert np.all(np.abs(np.angle(q)) < plan.gamma)
@@ -142,7 +143,7 @@ def test_sinh_convergence_signature():
     # log error decreases ~linearly with the node count until the floor
     errs = []
     for n in (10, 16, 24, 32, 40, 48):
-        plan = sinh_plan(1.0, n_nodes=n, target_tol=1e-13)
+        plan = build.sinh(1.0, sinh_nodes=n, sinh_target_tol=1e-13)
         errs.append(abs(sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, plan).value - E_INV))
     logs = np.log(errs)
     assert np.all(np.diff(logs) < 0)
@@ -150,8 +151,8 @@ def test_sinh_convergence_signature():
 
 
 def test_sinh_doubling_stability():
-    v1 = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, sinh_plan(1.0, n_nodes=64)).value
-    v2 = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, sinh_plan(1.0, n_nodes=128)).value
+    v1 = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, build.sinh(1.0, sinh_nodes=64)).value
+    v2 = sinh_invert(lambda q: 1.0 / (q + 1.0), 1.0, build.sinh(1.0, sinh_nodes=128)).value
     assert abs(v1 - v2) < 1e-9
 
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from rsbarrier.errors import ResourceLimitError
-from rsbarrier.grids import Region, SampledFunction, build_grid, indicator_soft
+from rsbarrier.grids import Region, SampledFunction, indicator_soft
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 from rsbarrier.epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below
 from rsbarrier.wiener_hopf import factorize_rational
 
+import builders as build
 from kou_exact import ExactEpv, PiecewiseExp
 from oracles import core_region
 
@@ -25,7 +26,7 @@ def plan(factors, side):
 
 @pytest.fixture(scope="module")
 def brownian_exact():
-    grid = build_grid(-1.0, 1.0, m_power=10, models=[BM2])
+    grid = build.grid(-1.0, 1.0, m_power=10, models=[BM2])
     return ExactEpv(factorize_rational(BM2, 1.0, grid))
 
 
@@ -33,14 +34,14 @@ def brownian_exact():
 def kou_pair():
     # fine, narrow grid: the cross-check tolerance is dominated by the
     # (beta*dx)^2 mid-sampling bias of the grid back end
-    grid = build_grid(-1.0, 1.0, m_power=15, domain_factor=5.0, models=[KOU])
+    grid = build.grid(-1.0, 1.0, m_power=15, domain_factor=5.0, models=[KOU])
     factors = factorize_rational(KOU, 1.3, grid)
     return grid, factors, ExactEpv(factors)
 
 
 @pytest.fixture(scope="module")
 def kou_creep_pair():
-    grid = build_grid(-1.0, 1.0, m_power=15, domain_factor=5.0, models=[KOU_UP_CREEP])
+    grid = build.grid(-1.0, 1.0, m_power=15, domain_factor=5.0, models=[KOU_UP_CREEP])
     factors = factorize_rational(KOU_UP_CREEP, 1.3, grid)
     return grid, factors, ExactEpv(factors)
 

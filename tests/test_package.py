@@ -60,6 +60,31 @@ def test_every_imported_name_is_used():
     assert unused == {}
 
 
+# parameter names that stand for a setting held by GridConfig, Tolerances,
+# InversionPlan or McConfig
+SETTING_NAMES = {"m_power", "domain_factor", "damping_scale", "damping_cap", "decay_tol",
+                 "tol_inner", "tol_outer", "max_outer", "max_sweeps", "n_nodes", "n_gaver",
+                 "gamma", "target_tol", "sigma0", "bridge", "antithetic"}
+
+
+def test_settings_defaults_written_once():
+    # a setting's default lives on its dataclass field alone: no function of
+    # the package gives a parameter named after a setting a default of its own
+    found = []
+    for path, tree in module_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            found += [f"{path.name}:{node.lineno} {arg.arg}" for arg in defaulted
+                      if arg.arg in SETTING_NAMES]
+    assert found == []
+
+
 def module_trees():
     """(path, syntax tree) of every module of the package."""
     for path in sorted((ROOT / "src" / "rsbarrier").glob("*.py")):

@@ -6,7 +6,6 @@ import pytest
 
 from rsbarrier.epv import effective_omega
 from rsbarrier.errors import FactorizationDegenerateError
-from rsbarrier.grids import build_grid
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.wiener_hopf import (
     factorize,
@@ -14,6 +13,7 @@ from rsbarrier.wiener_hopf import (
     factorize_rational,
 )
 
+import builders as build
 from oracles import log_factor_cauchy_reference
 
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
@@ -26,7 +26,7 @@ KOBOL = KoBoL(nu=1.2, c=1.0, lambda_plus=8.0, lambda_minus=-4.0, mu=0.0)
 
 @pytest.fixture(scope="module")
 def grid():
-    return build_grid(-1.0, 1.0, m_power=12, models=[BM2, KOU, KOBOL])
+    return build.grid(-1.0, 1.0, m_power=12, models=[BM2, KOU, KOBOL])
 
 
 def test_brownian_roots_and_closed_form(grid):
@@ -114,12 +114,12 @@ def test_kept_split_arrays_do_not_change_symbols():
     # the grid keeps KoBoL's Q-free split arrays on its own three contours;
     # symbols read through them equal those of a fresh grid, bit for bit
     args = dict(lower=-1.0, upper=1.0, m_power=12, models=[KOBOL])
-    shared = build_grid(**args)
+    shared = build.grid(**args)
     kept = {(KOBOL, 0.0), (KOBOL, shared.omega_plus), (KOBOL, shared.omega_minus)}
     # Q = 1 has a decay-limited plus contour; 20 + 15i is a sinh-like node
     for Q in (1.0, 20.0 + 15.0j, 10.0):
         fac = factorize_integral(KOBOL, Q, shared)
-        fresh = factorize_integral(KOBOL, Q, build_grid(**args))
+        fresh = factorize_integral(KOBOL, Q, build.grid(**args))
         for side in ("plus", "minus"):
             _assert_symbols_equal(fac, fresh, effective_omega(fac, side))
         assert set(shared.split_arrays) <= kept
@@ -133,7 +133,7 @@ def test_kept_split_arrays_do_not_change_symbols():
 def test_kept_split_arrays_shared_by_threads():
     # more node threads than cores fill and read one grid's store at once
     args = dict(lower=-1.0, upper=1.0, m_power=10, models=[KOBOL])
-    shared = build_grid(**args)
+    shared = build.grid(**args)
     qs = [10.0, 20.0 + 15.0j, 20.0 - 15.0j, 5.0 + 2.0j, 8.0, 12.0 + 1.0j] * 2
 
     def symbols(grid, Q):
@@ -152,7 +152,7 @@ def test_kept_split_arrays_shared_by_threads():
     finally:
         sys.setswitchinterval(interval)
     for Q, got in zip(qs, results):
-        want = symbols(build_grid(**args), Q)
+        want = symbols(build.grid(**args), Q)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert len(shared.split_arrays) == 3
 
@@ -160,10 +160,10 @@ def test_kept_split_arrays_shared_by_threads():
 def test_q_dependent_comparison_keeps_nothing():
     # a Brownian comparison symbol follows Re Q, so nothing may be kept
     args = dict(lower=-1.0, upper=1.0, m_power=12, models=[BM2])
-    shared = build_grid(**args)
+    shared = build.grid(**args)
     for Q in (3.0, 7.0):
         fac = factorize_integral(BM2, Q, shared)
-        fresh = factorize_integral(BM2, Q, build_grid(**args))
+        fresh = factorize_integral(BM2, Q, build.grid(**args))
         for omega in (0.0, shared.omega_plus, shared.omega_minus):
             _assert_symbols_equal(fac, fresh, omega)
         assert not shared.split_arrays
