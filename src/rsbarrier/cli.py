@@ -28,7 +28,6 @@ from .grids import DualGrid, build_grid
 from .histories import encode
 from .inversion import (InversionPlan, gwr_invert, gwr_nodes, sinh_evaluated,
                         sinh_invert, sinh_nodes, sinh_plan)
-from .models import sinh_inversion_admissible
 from .montecarlo import simulate_price
 from .wiener_hopf import factorize
 
@@ -94,7 +93,7 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
         pricer = _make_pricer(cfg)
         if plan.backend == "sinh":
             for spec in problem.regimes:
-                if not sinh_inversion_admissible(spec.model):
+                if not spec.model.sinh_inversion_admissible():
                     print(f"warning: sinh back end not established for {spec.model}",
                           file=sys.stderr)
         prices, iterations = price_histories(pricer, plan, threads)

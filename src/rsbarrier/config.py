@@ -16,8 +16,6 @@ import numbers
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, RsBarrierError
 from .engine import BarrierProblem, RegimeSpec, Tolerances
 from .grids import GridConfig
@@ -56,17 +54,20 @@ class ProblemConfig:
         return os.cpu_count() or 1
 
 
+def _number(value) -> bool:
+    """Whether ``value`` is a JSON number: a bool or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite(value, name: str) -> float:
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {out}")
-    return out
+    if not (_number(value) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _whole(value, name: str) -> int:
     """A whole number (1e6 included); a bool, a string or a fraction is a fault."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
+    if not (_number(value) and float(value).is_integer()):
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -170,27 +171,37 @@ def _model(d, path: str) -> LevyModel:
     cls, wire = _MODELS[kind]
     _object(d, path, ("type", *wire))
     try:
-        return cls(**{name: float(d[key]) for key, name in wire.items()})
+        return cls(**{name: _finite(d[key], f"{path}.{key}") for key, name in wire.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
+
+
+def _rule(rule, path: str) -> dict:
+    """A rate rule with whole-number labels: a history spelt as a string is a
+    fault, not a list of its digits."""
+    _object(rule, path, ("s", "history", "rate"))
+    return {"s": _whole(rule["s"], f"{path}.s"),
+            "history": [_whole(v, f"{path}.history") for v in rule["history"]],
+            "rate": _finite(rule["rate"], f"{path}.rate")}
 
 
 def _chain(d) -> MemoryChain:
     d = _object(d, "chain", ("m", "N", "rates"), ("lambda0",))
     m, n_mem = _whole(d["m"], "chain.m"), _whole(d["N"], "chain.N")
-    rates, lambda0 = d["rates"], d.get("lambda0")
+    rates, lambda0 = d["rates"], _finite_or_none(d.get("lambda0"), "chain.lambda0")
     try:
         if isinstance(rates, dict) and "dense" in rates:
-            table = np.asarray(_object(rates, "chain.rates", ("dense",))["dense"], dtype=float)
+            dense = _object(rates, "chain.rates", ("dense",))["dense"]
+            table = [[_finite(v, f"chain.rates.dense[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(dense)]
             return MemoryChain(m, n_mem, table, lambda0)
         if isinstance(rates, dict):
             rules = _object(rates, "chain.rates", (), ("default", "rules")).get("rules", [])
-            for i, rule in enumerate(rules):
-                _object(rule, f"chain.rates.rules[{i}]", ("s", "history", "rate"))
-            return MemoryChain.from_rules(m, n_mem, float(rates.get("default", 0.0)),
-                                          rules, lambda0)
-        if isinstance(rates, (int, float)):
-            return MemoryChain.from_constant(m, n_mem, float(rates), lambda0)
+            rules = [_rule(rule, f"chain.rates.rules[{i}]") for i, rule in enumerate(rules)]
+            default = _finite(rates.get("default", 0.0), "chain.rates.default")
+            return MemoryChain.from_rules(m, n_mem, default, rules, lambda0)
+        if _number(rates):
+            return MemoryChain.from_constant(m, n_mem, _finite(rates, "chain.rates"), lambda0)
     except ValueError as exc:
         raise ConfigError(f"invalid chain rates: {exc}") from exc
     raise ConfigError("chain rates must be a number, a dense table, or a rule table")

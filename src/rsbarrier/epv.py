@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import ContourError, GridResolutionError, IllPosedApplicationError
 from .grids import DualGrid, Region, SampledFunction, _frozen
-from .models import BrownianDrift, KouJumpDiffusion
 from .wiener_hopf import WHFactorization
 
 __all__ = [
@@ -249,17 +248,6 @@ def _boundary_value(full: np.ndarray, node: int, direction: int) -> np.ndarray:
     return 2.0 * full[..., node + direction] - full[..., node + 2 * direction]
 
 
-def _creeps(model, side: str) -> bool:
-    """Whether the barrier on this side can only be hit by creeping (no jumps
-    across it); first touch then happens exactly at the barrier."""
-    if isinstance(model, BrownianDrift):
-        return True
-    if isinstance(model, KouJumpDiffusion):
-        prob = model.p if side == "plus" else 1.0 - model.p
-        return model.lambda_j * prob == 0.0
-    return False
-
-
 def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
     """E^side 1_beyond (E^side)^{-1} tail for a tail that vanishes at the node.
 
@@ -273,7 +261,7 @@ def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
     full[..., node] -= 0.5 * _boundary_value(full, node, -direction)
     z = SampledFunction.beyond(z.grid, full, z.c_lo, z.c_hi, node, direction, 1.0, out=full)
     out = apply_epv(plan, z, out=z.values)
-    if _creeps(plan.model, plan.side):
+    if plan.model.creeps(plan.side):
         # creeping passage sees only the boundary value, which the peel set
         # to zero: the true contribution beyond the data region vanishes
         out = SampledFunction.beyond(out.grid, out.full(out=out.values), out.c_lo, out.c_hi,

@@ -268,6 +268,9 @@ def build_grid(lower: float, upper: float, models, settings: GridConfig) -> Dual
     """
     if not upper > lower:
         raise ValueError("need lower < upper")
+    if not 0 <= settings.m_power < sys.float_info.max_exp:
+        raise ValueError(f"mPower must lie in [0, {sys.float_info.max_exp}) for 2^mPower "
+                         f"nodes to fit a float, got {settings.m_power}")
     size = 2**settings.m_power
     band = upper - lower
     width = (1.0 + 2.0 * settings.domain_factor) * band

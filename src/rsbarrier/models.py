@@ -8,6 +8,11 @@ so psi(0) = 0 and Re psi(xi) >= 0 for real xi.  A regime's generator enters
 the pricing equations only through psi evaluated on horizontal contours
 Im xi = omega, which must stay strictly inside the strip reported by
 ``analyticity_strip``.
+
+Each family's formulas live on its class, and no other module tests a
+regime's class: psi (``psi_unchecked``), the strip and the domain check that
+``char_exponent`` runs, sinh admissibility, creeping, the Wiener-Hopf inputs
+of both routes, and whether the Monte Carlo walker draws its paths.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import ContourError, DomainError, FactorizationDegenerateError, PoleError
 
 __all__ = [
     "BrownianDrift",
@@ -25,10 +30,7 @@ __all__ = [
     "KoBoL",
     "LevyModel",
     "char_exponent",
-    "psi_unchecked",
-    "psi_deriv_rational",
     "analyticity_strip",
-    "sinh_inversion_admissible",
 ]
 
 _POLE_TOL = 1e-12
@@ -40,21 +42,81 @@ def _check_finite(model) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+class _Diffusive:
+    """What the rational families share: drift ``mu``, diffusion ``sigma2``
+    and exponential jumps of total intensity ``lambda_j``, with poles of psi
+    at the rates ``pole_rates`` (up, down).  Each adds ``psi_deriv`` and
+    ``cleared_polynomial``: Q + psi with its denominators cleared, highest
+    power first.  Their paths can be simulated."""
+
+    rational = simulated = comparison_reads_q = True
+
+    def sinh_inversion_admissible(self) -> bool:
+        return self.sigma2 > 0.0 or self.mu == 0.0
+
+    def expected_root_counts(self):
+        """Roots of Q + psi below and above the real axis at a real Q > 0."""
+        up, down = self.pole_rates
+        return (len(up) + (1 if (self.sigma2 > 0 or self.mu > 0) else 0),
+                len(down) + (1 if (self.sigma2 > 0 or self.mu < 0) else 0))
+
+    def comparison_symbol(self, Q):
+        """(kappa, a, p_base, b, m_base): C(xi) = kappa*(p - i xi)^a * (m + i xi)^b
+        matching the growth of Q + psi at |xi| -> inf; it reads Re Q."""
+        sig2 = self.sigma2
+        if sig2 <= 0.0:
+            raise ContourError("integral comparison needs sigma2 > 0 here")
+        kappa = 0.5 * sig2
+        pm = max(2.0 * (self.lambda_j + max(Q.real, 0.5)) / sig2, 0.25)
+        d = -2.0 * self.mu / sig2
+        p = 0.5 * (d + math.sqrt(d * d + 4.0 * pm))
+        m = p - d
+        return kappa, 1.0, p, 1.0, m
+
+    def jump_count(self, rng, duration) -> int:
+        return int(rng.poisson(self.lambda_j * duration)) if self.lambda_j > 0.0 else 0
+
+
 @dataclass(frozen=True)
-class BrownianDrift:
+class BrownianDrift(_Diffusive):
     """Drifted Brownian regime: psi(xi) = 0.5*sigma2*xi**2 - i*mu*xi."""
 
     mu: float
     sigma2: float
+
+    lambda_j = 0.0
+    pole_rates = ((), ())
 
     def __post_init__(self):
         _check_finite(self)
         if self.sigma2 < 0.0:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
+    def strip(self):
+        return (-math.inf, math.inf)
+
+    def check_domain(self, z):
+        pass
+
+    def psi_unchecked(self, z):
+        return 0.5 * self.sigma2 * z * z - 1j * self.mu * z
+
+    def psi_deriv(self, z):
+        return self.sigma2 * z - 1j * self.mu
+
+    def creeps(self, side: str) -> bool:
+        return True
+
+    def cleared_polynomial(self, Q):
+        if self.sigma2 > 0.0:
+            return np.array([0.5 * self.sigma2, -1j * self.mu, Q], np.complex128)
+        if self.mu == 0.0:
+            raise FactorizationDegenerateError("degenerate Brownian regime: sigma2 = 0 and mu = 0")
+        return np.array([-1j * self.mu, Q], np.complex128)
+
 
 @dataclass(frozen=True)
-class KouJumpDiffusion:
+class KouJumpDiffusion(_Diffusive):
     """Diffusion plus two-sided exponential jumps.
 
     Up jumps arrive with probability ``p`` and tail rate ``alpha_plus``;
@@ -79,6 +141,63 @@ class KouJumpDiffusion:
         if self.alpha_plus <= 0.0 or self.alpha_minus <= 0.0:
             raise ValueError("tail rates alpha_plus, alpha_minus must be > 0")
 
+    @property
+    def pole_rates(self):  # up-jump poles at xi = -i*a, down-jump at +i*a
+        return (self.alpha_plus,), (self.alpha_minus,)
+
+    def strip(self):
+        return (-self.alpha_plus, self.alpha_minus)
+
+    def check_domain(self, z):
+        """The closure of the strip, less the two poles."""
+        lo, hi = self.strip()
+        if np.any(z.imag < lo) or np.any(z.imag > hi):
+            raise DomainError(f"Im xi must lie in the closure of ({lo}, {hi})")
+        ap, am = self.alpha_plus, self.alpha_minus
+        near = np.minimum(np.abs(ap - 1j * z) / (1 + ap),
+                          np.abs(am + 1j * z) / (1 + am))
+        if np.any(near < _POLE_TOL):
+            raise PoleError("xi hits a Kou jump-transform pole")
+
+    def psi_unchecked(self, z):
+        ap, am = self.alpha_plus, self.alpha_minus
+        jump = self.lambda_j * (
+            1.0 - self.p * ap / (ap - 1j * z) - (1.0 - self.p) * am / (am + 1j * z)
+        )
+        return 0.5 * self.sigma2 * z * z - 1j * self.mu * z + jump
+
+    def psi_deriv(self, z):
+        ap, am = self.alpha_plus, self.alpha_minus
+        return (self.sigma2 * z - 1j * self.mu
+                + self.lambda_j * (-self.p * ap * 1j / (ap - 1j * z) ** 2
+                                   + (1.0 - self.p) * am * 1j / (am + 1j * z) ** 2))
+
+    def creeps(self, side: str) -> bool:
+        """Whether this side's barrier is passed only by creeping: no jump
+        crosses it, so first touch happens exactly at the barrier."""
+        prob = self.p if side == "plus" else 1.0 - self.p
+        return self.lambda_j * prob == 0.0
+
+    def cleared_polynomial(self, Q):
+        lam, p = self.lambda_j, self.p
+        ap, am = self.alpha_plus, self.alpha_minus
+        if self.sigma2 == 0.0 and self.mu == 0.0:
+            raise FactorizationDegenerateError("Kou regime needs sigma2 > 0 or nonzero drift")
+        quad = (np.array([0.5 * self.sigma2, -1j * self.mu, Q + lam], np.complex128)
+                if self.sigma2 > 0.0
+                else np.array([-1j * self.mu, Q + lam], np.complex128))
+        up = np.array([-1j, ap], np.complex128)     # alpha_plus - i*xi
+        dn = np.array([1j, am], np.complex128)      # alpha_minus + i*xi
+        poly = np.polymul(quad, np.polymul(up, dn))
+        poly = np.polyadd(poly, -lam * p * ap * dn)
+        poly = np.polyadd(poly, -lam * (1.0 - p) * am * up)
+        return poly
+
+    def jump_sizes(self, rng, n):
+        ups = rng.random(n) < self.p
+        return np.where(ups, rng.exponential(1.0 / self.alpha_plus, n),
+                        -rng.exponential(1.0 / self.alpha_minus, n))
+
 
 @dataclass(frozen=True)
 class KoBoL:
@@ -94,6 +213,8 @@ class KoBoL:
     lambda_minus: float
     mu: float
 
+    rational = simulated = comparison_reads_q = False
+
     def __post_init__(self):
         _check_finite(self)
         if not 0.0 < self.nu < 2.0 or self.nu == 1.0:
@@ -103,33 +224,45 @@ class KoBoL:
         if not self.lambda_minus < 0.0 < self.lambda_plus:
             raise ValueError("need lambda_minus < 0 < lambda_plus")
 
+    def strip(self):
+        return (self.lambda_minus, self.lambda_plus)
+
+    def check_domain(self, z):
+        lo, hi = self.strip()
+        if np.any(z.imag <= lo) or np.any(z.imag >= hi):
+            raise DomainError(f"Im xi must lie strictly inside ({lo}, {hi}) for KoBoL")
+
+    def psi_unchecked(self, z):
+        nu, c = self.nu, self.c
+        lp, lm = self.lambda_plus, -self.lambda_minus
+        g = c * math.gamma(-nu)
+        return -1j * self.mu * z + g * (
+            lp**nu - (lp + 1j * z) ** nu + lm**nu - (lm - 1j * z) ** nu
+        )
+
+    def sinh_inversion_admissible(self) -> bool:
+        return self.nu > 1.0 or self.mu == 0.0
+
+    def creeps(self, side: str) -> bool:
+        return False
+
+    def comparison_symbol(self, Q):
+        nu, c, mu = self.nu, self.c, self.mu
+        lp, lm = self.lambda_plus, -self.lambda_minus
+        if nu > 1.0 or mu == 0.0:
+            c_inf = -2.0 * c * math.gamma(-nu) * math.cos(0.5 * math.pi * nu)
+            return c_inf, 0.5 * nu, lm, 0.5 * nu, lp
+        if mu > 0.0:
+            return mu, 1.0, lm, 0.0, lp
+        return -mu, 0.0, lm, 1.0, lp
+
 
 LevyModel = BrownianDrift | KouJumpDiffusion | KoBoL
 
 
 def analyticity_strip(model: LevyModel) -> tuple[float, float]:
     """Open strip (omega_minus, omega_plus) where psi is analytic in Im xi."""
-    if isinstance(model, BrownianDrift):
-        return (-math.inf, math.inf)
-    if isinstance(model, KouJumpDiffusion):
-        # Up-jump transform has its pole at xi = -i*alpha_plus, down-jump at
-        # xi = +i*alpha_minus.
-        return (-model.alpha_plus, model.alpha_minus)
-    if isinstance(model, KoBoL):
-        return (model.lambda_minus, model.lambda_plus)
-    raise TypeError(f"not a LevyModel: {model!r}")
-
-
-def _check_strip(model: LevyModel, im: np.ndarray) -> None:
-    lo, hi = analyticity_strip(model)
-    if isinstance(model, KoBoL):
-        if np.any(im <= lo) or np.any(im >= hi):
-            raise DomainError(
-                f"Im xi must lie strictly inside ({lo}, {hi}) for KoBoL"
-            )
-    elif isinstance(model, KouJumpDiffusion):
-        if np.any(im < lo) or np.any(im > hi):
-            raise DomainError(f"Im xi must lie in the closure of ({lo}, {hi})")
+    return model.strip()
 
 
 def char_exponent(model: LevyModel, xi):
@@ -141,69 +274,6 @@ def char_exponent(model: LevyModel, xi):
     arr = np.asarray(xi, dtype=np.complex128)
     scalar = arr.ndim == 0
     z = np.atleast_1d(arr)
-    _check_strip(model, z.imag)
-    if isinstance(model, KouJumpDiffusion):
-        ap, am = model.alpha_plus, model.alpha_minus
-        near = np.minimum(np.abs(ap - 1j * z) / (1 + ap),
-                          np.abs(am + 1j * z) / (1 + am))
-        if np.any(near < _POLE_TOL):
-            raise PoleError("xi hits a Kou jump-transform pole")
-    out = psi_unchecked(model, z)
+    model.check_domain(z)
+    out = model.psi_unchecked(z)
     return out[0] if scalar else out
-
-
-def psi_unchecked(model: LevyModel, z):
-    """psi(z) with no strip or pole check.
-
-    For the rational models (Brownian, Kou) this is the meromorphic
-    continuation of psi to the whole plane, which the Wiener-Hopf root
-    polish needs beyond the jump poles.  Contour evaluations go through
-    ``char_exponent``.
-    """
-    if isinstance(model, BrownianDrift):
-        return 0.5 * model.sigma2 * z * z - 1j * model.mu * z
-    if isinstance(model, KouJumpDiffusion):
-        ap, am = model.alpha_plus, model.alpha_minus
-        jump = model.lambda_j * (
-            1.0 - model.p * ap / (ap - 1j * z) - (1.0 - model.p) * am / (am + 1j * z)
-        )
-        return 0.5 * model.sigma2 * z * z - 1j * model.mu * z + jump
-    if isinstance(model, KoBoL):
-        nu, c = model.nu, model.c
-        lp, lm = model.lambda_plus, -model.lambda_minus
-        g = c * math.gamma(-nu)
-        return -1j * model.mu * z + g * (
-            lp**nu - (lp + 1j * z) ** nu + lm**nu - (lm - 1j * z) ** nu
-        )
-    raise TypeError(f"not a LevyModel: {model!r}")
-
-
-def psi_deriv_rational(model: LevyModel, z):
-    """d psi / d z for the rational models, with no strip or pole check."""
-    if isinstance(model, BrownianDrift):
-        return model.sigma2 * z - 1j * model.mu
-    if isinstance(model, KouJumpDiffusion):
-        ap, am = model.alpha_plus, model.alpha_minus
-        return (
-            model.sigma2 * z
-            - 1j * model.mu
-            + model.lambda_j
-            * (-model.p * ap * 1j / (ap - 1j * z) ** 2
-               + (1.0 - model.p) * am * 1j / (am + 1j * z) ** 2)
-        )
-    raise TypeError(f"not a rational LevyModel: {model!r}")
-
-
-def sinh_inversion_admissible(model: LevyModel) -> bool:
-    """Whether the sinh-deformed Bromwich contour applies to this regime.
-
-    Infinite-variation processes qualify, as do driftless finite-variation
-    ones; finite variation with drift is restricted to the real-node ladder.
-    """
-    if isinstance(model, BrownianDrift):
-        return model.sigma2 > 0.0 or model.mu == 0.0
-    if isinstance(model, KouJumpDiffusion):
-        return model.sigma2 > 0.0 or model.mu == 0.0
-    if isinstance(model, KoBoL):
-        return model.nu > 1.0 or model.mu == 0.0
-    raise TypeError(f"not a LevyModel: {model!r}")

@@ -2,10 +2,12 @@
 
 Paths simulate the memory chain exactly (exponential sojourns, shift map)
 and the within-regime dynamics on the monitoring grid: Brownian increments
-are exact, Kou jumps happen at exact Poisson epochs, and the barrier is
+are exact, jumps happen at exact Poisson epochs, and the barrier is
 checked at every grid time, jump epoch and regime switch.  The bridge flag
 multiplies in the analytic crossing probability of each diffusion
-sub-segment, removing the dominant monitoring bias.
+sub-segment, removing the dominant monitoring bias.  Only regimes whose
+model is ``simulated`` (Brownian, Kou) are walked; each draws its own jump
+counts and sizes.
 
 Each path owns a counter-based stream Philox(key=(seed, path_index)), so
 estimates are bit-identical under any execution schedule.
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BarrierProblem
+from .errors import ConfigError
 from .histories import encode
-from .models import KouJumpDiffusion
 
 __all__ = ["McConfig", "McResult", "simulate_price", "brownian_band_series"]
 
@@ -69,16 +71,11 @@ def _segment_events(rng, t0, t1, dt, model):
     grid = np.arange(k0, k1 + 1, dtype=float) * dt
     if grid.size == 0 or grid[-1] < t1 - 1e-15 * max(t1, 1.0):
         grid = np.append(grid, t1)
-    n_jumps = 0
-    if isinstance(model, KouJumpDiffusion) and model.lambda_j > 0.0:
-        n_jumps = int(rng.poisson(model.lambda_j * (t1 - t0)))
+    n_jumps = model.jump_count(rng, t1 - t0)
     if n_jumps == 0:
         return grid, None
     epochs = t0 + (t1 - t0) * rng.random(n_jumps)
-    ups = rng.random(n_jumps) < model.p
-    jump_sizes = np.where(ups,
-                          rng.exponential(1.0 / model.alpha_plus, n_jumps),
-                          -rng.exponential(1.0 / model.alpha_minus, n_jumps))
+    jump_sizes = model.jump_sizes(rng, n_jumps)
     times = np.concatenate([grid, epochs])
     sizes = np.concatenate([np.zeros(grid.size), jump_sizes])
     order = np.argsort(times, kind="stable")
@@ -180,7 +177,13 @@ def _one_path(rng, problem: BarrierProblem, cfg: McConfig, sign: float = 1.0):
 
 
 def simulate_price(problem: BarrierProblem, cfg: McConfig) -> McResult:
+    """The Monte Carlo estimate; a regime whose paths the walker cannot
+    draw is a ConfigError before any path is drawn."""
     cfg.validate(problem.maturity)
+    for i, spec in enumerate(problem.regimes, 1):
+        if not spec.model.simulated:
+            raise ConfigError(f"regime {i} cannot be simulated: the Monte Carlo walker "
+                              f"draws diffusions with Kou jumps only, got {spec.model}")
     start = time.perf_counter()
     if not problem.lower < problem.spot < problem.upper:
         return McResult(0.0, 0.0, cfg.paths, cfg.dt, cfg.seed,

@@ -24,9 +24,9 @@ normalization phi+-(0) = 1.
   are built once per (regime, contour) and kept, read-only, in the grid's
   ``split_arrays``.  Any other contour is capped by the factor's own decay,
   so it differs from one Q to the next and is built and dropped each time;
-  keeping it would grow memory with the number of spectral values.  Brownian
-  and Kou regimes sent down this route match their comparison symbol to
-  Re Q, so none of their arrays are kept.
+  keeping it would grow memory with the number of spectral values.  A
+  comparison symbol that reads Q (``comparison_reads_q``: Brownian and Kou
+  regimes sent down this route match it to Re Q) keeps none of its arrays.
 """
 
 from __future__ import annotations
@@ -37,22 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContourError,
-    FactorizationDegenerateError,
-    InternalError,
-)
+from .errors import ContourError, FactorizationDegenerateError, InternalError
 from .grids import DualGrid, _frozen
-from .models import (
-    BrownianDrift,
-    KoBoL,
-    KouJumpDiffusion,
-    LevyModel,
-    analyticity_strip,
-    char_exponent,
-    psi_deriv_rational,
-    psi_unchecked,
-)
+from .models import LevyModel, analyticity_strip, char_exponent
 
 __all__ = [
     "WHFactorization",
@@ -99,9 +86,8 @@ class WHFactorization:
         for root in self.roots_lower:
             beta = 1j * root  # root = -i*beta, Re beta > 0
             out = out * (beta / (beta - 1j * xi))
-        if isinstance(self.model, KouJumpDiffusion):
-            ap = self.model.alpha_plus
-            out = out * (ap - 1j * xi) / ap
+        for a in self.model.pole_rates[0]:  # up-jump pole correction
+            out = out * (a - 1j * xi) / a
         return out
 
     def phi_minus(self, xi):
@@ -112,9 +98,8 @@ class WHFactorization:
         for root in self.roots_upper:
             beta = -1j * root  # root = +i*beta
             out = out * (beta / (beta + 1j * xi))
-        if isinstance(self.model, KouJumpDiffusion):
-            am = self.model.alpha_minus
-            out = out * (am + 1j * xi) / am
+        for a in self.model.pole_rates[1]:  # down-jump pole correction
+            out = out * (a + 1j * xi) / a
         return out
 
     def e_symbol(self, xi):
@@ -137,14 +122,14 @@ class WHFactorization:
     def _norm_plus(self):
         """Global constant pinning phi_plus(0) = 1, from the axis split."""
         if not hasattr(self, "_norm_plus_cache"):
-            kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(self.model, self.Q)
+            kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol(self.Q)
             _, t_plus, _ = _split_remainder_on_contour(self.model, self.Q, self.grid, 0.0)
             m_total = OVERSAMPLE * self.grid.size
             self._norm_plus_cache = a_exp * math.log(p_base) - t_plus[m_total // 2]
         return self._norm_plus_cache
 
     def _split_factors(self, omega: float):
-        kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(self.model, self.Q)
+        kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol(self.Q)
         if p_base + omega <= 0.0 or m_base - omega <= 0.0:
             raise ContourError("comparison bases must stay off the contour")
         zeta_os, t_plus, t_minus = _split_remainder_on_contour(
@@ -169,66 +154,23 @@ class WHFactorization:
 
 
 def factorize(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
-    if isinstance(model, (BrownianDrift, KouJumpDiffusion)):
+    if model.rational:
         return factorize_rational(model, Q, grid)
     return factorize_integral(model, Q, grid)
 
 
-def _cleared_polynomial(model, Q):
-    """Coefficients (highest power first) of (Q+psi) with denominators cleared."""
-    if isinstance(model, BrownianDrift):
-        if model.sigma2 > 0.0:
-            return np.array([0.5 * model.sigma2, -1j * model.mu, Q], np.complex128)
-        if model.mu == 0.0:
-            raise FactorizationDegenerateError(
-                "degenerate Brownian regime: sigma2 = 0 and mu = 0"
-            )
-        return np.array([-1j * model.mu, Q], np.complex128)
-    lam, p = model.lambda_j, model.p
-    ap, am = model.alpha_plus, model.alpha_minus
-    if model.sigma2 == 0.0 and model.mu == 0.0:
-        raise FactorizationDegenerateError(
-            "Kou regime needs sigma2 > 0 or nonzero drift"
-        )
-    quad = (np.array([0.5 * model.sigma2, -1j * model.mu, Q + lam], np.complex128)
-            if model.sigma2 > 0.0
-            else np.array([-1j * model.mu, Q + lam], np.complex128))
-    up = np.array([-1j, ap], np.complex128)     # alpha_plus - i*xi
-    dn = np.array([1j, am], np.complex128)      # alpha_minus + i*xi
-    poly = np.polymul(quad, np.polymul(up, dn))
-    poly = np.polyadd(poly, -lam * p * ap * dn)
-    poly = np.polyadd(poly, -lam * (1.0 - p) * am * up)
-    return poly
-
-
-def _expected_counts(model):
-    if isinstance(model, BrownianDrift):
-        lower = 1 if (model.sigma2 > 0 or model.mu > 0) else 0
-        upper = 1 if (model.sigma2 > 0 or model.mu < 0) else 0
-    else:
-        lower = 1 + (1 if (model.sigma2 > 0 or model.mu > 0) else 0)
-        upper = 1 + (1 if (model.sigma2 > 0 or model.mu < 0) else 0)
-    return lower, upper
-
-
 def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
-    """Root-based factorization for Brownian and Kou regimes."""
-    if not isinstance(model, (BrownianDrift, KouJumpDiffusion)):
-        raise TypeError("rational factorization needs a Brownian or Kou regime")
+    """Root-based factorization for the rational regimes (Brownian, Kou)."""
     Q = complex(Q)
-    poly = _cleared_polynomial(model, Q)
-    roots = np.roots(poly)
+    roots = np.roots(model.cleared_polynomial(Q))
     # one Newton polish on Q + psi itself, skipping the cleared-pole roots
+    up, down = model.pole_rates
+    poles = [-1j * a for a in up] + [1j * a for a in down]
     polished = []
     for r in roots:
-        skip = False
-        if isinstance(model, KouJumpDiffusion):
-            for pole in (-1j * model.alpha_plus, 1j * model.alpha_minus):
-                if abs(r - pole) < 1e-8 * (1.0 + abs(pole)):
-                    skip = True
-        if not skip:
-            f = Q + psi_unchecked(model, r)
-            fp = psi_deriv_rational(model, r)
+        if not any(abs(r - pole) < 1e-8 * (1.0 + abs(pole)) for pole in poles):
+            f = Q + model.psi_unchecked(r)
+            fp = model.psi_deriv(r)
             if abs(fp) > 1e-14:
                 r = r - f / fp
         polished.append(complex(r))
@@ -241,7 +183,7 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
             )
         (lower if r.imag < 0 else upper).append(r)
     if Q.imag == 0.0 and Q.real > 0.0:
-        exp_lo, exp_hi = _expected_counts(model)
+        exp_lo, exp_hi = model.expected_root_counts()
         if (len(lower), len(upper)) != (exp_lo, exp_hi):
             raise InternalError(
                 f"root split ({len(lower)},{len(upper)}) != theory ({exp_lo},{exp_hi})"
@@ -256,30 +198,6 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
 
 
 # -- integral (spectral split) route -------------------------------------
-
-def _comparison_symbol(model, Q):
-    """(kappa, a, p_base, b, m_base): C(xi) = kappa*(p - i xi)^a * (m + i xi)^b
-    matching the growth of Q + psi at |xi| -> inf."""
-    if isinstance(model, (BrownianDrift, KouJumpDiffusion)):
-        sig2 = model.sigma2
-        if sig2 <= 0.0:
-            raise ContourError("integral comparison needs sigma2 > 0 here")
-        kappa = 0.5 * sig2
-        lam = model.lambda_j if isinstance(model, KouJumpDiffusion) else 0.0
-        pm = max(2.0 * (lam + max(Q.real, 0.5)) / sig2, 0.25)
-        d = -2.0 * model.mu / sig2
-        p = 0.5 * (d + math.sqrt(d * d + 4.0 * pm))
-        m = p - d
-        return kappa, 1.0, p, 1.0, m
-    nu, c, mu = model.nu, model.c, model.mu
-    lp, lm = model.lambda_plus, -model.lambda_minus
-    if nu > 1.0 or mu == 0.0:
-        c_inf = -2.0 * c * math.gamma(-nu) * math.cos(0.5 * math.pi * nu)
-        return c_inf, 0.5 * nu, lm, 0.5 * nu, lp
-    if mu > 0.0:
-        return mu, 1.0, lm, 0.0, lp
-    return -mu, 0.0, lm, 1.0, lp
-
 
 def _continuous_log(values, where: str):
     """Branch-tracked log along a contour; rejects net winding."""
@@ -307,10 +225,10 @@ def _contour_arrays(model, Q, grid: DualGrid, omega: float, zeta: np.ndarray):
     so node threads may share it.
     """
     key = (model, omega)
-    kept = isinstance(model, KoBoL) and omega in (0.0, grid.omega_plus, grid.omega_minus)
+    kept = not model.comparison_reads_q and omega in (0.0, grid.omega_plus, grid.omega_minus)
     if kept and key in grid.split_arrays:
         return grid.split_arrays[key]
-    kappa, a_exp, p_base, b_exp, m_base = _comparison_symbol(model, Q)
+    kappa, a_exp, p_base, b_exp, m_base = model.comparison_symbol(Q)
     comp = kappa * (p_base - 1j * zeta) ** a_exp * (m_base + 1j * zeta) ** b_exp
     arrays = (_frozen(char_exponent(model, zeta)), _frozen(comp))
     if kept:

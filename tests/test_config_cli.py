@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rsbarrier import montecarlo
 from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.errors import ConfigError
@@ -88,6 +89,13 @@ def test_config_validation_errors():
         doc["chain"]["rates"] = {"default": 0.5, "rules": [dict(rule, rate=0.9)]}
         with pytest.raises(ConfigError, match="matches no"):
             parse_config(doc)
+    # rule labels are whole numbers and a rule's history is a JSON list: a
+    # fractional label is not truncated, nor a string split into labels
+    for rule in ({"s": 1.7, "history": [2.2, 1.9]}, {"s": 1, "history": "21"}):
+        doc = copy.deepcopy(TWO_REGIME_DOC)
+        doc["chain"]["rates"]["rules"] = [dict(rule, rate=0.9)]
+        with pytest.raises(ConfigError, match="history|whole number"):
+            parse_config(doc)
 
 
 # every number parse_config reads into the problem, as a path into the document
@@ -98,13 +106,18 @@ NUMERIC_FIELDS = [
     ("regimes", 0, "model", "lambdaJ"), ("regimes", 1, "model", "sigma2"),
     ("tolerances", "inner"), ("tolerances", "outer"), ("grid", "domainFactor"),
     ("grid", "dampingScale"), ("grid", "dampingCap"), ("grid", "decayTol"),
+    ("chain", "rates"), ("chain", "rates", "dense", 1, 0),
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# a number that is not finite, or not a JSON number at all: a string or a
+# bool is not read as the number it spells
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.2", True])
 @pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=lambda p: ".".join(map(str, p)))
 def test_non_finite_input_rejected(path, value):
     doc = copy.deepcopy(TWO_REGIME_DOC)
+    if "dense" in path:  # the rule table's rates as a dense table
+        doc["chain"]["rates"] = {"dense": [[0.5], [0.9]]}
     node = doc
     for key in path[:-1]:
         node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
@@ -194,6 +207,19 @@ def test_mc_cli(tmp_path):
     assert int(row["paths"]) == 2000
 
 
+def test_mc_refuses_a_regime_it_cannot_walk(tmp_path, capsys, monkeypatch):
+    # the walker draws diffusions and Kou jumps, not KoBoL paths: one config
+    # error line that names the regime, before any path is drawn
+    drawn = []
+    monkeypatch.setattr(montecarlo, "_one_path", lambda *args, **kw: drawn.append(1))
+    doc = json.loads((ROOT / "configs" / "kobol_single.json").read_text())
+    rc, out = _run_cli(tmp_path, doc, "mc")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out, drawn) == (2, "", [])
+    assert len(err) == 1 and err[0].startswith("config error: regime 1 ")
+    assert "KoBoL" in err[0], err
+
+
 # settings the estimator cannot run, or that JSON spells with the wrong
 # type: one config error line and exit 2, before any path is drawn
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -215,7 +241,7 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
 
 
 # grid settings outside their range: one config error line and exit 2 on
-# every model, before any grid is built, not a numeric error with wrong
+# every model, from price and from factors, before any grid is built, not a numeric error with wrong
 # advice, a silent price, or a decay check switched off.  A negative
 # dampingScale on brownian_band is left out: its unbounded analyticity strip
 # makes the grid check refuse that one too, as a too-wide domain.
@@ -228,14 +254,17 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
 ] + [
     # a band of 2 or 3 cells, too few for the spot's interpolation stencil
     ("brownian_band", "mPower", 5), ("brownian_band", "mPower", 6),
+    # 2^mPower nodes that overflow a float
+    ("brownian_band", "mPower", 5000),
 ], ids=lambda v: v if isinstance(v, str) else repr(v))
 def test_bad_grid_setting_is_config_error(tmp_path, capsys, config, key, value):
     doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
     doc["grid"][key] = value
-    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
-    err = capsys.readouterr().err.splitlines()
-    assert (rc, out) == (2, "")
-    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0], err
+    for argv in (("price", "--threads", "1"), ("factors",)):
+        rc, out = _run_cli(tmp_path, doc, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, out) == (2, ""), argv
+        assert len(err) == 1 and err[0].startswith("config error:") and key in err[0], err
 
 
 def test_smallest_band_grid_prices():

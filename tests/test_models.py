@@ -11,8 +11,6 @@ from rsbarrier.models import (
     KoBoL,
     analyticity_strip,
     char_exponent,
-    psi_deriv_rational,
-    sinh_inversion_admissible,
 )
 
 BM = BrownianDrift(mu=0.0, sigma2=1.0)
@@ -138,15 +136,13 @@ def test_deriv_matches_difference_quotient(re, im_frac):
     xi = re + 1j * im_frac * (0.4 * min(-lo, hi))
     h = 1e-5
     fd = (char_exponent(model, xi + h) - char_exponent(model, xi - h)) / (2 * h)
-    assert psi_deriv_rational(model, xi) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    assert model.psi_deriv(xi) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_sinh_admissibility_flags():
-    assert sinh_inversion_admissible(BM)
-    assert sinh_inversion_admissible(KOBOL)  # nu > 1
-    assert not sinh_inversion_admissible(
-        KoBoL(nu=0.6, c=1.0, lambda_plus=5.0, lambda_minus=-5.0, mu=0.2)
-    )
-    assert sinh_inversion_admissible(
-        KoBoL(nu=0.6, c=1.0, lambda_plus=5.0, lambda_minus=-5.0, mu=0.0)
-    )
+    assert BM.sinh_inversion_admissible()
+    assert KOBOL.sinh_inversion_admissible()  # nu > 1
+    assert not KoBoL(nu=0.6, c=1.0, lambda_plus=5.0, lambda_minus=-5.0,
+                     mu=0.2).sinh_inversion_admissible()
+    assert KoBoL(nu=0.6, c=1.0, lambda_plus=5.0, lambda_minus=-5.0,
+                 mu=0.0).sinh_inversion_admissible()

@@ -60,6 +60,27 @@ def test_every_imported_name_is_used():
     assert unused == {}
 
 
+MODEL_CLASSES = {"BrownianDrift", "KouJumpDiffusion", "KoBoL"}
+# models.py holds each family's formulas, config.py maps wire names to the
+# classes, and __init__.py exports them
+MAY_NAME_MODEL_CLASSES = {"models.py", "config.py", "__init__.py"}
+
+
+def test_only_models_names_a_model_class():
+    # a regime's family decides its formulas in models.py alone: any other
+    # module asks the model, never tests or imports its class
+    found = []
+    for path, tree in module_trees():
+        if path.name in MAY_NAME_MODEL_CLASSES:
+            continue
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in MODEL_CLASSES]
+    assert found == []
+
+
 # parameter names that stand for a setting held by GridConfig, Tolerances,
 # InversionPlan or McConfig
 SETTING_NAMES = {"m_power", "domain_factor", "damping_scale", "damping_cap", "decay_tol",
