@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.  All
 numeric output is CSV.  ``price_histories`` is the one pricing driver: it
-evaluates the transform at the inversion nodes (concurrently across nodes,
-results kept in fixed node order, one array shared by all histories) and
-inverts history by history.  ``price``, ``convergence`` and the acceptance
-criteria all price through it.
+evaluates the transform at the inversion nodes (in forked worker processes
+over the nodes when ``threads`` > 1, else in this process; results kept in
+fixed node order, one array shared by all histories) and inverts history by
+history.  ``price``, ``convergence`` and the acceptance criteria all price
+through it.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import cmath
 import copy
 import csv
 import math
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import ProblemConfig, parse_config, read_document
 from .engine import QPricer, check_working_set
-from .errors import ConfigError, RsBarrierError
+from .errors import ConfigError, InternalError, RsBarrierError
 from .grids import DualGrid, build_grid
 from .histories import encode
 from .inversion import (InversionPlan, gwr_invert, gwr_nodes, sinh_evaluated,
@@ -44,19 +45,58 @@ def _make_pricer(cfg: ProblemConfig) -> QPricer:
     return QPricer(cfg.problem, _grid(cfg), cfg.tolerances)
 
 
+def _spot_value(pricer: QPricer, q):
+    """The transform at the spot at one node, one entry per history code,
+    and the node's iteration stats."""
+    field = pricer.price_field(q)
+    return field.at(pricer.problem.spot), field.stats
+
+
+_worker_pricer: QPricer | None = None  # a worker's copy, inherited through fork
+
+
+def _start_worker(pricer: QPricer) -> None:
+    global _worker_pricer
+    _worker_pricer = pricer
+
+
+def _worker_spot_value(q):
+    return _spot_value(_worker_pricer, q)
+
+
+def _in_workers(pricer: QPricer, nodes, workers: int):
+    """``_spot_value`` at each node, in node order, from ``workers`` forked
+    processes; None where fork is not available.  Fork, so that each worker
+    inherits ``pricer`` and its kept arrays without a pickle or a fresh
+    import.  A worker's RsBarrierError arrives with its own type; a worker
+    that dies is an InternalError.  No worker outlives the call."""
+    # imported here, not with the module: importing rsbarrier.cli is part of
+    # every command's start-up, and the pool's modules cost about 35 ms cold
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(pricer,))
+    try:
+        return list(pool.map(_worker_spot_value, nodes))
+    except BrokenProcessPool as exc:
+        raise InternalError(f"a worker process died: {exc}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _evaluate_nodes(pricer: QPricer, nodes, threads: int):
     """The transform at the spot, one row per node in node order and one
     column per history code, plus the most outer terms and inner sweeps
-    that any node took."""
-    def work(q):
-        field = pricer.price_field(q)
-        return field.at(pricer.problem.spot), field.stats
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, nodes))
-    else:
-        results = [work(q) for q in nodes]
+    that any node took.  ``threads`` counts worker processes over the
+    nodes, at most one per node and per core; with fewer than 2 of them,
+    or no fork, the nodes run one after another in this process."""
+    workers = min(threads, len(nodes), os.cpu_count() or 1)
+    results = _in_workers(pricer, nodes, workers) if workers > 1 else None
+    if results is None:
+        results = [_spot_value(pricer, q) for q in nodes]
     values = np.array([v for v, _ in results])
     outer = max(len(stats.outer_terms) for _, stats in results)
     sweeps = max(stats.max_inner_sweeps for _, stats in results)
@@ -109,7 +149,8 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
 # flag -> (document section it overrides, None for the top level; argparse
 # options); each subcommand takes only the flags it reads
 _OVERRIDES = {
-    "threads": (None, dict(type=int, help="threads over spectral values")),
+    "threads": (None, dict(type=int, help="worker processes over spectral values "
+                                   "(1 prices in this process)")),
     "seed": (None, dict(type=int, help="Monte Carlo seed")),
     "backend": ("inversion", dict(choices=["gwr", "sinh"],
                                   help="Laplace inversion back end")),

@@ -62,7 +62,9 @@ def check_working_set(histories: int, size: int, dtype=np.complex128) -> None:
     exceeds MAX_WORKING_BYTES."""
     need = working_set_bytes(histories, size, dtype)
     if need > MAX_WORKING_BYTES:
-        raise ResourceLimitError(f"{histories} histories on {size} grid nodes need "
+        # 2^mPower nodes run to hundreds of digits at the largest mPower
+        nodes = f"2^{size.bit_length() - 1}" if size & (size - 1) == 0 else f"{size:.3g}"
+        raise ResourceLimitError(f"{histories} histories on {nodes} grid nodes need "
                                  f"about {need / 2**30:.3g} GiB, above the "
                                  f"{MAX_WORKING_BYTES / 2**30:g} GiB cap")
 
@@ -419,7 +421,7 @@ class QPricer:
         sweeps' workspace lives as long as this call, and each side's data
         is dropped as soon as its term is in hand."""
         chain, grid = self.problem.chain, self.grid
-        # this call's own: node threads share the pricer
+        # this call's own, so that calls sharing the pricer never share one
         work = Workspace.empty(chain, grid.size, v0.dtype)
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)

@@ -10,6 +10,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
 
@@ -22,7 +24,11 @@ from rsbarrier import montecarlo  # noqa: E402
 
 def test_tracer_records_every_trace_point():
     # kou_memory under both back ends, each of which must invert through the
-    # name the tracer wraps, once per history
+    # name the tracer wraps, once per history.  The trace points are read
+    # from the 1-thread price, the one the per-layer figures come from: at
+    # 2 threads the nodes run in forked workers, whose spans and factor
+    # caches never reach this process.  The 2-thread price must repeat the
+    # 1-thread bits.
     with open(os.path.join(os.path.dirname(BENCH), "configs", "kou_memory.json")) as fh:
         doc = json.load(fh)
     doc["grid"] = {"mPower": 10}
@@ -35,16 +41,18 @@ def test_tracer_records_every_trace_point():
             doc["inversion"]["backend"] = backend
             workload = PricingWorkload(copy.deepcopy(doc))
             first = len(tracer.spans)
-            _, prices = workload.run(threads=2, round_index=0)
+            _, prices = workload.run(threads=1, round_index=0)
             inverts = sum(span[1] == "inversion.invert" for span in tracer.spans[first:])
-            runs[backend] = prices, inverts, workload.worst_residual
+            _, pooled = workload.run(threads=2, round_index=0)
+            runs[backend] = prices, pooled, inverts, workload.worst_residual
         cfg = parse_config(copy.deepcopy(doc))
         # looked up at call time, as the Monte Carlo workload does
         montecarlo.simulate_price(cfg.problem, cfg.mc)
     finally:
         tracer.uninstall()
-    for backend, (prices, inverts, worst_residual) in runs.items():
+    for backend, (prices, pooled, inverts, worst_residual) in runs.items():
         assert len(prices) == 2 and all(0.0 < p < 1.0 for p in prices), backend
+        assert np.array_equal(pooled, prices), backend
         assert inverts == len(prices), backend
         # inspect_pricer saw the pricer run_price built
         assert 0.0 < worst_residual <= RESIDUAL_BOUND, backend

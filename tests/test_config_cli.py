@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,7 +13,9 @@ import pytest
 from rsbarrier import montecarlo
 from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
-from rsbarrier.errors import ConfigError
+from rsbarrier.engine import QPricer
+from rsbarrier.errors import ConfigError, DivergenceError
+from rsbarrier.inversion import gwr_nodes
 from rsbarrier.montecarlo import brownian_band_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -468,6 +472,90 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("numeric error:") and "GiB" in err and "Traceback" not in err
+
+
+def test_huge_grid_error_is_one_short_line(tmp_path, capsys):
+    # 2^1023 nodes would print as 308 digits; the message names 2^1023
+    doc = json.loads((ROOT / "configs" / "brownian_band.json").read_text())
+    doc["grid"]["mPower"] = 1023
+    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("numeric error:") and "2^1023" in err[0], err
+    assert len(err[0]) < 200, err
+
+
+# the worker-process tests price BROWNIAN_DOC's 16 GWR nodes at 2 threads,
+# which forks 2 workers only where there are 2 cores and fork
+needs_pool = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs 2 cores and the fork start method")
+
+
+def _fail_in_worker(monkeypatch, fail):
+    """price_field calls ``fail(q)`` at the third GWR node when it runs in a
+    worker process, and refuses to run that node in the test's own."""
+    parent, price_field = os.getpid(), QPricer.price_field
+    target = gwr_nodes(BROWNIAN_DOC["maturity"], BROWNIAN_DOC["inversion"]["nGaver"])[2]
+
+    def patched(self, q):
+        if q == target:
+            assert os.getpid() != parent, "the node ran in the test's own process"
+            fail(q)
+        return price_field(self, q)
+
+    monkeypatch.setattr(QPricer, "price_field", patched)
+
+
+@needs_pool
+def test_worker_error_keeps_its_type(tmp_path, capsys, monkeypatch):
+    def diverge(q):
+        raise DivergenceError(f"outer terms grew at q = {q} in process {os.getpid()}")
+
+    _fail_in_worker(monkeypatch, diverge)
+    rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "price", "--threads", "2")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("numeric error: outer terms grew"), err
+    assert f"in process {os.getpid()}" not in err[0]
+    assert multiprocessing.active_children() == []
+
+
+@needs_pool
+def test_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
+    _fail_in_worker(monkeypatch, lambda q: os._exit(1))
+    rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "price", "--threads", "2")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("numeric error: a worker process died"), err
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_capped_by_nodes_and_cores(monkeypatch):
+    # a million threads asked for: the pool is built with at most one
+    # worker per node and per core, and the prices keep the 1-thread bits
+    from concurrent.futures import process
+
+    started = []
+
+    class Recording(process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+    doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
+    doc["grid"] = {"mPower": 10}
+    prices = {}
+    for threads in (1, 10**6):
+        doc["threads"] = threads
+        rows, _ = run_price(parse_config(doc), all_histories=True)
+        prices[threads] = [repr(r["price"]) for r in rows]
+    nodes = len(gwr_nodes(doc["maturity"], parse_config(doc).inversion.n_gaver))
+    cap = min(nodes, os.cpu_count() or 1)
+    assert len(started) == (cap > 1) and all(n <= cap for n in started), started
+    assert prices[10**6] == prices[1]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("value", [False, True])

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +60,19 @@ def test_every_imported_name_is_used():
         if imported - used - exported:
             unused[path.name] = sorted(imported - used - exported)
     assert unused == {}
+
+
+def test_cli_import_loads_no_process_pool():
+    # the worker pool is imported when a price forks workers, not when the
+    # command line starts: a cold import of concurrent.futures.process
+    # costs about 35 ms, against about 0.15 s for the whole set-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, rsbarrier.cli; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 MODEL_CLASSES = {"BrownianDrift", "KouJumpDiffusion", "KoBoL"}
