@@ -16,7 +16,7 @@ import numbers
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError, RsBarrierError
+from .errors import ConfigError, InfeasibleHistoryError, RsBarrierError
 from .engine import BarrierProblem, RegimeSpec, Tolerances
 from .grids import GridConfig
 from .histories import HistoryIndex, MemoryChain
@@ -204,6 +204,8 @@ def _chain(d) -> MemoryChain:
             return MemoryChain.from_constant(m, n_mem, _finite(rates, "chain.rates"), lambda0)
     except ValueError as exc:
         raise ConfigError(f"invalid chain rates: {exc}") from exc
+    except InfeasibleHistoryError as exc:  # m = 1 with N > 0
+        raise ConfigError(f"invalid chain: {exc}") from exc
     raise ConfigError("chain rates must be a number, a dense table, or a rule table")
 
 

@@ -12,7 +12,10 @@ Im xi = omega, which must stay strictly inside the strip reported by
 Each family's formulas live on its class, and no other module tests a
 regime's class: psi (``psi_unchecked``), the strip and the domain check that
 ``char_exponent`` runs, sinh admissibility, creeping, the Wiener-Hopf inputs
-of both routes, and whether the Monte Carlo walker draws its paths.
+of the route the family takes, and whether the Monte Carlo walker draws its
+paths.  Brownian and Kou regimes take the root route alone and supply its
+cleared polynomial, root counts and jump poles; only KoBoL takes the
+spectral split and supplies its comparison symbol, which does not read Q.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourError, DomainError, FactorizationDegenerateError, PoleError
+from .errors import DomainError, FactorizationDegenerateError, PoleError
 
 __all__ = [
     "BrownianDrift",
@@ -47,9 +50,10 @@ class _Diffusive:
     and exponential jumps of total intensity ``lambda_j``, with poles of psi
     at the rates ``pole_rates`` (up, down).  Each adds ``psi_deriv`` and
     ``cleared_polynomial``: Q + psi with its denominators cleared, highest
-    power first.  Their paths can be simulated."""
+    power first: the inputs of the root route, the only Wiener-Hopf route
+    these families take.  Their paths can be simulated."""
 
-    rational = simulated = comparison_reads_q = True
+    rational = simulated = True
 
     def sinh_inversion_admissible(self) -> bool:
         return self.sigma2 > 0.0 or self.mu == 0.0
@@ -59,19 +63,6 @@ class _Diffusive:
         up, down = self.pole_rates
         return (len(up) + (1 if (self.sigma2 > 0 or self.mu > 0) else 0),
                 len(down) + (1 if (self.sigma2 > 0 or self.mu < 0) else 0))
-
-    def comparison_symbol(self, Q):
-        """(kappa, a, p_base, b, m_base): C(xi) = kappa*(p - i xi)^a * (m + i xi)^b
-        matching the growth of Q + psi at |xi| -> inf; it reads Re Q."""
-        sig2 = self.sigma2
-        if sig2 <= 0.0:
-            raise ContourError("integral comparison needs sigma2 > 0 here")
-        kappa = 0.5 * sig2
-        pm = max(2.0 * (self.lambda_j + max(Q.real, 0.5)) / sig2, 0.25)
-        d = -2.0 * self.mu / sig2
-        p = 0.5 * (d + math.sqrt(d * d + 4.0 * pm))
-        m = p - d
-        return kappa, 1.0, p, 1.0, m
 
     def jump_count(self, rng, duration) -> int:
         return int(rng.poisson(self.lambda_j * duration)) if self.lambda_j > 0.0 else 0
@@ -213,7 +204,7 @@ class KoBoL:
     lambda_minus: float
     mu: float
 
-    rational = simulated = comparison_reads_q = False
+    rational = simulated = False
 
     def __post_init__(self):
         _check_finite(self)
@@ -246,7 +237,10 @@ class KoBoL:
     def creeps(self, side: str) -> bool:
         return False
 
-    def comparison_symbol(self, Q):
+    def comparison_symbol(self):
+        """(kappa, a, p_base, b, m_base): C(xi) = kappa*(p - i xi)^a * (m + i xi)^b
+        matching the growth of psi at |xi| -> inf, so that ln((Q + psi)/C)
+        decays for every Q."""
         nu, c, mu = self.nu, self.c, self.mu
         lp, lm = self.lambda_plus, -self.lambda_minus
         if nu > 1.0 or mu == 0.0:

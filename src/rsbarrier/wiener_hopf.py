@@ -17,16 +17,14 @@ normalization phi+-(0) = 1.
   eta) with v > 0 extend upward).  The split is exactly complementary, so
   the product identity holds to machine precision on the contour.
 
-  psi and the comparison symbol along the oversampled contour do not depend
-  on Q when the comparison symbol does not (KoBoL), and nearly every
-  spectral value splits on the same three contours: the real axis (for the
+  The comparison symbol takes no Q, so psi and the comparison symbol along
+  the oversampled contour do not depend on Q, and nearly every spectral
+  value splits on the same three contours: the real axis (for the
   normalization) and the grid's two default damping contours.  Those arrays
   are built once per (regime, contour) and kept, read-only, in the grid's
   ``split_arrays``.  Any other contour is capped by the factor's own decay,
   so it differs from one Q to the next and is built and dropped each time;
-  keeping it would grow memory with the number of spectral values.  A
-  comparison symbol that reads Q (``comparison_reads_q``: Brownian and Kou
-  regimes sent down this route match it to Re Q) keeps none of its arrays.
+  keeping it would grow memory with the number of spectral values.
 """
 
 from __future__ import annotations
@@ -122,14 +120,14 @@ class WHFactorization:
     def _norm_plus(self):
         """Global constant pinning phi_plus(0) = 1, from the axis split."""
         if not hasattr(self, "_norm_plus_cache"):
-            kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol(self.Q)
+            kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol()
             _, t_plus, _ = _split_remainder_on_contour(self.model, self.Q, self.grid, 0.0)
             m_total = OVERSAMPLE * self.grid.size
             self._norm_plus_cache = a_exp * math.log(p_base) - t_plus[m_total // 2]
         return self._norm_plus_cache
 
     def _split_factors(self, omega: float):
-        kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol(self.Q)
+        kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol()
         if p_base + omega <= 0.0 or m_base - omega <= 0.0:
             raise ContourError("comparison bases must stay off the contour")
         zeta_os, t_plus, t_minus = _split_remainder_on_contour(
@@ -217,18 +215,19 @@ def _continuous_log(values, where: str):
     return np.log(mag) + 1j * ang
 
 
-def _contour_arrays(model, Q, grid: DualGrid, omega: float, zeta: np.ndarray):
+def _contour_arrays(model, grid: DualGrid, omega: float, zeta: np.ndarray):
     """(psi, C) on ``zeta``, the oversampled contour Im xi = omega.
 
-    Kept in ``grid.split_arrays`` when the grid defines the contour and C
-    does not depend on Q; each entry is written once, whole and read-only,
-    so node threads may share it.
+    Kept in ``grid.split_arrays`` when the grid defines the contour; each
+    entry is written once, whole and read-only, because every spectral
+    value priced in this process reads it, and worker processes forked
+    after it is written inherit it.
     """
     key = (model, omega)
-    kept = not model.comparison_reads_q and omega in (0.0, grid.omega_plus, grid.omega_minus)
+    kept = omega in (0.0, grid.omega_plus, grid.omega_minus)
     if kept and key in grid.split_arrays:
         return grid.split_arrays[key]
-    kappa, a_exp, p_base, b_exp, m_base = model.comparison_symbol(Q)
+    kappa, a_exp, p_base, b_exp, m_base = model.comparison_symbol()
     comp = kappa * (p_base - 1j * zeta) ** a_exp * (m_base + 1j * zeta) ** b_exp
     arrays = (_frozen(char_exponent(model, zeta)), _frozen(comp))
     if kept:
@@ -251,7 +250,7 @@ def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float):
     j = np.arange(m_total)
     eta = (j - m_total // 2) * dxi
     zeta = eta + 1j * omega
-    psi, comp = _contour_arrays(model, Q, grid, omega, zeta)
+    psi, comp = _contour_arrays(model, grid, omega, zeta)
     t = -_continuous_log((Q + psi) / comp, f"Im xi = {omega:g}")
 
     coeffs = np.fft.fft(t)
@@ -284,7 +283,8 @@ def _axis_zero_scan(model, Q, edge: float, side: str) -> float:
 
 
 def factorize_integral(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
-    """Spectral-split factorization; works for any model with a known strip."""
+    """Spectral-split factorization, for a model with a known strip and a
+    comparison symbol (KoBoL)."""
     Q = complex(Q)
     lo, hi = analyticity_strip(model)
     edge_lo = abs(lo) if math.isfinite(lo) else 10.0 * max(1.0, abs(Q))

@@ -5,7 +5,9 @@
 ``complex_multiplier`` applies E^side by full complex transforms of the
 full-contour symbols, against which real plans are checked,
 ``log_factor_cauchy_reference`` is the literal Cauchy-integral form of the
-Wiener-Hopf log-factor, against which the spectral split is checked, and
+Wiener-Hopf log-factor, against which the spectral split is checked,
+``IntegralRoute`` gives a rational model the comparison symbol it needs to
+take the spectral split, whose factors are checked against its roots',
 ``full_by_masks``/``sup_norm_by_masks`` form full samples and their norm with
 whole-grid side masks, against which the sliced forms are checked, and
 ``full_product_walk`` walks a Monte Carlo sojourn taking the bridge factor of
@@ -16,6 +18,7 @@ barrier is checked.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,6 +112,35 @@ def log_factor_cauchy_reference(model: LevyModel, Q: complex, xi: complex,
     integral = np.trapezoid(l * kernel * deta, dx=y[1] - y[0])
     sign = 1.0 if side == "plus" else -1.0
     return sign * integral / (2.0j * math.pi)
+
+
+@dataclass(frozen=True)
+class IntegralRoute:
+    """A Brownian or Kou ``model`` sent down the spectral split, which the
+    library takes for KoBoL alone: psi and its strip are the model's, and
+    the comparison symbol C(xi) = kappa*(p - i xi)*(m + i xi) matches the
+    growth of Q + psi at |xi| -> inf (it needs sigma2 > 0), with its
+    quadratic roots placed for Re ``Q``."""
+
+    model: LevyModel
+    Q: complex
+
+    def strip(self):
+        return self.model.strip()
+
+    def check_domain(self, z):
+        self.model.check_domain(z)
+
+    def psi_unchecked(self, z):
+        return self.model.psi_unchecked(z)
+
+    def comparison_symbol(self):
+        sig2 = self.model.sigma2
+        kappa = 0.5 * sig2
+        pm = max(2.0 * (self.model.lambda_j + max(self.Q.real, 0.5)) / sig2, 0.25)
+        d = -2.0 * self.model.mu / sig2
+        p = 0.5 * (d + math.sqrt(d * d + 4.0 * pm))
+        return kappa, 1.0, p, 1.0, p - d
 
 
 def full_by_masks(u: SampledFunction) -> np.ndarray:

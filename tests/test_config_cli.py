@@ -100,6 +100,13 @@ def test_config_validation_errors():
         doc["chain"]["rates"]["rules"] = [dict(rule, rate=0.9)]
         with pytest.raises(ConfigError, match="history|whole number"):
             parse_config(doc)
+    # one regime has no history of depth N >= 1, whatever form the rates take
+    for rates in ({"dense": [[]]}, 0.0, {"default": 0.0}):
+        doc = copy.deepcopy(BROWNIAN_DOC)
+        doc["chain"].update(N=1, rates=rates)
+        doc["initialHistory"] = [1, 2]
+        with pytest.raises(ConfigError, match="m=1 admits no history"):
+            parse_config(doc)
 
 
 # every number parse_config reads into the problem, as a path into the document
@@ -454,6 +461,25 @@ def test_bad_config_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, (path, value)
         assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_infeasible_chain_exit_code(tmp_path, capsys):
+    # m = 1 with N = 1 is a fault of the document, not a numerical error,
+    # whether the document gives it or a memoryN ladder reaches it
+    deep = copy.deepcopy(BROWNIAN_DOC)
+    deep["chain"].update(N=1, rates=0.0)
+    deep["initialHistory"] = [1, 2]
+    ladder = copy.deepcopy(BROWNIAN_DOC)
+    ladder["chain"]["rates"] = 0.0
+    for doc, argv in ((deep, ["price", "--threads", "1"]),
+                      (ladder, ["convergence", "--param", "memoryN", "--values", "1",
+                                "--threads", "1"])):
+        capsys.readouterr()
+        rc, out = _run_cli(tmp_path, doc, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, out) == (2, ""), argv
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "m=1 admits no history" in err[0], err
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):

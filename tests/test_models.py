@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsbarrier import models
 from rsbarrier.errors import DomainError, PoleError
 from rsbarrier.models import (
     BrownianDrift,
@@ -146,3 +148,16 @@ def test_sinh_admissibility_flags():
                      mu=0.2).sinh_inversion_admissible()
     assert KoBoL(nu=0.6, c=1.0, lambda_plus=5.0, lambda_minus=-5.0,
                  mu=0.0).sinh_inversion_admissible()
+
+
+def test_comparison_symbol_reads_no_q():
+    # the spectral split keeps psi and C per (regime, contour) for every Q,
+    # which holds only while no family's comparison symbol takes Q; only
+    # the non-rational families take that route and define one
+    defining = [cls for cls in vars(models).values()
+                if inspect.isclass(cls) and cls.__module__ == models.__name__
+                and "comparison_symbol" in vars(cls)]
+    assert KoBoL in defining
+    for cls in defining:
+        assert list(inspect.signature(cls.comparison_symbol).parameters) == ["self"], cls
+        assert not cls.rational, cls

@@ -14,7 +14,7 @@ from rsbarrier.wiener_hopf import (
 )
 
 import builders as build
-from oracles import log_factor_cauchy_reference
+from oracles import IntegralRoute, log_factor_cauchy_reference
 
 BM2 = BrownianDrift(mu=0.0, sigma2=2.0)
 KOU = KouJumpDiffusion(mu=0.0, sigma2=0.04, lambda_j=1.0, p=0.5,
@@ -68,7 +68,7 @@ def test_product_identity_integral(grid, Q):
 
 def test_integral_matches_rational_brownian(grid):
     fr = factorize_rational(BM2, 1.0, grid)
-    fi = factorize_integral(BM2, 1.0, grid)
+    fi = factorize_integral(IntegralRoute(BM2, 1.0), 1.0, grid)
     sel = np.abs(grid.xi) <= 50.0
     for omega in (0.0, -0.4, 0.4):
         cs, csr = fi.contour_symbols(omega), fr.contour_symbols(omega)
@@ -79,7 +79,7 @@ def test_integral_matches_rational_brownian(grid):
 def test_integral_matches_rational_kou(grid):
     # genuine split exercise: the jump part is not in the comparison symbol
     fr = factorize_rational(KOU_DRIFT, 1.0, grid)
-    fi = factorize_integral(KOU_DRIFT, 1.0, grid)
+    fi = factorize_integral(IntegralRoute(KOU_DRIFT, 1.0), 1.0, grid)
     for omega in (0.0, -0.4, 0.4):
         cs, csr = fi.contour_symbols(omega), fr.contour_symbols(omega)
         assert np.max(np.abs(cs.phi_plus - csr.phi_plus)) < 2e-5
@@ -131,7 +131,9 @@ def test_kept_split_arrays_do_not_change_symbols():
 
 
 def test_kept_split_arrays_shared_by_threads():
-    # more node threads than cores fill and read one grid's store at once
+    # each kept entry is written once, whole and read-only: every node of a
+    # process reads it and forked workers inherit it; even 4 threads that
+    # fill and read one grid's store at once get a fresh grid's symbols
     args = dict(lower=-1.0, upper=1.0, m_power=10, models=[KOBOL])
     shared = build.grid(**args)
     qs = [10.0, 20.0 + 15.0j, 20.0 - 15.0j, 5.0 + 2.0j, 8.0, 12.0 + 1.0j] * 2
@@ -155,18 +157,6 @@ def test_kept_split_arrays_shared_by_threads():
         want = symbols(build.grid(**args), Q)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert len(shared.split_arrays) == 3
-
-
-def test_q_dependent_comparison_keeps_nothing():
-    # a Brownian comparison symbol follows Re Q, so nothing may be kept
-    args = dict(lower=-1.0, upper=1.0, m_power=12, models=[BM2])
-    shared = build.grid(**args)
-    for Q in (3.0, 7.0):
-        fac = factorize_integral(BM2, Q, shared)
-        fresh = factorize_integral(BM2, Q, build.grid(**args))
-        for omega in (0.0, shared.omega_plus, shared.omega_minus):
-            _assert_symbols_equal(fac, fresh, omega)
-        assert not shared.split_arrays
 
 
 def test_symmetric_model_conjugate_factors(grid):
