@@ -90,33 +90,35 @@ def _in_workers(pricer: QPricer, nodes, workers: int):
 def _evaluate_nodes(pricer: QPricer, nodes, threads: int):
     """The transform at the spot, one row per node in node order and one
     column per history code, plus the most outer terms and inner sweeps
-    that any node took.  ``threads`` counts worker processes over the
-    nodes, at most one per node and per core; with fewer than 2 of them,
-    or no fork, the nodes run one after another in this process."""
+    that any node took and the count of inner solves that the sweep cap
+    stopped short of their tolerance.  ``threads`` counts worker processes
+    over the nodes, at most one per node and per core; with fewer than 2 of
+    them, or no fork, the nodes run one after another in this process."""
     workers = min(threads, len(nodes), os.cpu_count() or 1)
     results = _in_workers(pricer, nodes, workers) if workers > 1 else None
     if results is None:
         results = [_spot_value(pricer, q) for q in nodes]
-    values = np.array([v for v, _ in results])
-    outer = max(len(stats.outer_terms) for _, stats in results)
-    sweeps = max(stats.max_inner_sweeps for _, stats in results)
-    return values, outer, sweeps
+    stats = [s for _, s in results]
+    return np.array([v for v, _ in results]), {
+        "outer": max(len(s.outer_terms) for s in stats),
+        "sweeps": max(s.max_inner_sweeps for s in stats),
+        "capped": sum(s.capped_solves for s in stats)}
 
 
 def price_histories(pricer: QPricer, inversion: InversionPlan, threads: int = 1):
-    """The price of every history, by history code, and the most outer terms
-    and inner sweeps that any node took: the transform at the spot on the
-    back end's nodes, inverted history by history."""
+    """The price of every history, by history code, and the iteration counts
+    of ``_evaluate_nodes``: the transform at the spot on the back end's
+    nodes, inverted history by history."""
     tau, n_gaver = pricer.problem.maturity, inversion.n_gaver
     if inversion.backend == "sinh":
         splan = sinh_plan(tau, inversion)
         nodes = sinh_nodes(splan)[0][sinh_evaluated(splan)]
-        values, outer, sweeps = _evaluate_nodes(pricer, nodes, threads)
+        values, iterations = _evaluate_nodes(pricer, nodes, threads)
         prices = [sinh_invert(column, tau, splan).value for column in values.T]
     else:
-        values, outer, sweeps = _evaluate_nodes(pricer, gwr_nodes(tau, n_gaver), threads)
+        values, iterations = _evaluate_nodes(pricer, gwr_nodes(tau, n_gaver), threads)
         prices = [gwr_invert(column.real, tau, n_gaver).value for column in values.T]
-    return prices, {"outer": outer, "sweeps": sweeps}
+    return prices, iterations
 
 
 def run_price(cfg: ProblemConfig, all_histories: bool = False):
@@ -137,6 +139,11 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
                     print(f"warning: sinh back end not established for {spec.model}",
                           file=sys.stderr)
         prices, iterations = price_histories(pricer, plan, threads)
+        capped = iterations.pop("capped")
+        if capped:
+            print(f"warning: {capped} inner solves stopped at tolerances.maxSweeps = "
+                  f"{cfg.tolerances.max_sweeps} above their tolerance; the price may be "
+                  f"off, raise tolerances.maxSweeps", file=sys.stderr)
         meta.update(iterations)
     else:
         prices = [0.0] * problem.chain.size

@@ -112,16 +112,13 @@ def _object(value, path: str, required, optional=()) -> dict:
 # the value for the dataclass to check
 _SECTIONS = {
     "grid": (GridConfig, {
-        "mPower": ("m_power", _whole), "domainFactor": ("domain_factor", _finite),
-        "dampingScale": ("damping_scale", _finite),
-        "dampingCap": ("damping_cap", _finite), "decayTol": ("decay_tol", _finite)}),
+        "mPower": ("m_power", _whole), "domainFactor": ("domain_factor", _finite)}),
     "tolerances": (Tolerances, {
         "inner": ("inner", _finite), "outer": ("outer", _finite),
-        "maxOuter": ("max_outer", _whole), "maxSweeps": ("max_sweeps", _whole)}),
+        "maxSweeps": ("max_sweeps", _whole)}),
     "inversion": (InversionPlan, {
         "backend": ("backend", None), "nGaver": ("n_gaver", _whole),
-        "sinhNodes": ("sinh_nodes", _whole), "sinhSigma0": ("sinh_sigma0", _finite_or_none),
-        "sinhGamma": ("sinh_gamma", _finite), "sinhTargetTol": ("sinh_target_tol", _finite)}),
+        "sinhNodes": ("sinh_nodes", _whole), "sinhTargetTol": ("sinh_target_tol", _finite)}),
     "mc": (McConfig, {
         "paths": ("paths", _whole), "dt": ("dt", _finite),
         "bridge": ("bridge", _flag), "antithetic": ("antithetic", _flag)}),
@@ -138,8 +135,7 @@ _MODELS = {
 
 # each optional setting's default by "section.field"; the seed is top-level
 DEFAULTS = {f"{section}.{name}": getattr(cls, name)
-            for section, (cls, table) in _SECTIONS.items()
-            for name, _ in table.values() if getattr(cls, name) is not None}
+            for section, (cls, table) in _SECTIONS.items() for name, _ in table.values()}
 DEFAULTS["seed"] = McConfig.seed
 
 

@@ -105,6 +105,7 @@ class BarrierProblem:
         return np.array([r.payoff for r in self.regimes])
 
 
+MAX_OUTER = 200  # most terms of the series of one-barrier corrections
 _V0_MAX_SWEEPS = 10_000
 _V0_STALL_SWEEPS = 3
 
@@ -166,6 +167,7 @@ class IterationStats:
     outer_terms: list[float] = field(default_factory=list)
     inner_sweeps: list[int] = field(default_factory=list)
     contraction_ratios: list[float] = field(default_factory=list)
+    capped_solves: int = 0  # inner solves stopped by max_sweeps above their tolerance
     monotone_undershoot: float = 0.0
     boundary_residual: float = 0.0
 
@@ -247,18 +249,17 @@ class Workspace:
 @dataclass(frozen=True)
 class Tolerances:
     """Stopping rules: a sweep's step (``inner``) and a series term (``outer``)
-    relative to max|G|/|q|, and the most sweeps and terms allowed."""
+    relative to max|G|/|q|, and the most sweeps allowed per series term."""
 
     inner: float = 1e-10
     outer: float = 1e-8
-    max_outer: int = 200
     max_sweeps: int = 500
 
     def __post_init__(self):
         if self.inner <= 0 or self.outer <= 0:
             raise ConfigError("tolerances must be > 0")
-        if self.max_outer < 1 or self.max_sweeps < 1:
-            raise ConfigError("maxOuter and maxSweeps must be >= 1")
+        if self.max_sweeps < 1:
+            raise ConfigError("maxSweeps must be >= 1")
 
 
 class QPricer:
@@ -412,6 +413,8 @@ class QPricer:
             prev_diff = diff
             if diff <= tol:
                 break
+        else:
+            stats.capped_solves += 1
         stats.inner_sweeps.append(sweep)
         return cur
 
@@ -426,10 +429,10 @@ class QPricer:
         minus_prev = SampledFunction.step(grid, Region.AT_OR_ABOVE_UPPER, v0)
         plus_prev = SampledFunction.step(grid, Region.AT_OR_BELOW_LOWER, v0)
         total = SampledFunction.constant(grid, v0)
-        tol, max_outer = self.tolerances.outer * self._scale(q), self.tolerances.max_outer
+        tol = self.tolerances.outer * self._scale(q)
         rising = 0
         prev_norm = None
-        for ell in range(1, max_outer + 1):
+        for ell in range(1, MAX_OUTER + 1):
             v_plus, minus_prev = self._inner_iteration(
                 "plus", minus_prev, q, stats, plans, work), None
             v_minus, plus_prev = self._inner_iteration(
@@ -451,7 +454,7 @@ class QPricer:
             prev_norm = norm
             minus_prev, plus_prev = v_minus, v_plus
         raise DivergenceError(f"outer series needs more than "
-                              f"{max_outer} terms at q={q}")
+                              f"{MAX_OUTER} terms at q={q}")
 
     def price_field(self, q) -> ValueField:
         problem, chain, grid = self.problem, self.problem.chain, self.grid

@@ -124,6 +124,8 @@ class OperatorPlan:
 
 # every DECAY_PROBE_STRIDE-th interior node enters _check_decay's lower bound
 DECAY_PROBE_STRIDE = 16
+# largest residual at a grid end, relative to the sup-norm, that passes
+DECAY_TOL = 1e-6
 
 
 def _check_decay(u: SampledFunction, error_cls) -> None:
@@ -149,13 +151,13 @@ def _check_decay(u: SampledFunction, error_cls) -> None:
               np.abs(u.c_lo).max(initial=0.0), np.abs(u.c_hi).max(initial=0.0))
     # a NaN among the probes must fail the comparison; max() may drop it
     bound = math.nan if any(map(math.isnan, probes)) else float(max(probes))
-    if np.isfinite(v.sum()) and edge <= grid.decay_tol * max(bound, 1e-300):
+    if np.isfinite(v.sum()) and edge <= DECAY_TOL * max(bound, 1e-300):
         return
     scale = max(u.sup_norm(), 1e-300)
-    if not edge <= grid.decay_tol * scale:  # NaN fails too
+    if not edge <= DECAY_TOL * scale:  # NaN fails too
         raise error_cls(
             f"residual does not decay at the grid ends "
-            f"(edges {edge_lo:.2e}/{edge_hi:.2e} vs tol {grid.decay_tol * scale:.2e}); "
+            f"(edges {edge_lo:.2e}/{edge_hi:.2e} vs tol {DECAY_TOL * scale:.2e}); "
             f"enlarge the domain or M"
         )
 

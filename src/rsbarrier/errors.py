@@ -30,7 +30,8 @@ class ResourceLimitError(RsBarrierError):
 
 
 class FactorizationDegenerateError(RsBarrierError):
-    """A root of Q + psi sits on (or too close to) the real axis."""
+    """The roots of Q + psi cannot be split: one sits on (or too close to)
+    the real axis, or they lie beyond the float range."""
 
 
 class InternalError(RsBarrierError):

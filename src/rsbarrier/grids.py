@@ -40,6 +40,9 @@ WINDOW_ROLLOFF = 0.5   # Gaussian width of window_mask beyond its margin
 # largest |omega * x| on the grid: exp(+-omega*x) then stays within 1e+-154,
 # which leaves the other half of the exponent range to the damped data
 MAX_DAMPING_EXPONENT = 0.5 * math.log(sys.float_info.max)
+# default damping: DAMPING_SCALE of the nearest strip edge, at most DAMPING_CAP
+DAMPING_SCALE = 0.25
+DAMPING_CAP = 1.0
 
 
 class Region(Enum):
@@ -86,7 +89,6 @@ class DualGrid:
     omega_plus: float
     omega_minus: float
     guard: int
-    decay_tol: float
     _half_lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     split_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -239,22 +241,14 @@ class DualGrid:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """The settings ``build_grid`` reads, and the decay tolerance that each
-    operator application checks its output against."""
+    """The settings ``build_grid`` reads."""
 
     m_power: int = 14
     domain_factor: float = 10.0
-    damping_scale: float = 0.25
-    damping_cap: float = 1.0
-    decay_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.domain_factor > 0:
             raise ConfigError("domainFactor must be > 0")
-        if not (self.damping_scale > 0 and self.damping_cap > 0):
-            raise ConfigError("dampingScale and dampingCap must be > 0")
-        if not 0 < self.decay_tol < 1:
-            raise ConfigError("decayTol must lie in (0, 1)")
 
 
 def build_grid(lower: float, upper: float, models, settings: GridConfig) -> DualGrid:
@@ -263,8 +257,9 @@ def build_grid(lower: float, upper: float, models, settings: GridConfig) -> Dual
     The domain spans ``domain_factor`` band-widths on each side of the band;
     dx is chosen so (upper - lower)/dx is an integer, hence zero snap
     distance, and the band holds the 4 strictly interior nodes that
-    ``engine.interpolate_field`` reads.  Damping is -min(cap, scale*|strip
-    edge|) on the plus side (mirrored on the minus side), over all models.
+    ``engine.interpolate_field`` reads.  Damping is -min(DAMPING_CAP,
+    DAMPING_SCALE*|strip edge|) on the plus side (mirrored on the minus
+    side), over all models.
     """
     if not upper > lower:
         raise ValueError("need lower < upper")
@@ -295,8 +290,8 @@ def build_grid(lower: float, upper: float, models, settings: GridConfig) -> Dual
         lo, hi = analyticity_strip(model)
         edge_lo = min(edge_lo, abs(lo))
         edge_hi = min(edge_hi, abs(hi))
-    omega_plus = -min(settings.damping_cap, settings.damping_scale * edge_lo)
-    omega_minus = min(settings.damping_cap, settings.damping_scale * edge_hi)
+    omega_plus = -min(DAMPING_CAP, DAMPING_SCALE * edge_lo)
+    omega_minus = min(DAMPING_CAP, DAMPING_SCALE * edge_hi)
     # damping scales by exp(+-omega*x), and window_mask squares distances of
     # up to a few times the reach in roll-off widths: over an absurdly wide
     # domain either would overflow
@@ -306,11 +301,11 @@ def build_grid(lower: float, upper: float, models, settings: GridConfig) -> Dual
             and 8.0 * reach / WINDOW_ROLLOFF <= math.sqrt(sys.float_info.max)):
         raise ValueError(f"the domain reaches |x| = {reach:.3g}, too wide for damped "
                          f"transforms at |omega| = {omega:.3g}; narrow the band or "
-                         f"lower domainFactor or dampingCap")
+                         f"lower domainFactor")
     return DualGrid(x_min=x_min, dx=dx, size=size, lower_index=lower_index,
                     upper_index=upper_index, ref_index=ref_index,
                     omega_plus=omega_plus, omega_minus=omega_minus,
-                    guard=guard, decay_tol=settings.decay_tol)
+                    guard=guard)
 
 
 @dataclass

@@ -35,9 +35,7 @@ __all__ = [
 
 LN2 = math.log(2.0)
 _RHO_BREAKDOWN = 1e-30
-# exp(sigma0*tau) multiplies the rounding error of every sinh term; past
-# ln(1/eps) that error alone exceeds the transform's own scale
-_MAX_SIGMA0_TAU = -math.log(np.finfo(float).eps)
+SINH_GAMMA = 0.75 * math.pi  # half-angle of the sector the sinh plan assumes
 
 
 def gwr_nodes(tau: float, n_gaver: int) -> np.ndarray:
@@ -181,21 +179,16 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
     apex sigma0*(1 - apex_fraction) stays right of the origin, which forces
     sigma0 up when the node budget is generous.  exp(sigma0*tau) amplifies
     roundoff, so the requested depth is relaxed until all three error
-    sources fit.  ``settings`` gives the ``sinh_*`` fields; sigma0 None is
-    chosen here.
+    sources fit.  A maturity whose floor sigma0 >= 0.5 already costs more
+    roundoff than the target allows is refused.  ``settings`` gives the
+    ``sinh_*`` fields.
     """
-    n_nodes, sigma0 = settings.sinh_nodes, settings.sinh_sigma0
-    gamma, target_tol = settings.sinh_gamma, settings.sinh_target_tol
+    n_nodes, target_tol = settings.sinh_nodes, settings.sinh_target_tol
     if tau <= 0.0:
         raise PlanError("tau must be > 0")
     if not 0.0 < target_tol < 1.0:
         raise PlanError(f"target_tol must lie in (0, 1), got {target_tol}")
-    if not math.pi / 2 < gamma < math.pi:
-        raise PlanError(f"gamma must lie in (pi/2, pi), got {gamma}")
-    if sigma0 is not None and not 0.0 < sigma0 * tau < _MAX_SIGMA0_TAU:
-        raise PlanError(f"sigma0*tau must lie in (0, {_MAX_SIGMA0_TAU:.1f}), "
-                        f"got {sigma0 * tau}")
-    margin = gamma - math.pi / 2
+    margin = SINH_GAMMA - math.pi / 2
     omega = 0.5 * margin
     d_strip = 0.5 * margin
     apex_fraction = 0.95 / (2.0 * math.cos(omega))
@@ -206,7 +199,7 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
     for _ in range(600):
         # self-consistent sigma0: discretization pays an exp(sigma0*tau)
         # boundary surcharge, truncation needs af*s0*cosh(y_max) deep enough
-        s0 = sigma0 if sigma0 is not None else max(0.5, 2.0 / tau)
+        s0 = max(0.5, 2.0 / tau)
         converged = False
         for _ in range(80):
             step = 2.0 * math.pi * d_strip / (depth + s0 * tau)
@@ -214,8 +207,8 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
             if apex_fraction * ch <= 1.1:
                 break
             s0_need = (depth / tau) / (apex_fraction * ch - 1.0)
-            s0_new = sigma0 if sigma0 is not None else max(0.5, 2.0 / tau, s0_need)
-            if s0_new > round_cap / tau and sigma0 is None:
+            s0_new = max(0.5, 2.0 / tau, s0_need)
+            if s0_new > round_cap / tau:
                 break  # runaway: this depth is unaffordable
             if abs(s0_new - s0) <= 1e-10 * (1.0 + s0):
                 s0 = s0_new
@@ -225,8 +218,12 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
         if converged or depth <= floor_depth:
             break
         depth = max(depth * 0.97, floor_depth)
+    if s0 * tau > round_cap:
+        raise PlanError(f"maturity {tau:g} needs sigma0*maturity >= {s0 * tau:.3g}, past "
+                        f"the {round_cap:.3g} at which exp(sigma0*maturity) times roundoff "
+                        f"exceeds sinhTargetTol; price it with the gwr back end")
     b = apex_fraction * s0 / math.sin(omega)
-    return SinhPlan(sigma0=s0, gamma=gamma, omega=omega, b=b,
+    return SinhPlan(sigma0=s0, gamma=SINH_GAMMA, omega=omega, b=b,
                     step=step, n_nodes=n_nodes)
 
 
@@ -291,8 +288,6 @@ class InversionPlan:
     backend: str = "gwr"  # "gwr" | "sinh"
     n_gaver: int = 8
     sinh_nodes: int = 64
-    sinh_sigma0: float | None = None
-    sinh_gamma: float = 0.75 * math.pi
     sinh_target_tol: float = 1e-10
 
     def __post_init__(self):

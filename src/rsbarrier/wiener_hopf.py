@@ -160,7 +160,15 @@ def factorize(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
 def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
     """Root-based factorization for the rational regimes (Brownian, Kou)."""
     Q = complex(Q)
-    roots = np.roots(model.cleared_polynomial(Q))
+    poly = model.cleared_polynomial(Q)
+    # np.roots divides by the leading coefficient; past the float range its
+    # companion matrix overflows, and that is refused here, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(poly[1:] / poly[0]))
+    if not finite:
+        raise FactorizationDegenerateError(f"Q + psi at Q={Q} overflows its root finder; "
+                                           f"lower Q or the regime's rate r")
+    roots = np.roots(poly)
     # one Newton polish on Q + psi itself, skipping the cleared-pole roots
     up, down = model.pole_rates
     poles = [-1j * a for a in up] + [1j * a for a in down]

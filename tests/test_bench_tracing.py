@@ -16,8 +16,9 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 
 from tracing import TRACE_POINTS, Tracer, summarize  # noqa: E402
-from workloads import RESIDUAL_BOUND, PricingWorkload  # noqa: E402
+from workloads import RESIDUAL_BOUND, PricingWorkload, memory_chain_doc  # noqa: E402
 
+from rsbarrier.cli import run_price  # noqa: E402
 from rsbarrier.config import parse_config  # noqa: E402
 from rsbarrier import montecarlo  # noqa: E402
 
@@ -61,3 +62,13 @@ def test_tracer_records_every_trace_point():
     assert tracer.counts["epv.fft_points"] > 0
     assert tracer.counts["engine.inner_sweeps"] > 0
     assert all(math.isfinite(rec["total_s"]) for rec in recorded.values())
+
+
+def test_memory_chain_workload_prices_without_warning(capsys):
+    # the depth-3 chain's inner solves all converge well inside the sweep
+    # cap, so its price comes with no warning on stderr
+    doc = memory_chain_doc()
+    doc["threads"] = 2
+    rows, meta = run_price(parse_config(doc), all_histories=True)
+    assert len(rows) == 24 and meta["sweeps"] < 100
+    assert capsys.readouterr().err == ""

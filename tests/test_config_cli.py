@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rsbarrier import montecarlo
+from rsbarrier import engine, montecarlo
 from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.engine import QPricer
@@ -55,6 +55,10 @@ TWO_REGIME_DOC = {
     "mc": {"paths": 2000, "dt": 0.005},
     "seed": 11,
 }
+
+# settings that are constants of the method now, by their former keys
+CONSTANT_KEYS = {"dampingScale", "dampingCap", "decayTol", "maxOuter", "sinhGamma",
+                 "sinhSigma0"}
 
 
 def test_rule_rates_materialized():
@@ -122,7 +126,8 @@ NUMERIC_FIELDS = [
 
 
 # a number that is not finite, or not a JSON number at all: a string or a
-# bool is not read as the number it spells
+# bool is not read as the number it spells; a setting that is a constant of
+# the method now is refused as an unknown key, whatever its value
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.2", True])
 @pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=lambda p: ".".join(map(str, p)))
 def test_non_finite_input_rejected(path, value):
@@ -133,7 +138,8 @@ def test_non_finite_input_rejected(path, value):
     for key in path[:-1]:
         node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     node[path[-1]] = value
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"unknown key {'.'.join(path)};"
+                       if path[-1] in CONSTANT_KEYS else None):
         parse_config(doc)
 
 
@@ -251,11 +257,11 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
     assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
-# grid settings outside their range: one config error line and exit 2 on
-# every model, from price and from factors, before any grid is built, not a numeric error with wrong
-# advice, a silent price, or a decay check switched off.  A negative
-# dampingScale on brownian_band is left out: its unbounded analyticity strip
-# makes the grid check refuse that one too, as a too-wide domain.
+# grid settings outside their range: one config error line and exit 2, from
+# price and from factors, before any grid is built, not a numeric error with
+# wrong advice or a silent price.  dampingScale, dampingCap and decayTol are
+# constants of the method now: a document that still gives one, in range or
+# not, is refused as an unknown key.
 @pytest.mark.parametrize("config, key, value", [
     (config, key, value) for config in ("kou_memory", "brownian_band")
     for key, value in (("dampingCap", 0.0), ("dampingCap", -1.0), ("dampingScale", 0.0),
@@ -271,11 +277,12 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
 def test_bad_grid_setting_is_config_error(tmp_path, capsys, config, key, value):
     doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
     doc["grid"][key] = value
+    named = f"unknown key grid.{key};" if key in CONSTANT_KEYS else key
     for argv in (("price", "--threads", "1"), ("factors",)):
         rc, out = _run_cli(tmp_path, doc, *argv)
         err = capsys.readouterr().err.splitlines()
         assert (rc, out) == (2, ""), argv
-        assert len(err) == 1 and err[0].startswith("config error:") and key in err[0], err
+        assert len(err) == 1 and err[0].startswith("config error:") and named in err[0], err
 
 
 def test_smallest_band_grid_prices():
@@ -290,7 +297,9 @@ def test_smallest_band_grid_prices():
 
 
 # a key the parser does not read, misspelt or misplaced, in each object of
-# the document: one config error line that names the key's path, and exit 2
+# the document, or a setting that is now a constant of the method: one
+# config error line that names the key's path, and exit 2, from price and
+# from factors
 @pytest.mark.parametrize("doc_name, where", [
     ("kou_memory", "grid.mpower"), ("kou_memory", "tolerances.Inner"),
     ("kou_memory", "inversion.backEnd"), ("kou_memory", "mc.Paths"),
@@ -300,6 +309,9 @@ def test_smallest_band_grid_prices():
     ("kou_memory", "barriers.Upper"), ("two_regime", "chain.rates.rule"),
     ("two_regime", "chain.rates.rules[0].target"),
     ("two_regime", "regimes[1].model.lambdaJ"),
+    ("kou_memory", "grid.dampingScale"), ("kou_memory", "grid.dampingCap"),
+    ("kou_memory", "grid.decayTol"), ("kou_memory", "tolerances.maxOuter"),
+    ("kou_memory", "inversion.sinhGamma"), ("kou_memory", "inversion.sinhSigma0"),
 ])
 def test_unknown_key_is_config_error(tmp_path, capsys, doc_name, where):
     if doc_name == "kou_memory":
@@ -314,10 +326,11 @@ def test_unknown_key_is_config_error(tmp_path, capsys, doc_name, where):
     for key in path[:-1]:
         node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     node[path[-1]] = 1
-    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
-    err = capsys.readouterr().err.splitlines()
-    assert (rc, out) == (2, "")
-    assert len(err) == 1 and err[0].startswith(f"config error: unknown key {where};"), err
+    for argv in (("price", "--threads", "1"), ("factors",)):
+        rc, out = _run_cli(tmp_path, doc, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, out) == (2, ""), argv
+        assert len(err) == 1 and err[0].startswith(f"config error: unknown key {where};"), err
 
 
 # a thread count must be a whole number >= 1, whether the document, the
@@ -482,13 +495,15 @@ def test_infeasible_chain_exit_code(tmp_path, capsys):
         assert "m=1 admits no history" in err[0], err
 
 
-def test_numeric_error_exit_code(tmp_path, capsys):
+def test_numeric_error_exit_code(tmp_path, capsys, monkeypatch):
     doc = copy.deepcopy(BROWNIAN_DOC)
-    doc["tolerances"] = {"maxOuter": 2}  # series cannot terminate in 2 terms
+    monkeypatch.setattr(engine, "MAX_OUTER", 2)  # series cannot terminate in 2 terms
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     rc = main(["price", "--config", str(cfg_path), "--threads", "1"])
     assert rc == 3
+    assert "more than 2 terms" in capsys.readouterr().err
+    monkeypatch.undo()
     # the size guard fires before any array is built, so 2^60 nodes cost nothing
     doc = copy.deepcopy(BROWNIAN_DOC)
     doc["grid"] = {"mPower": 60}
@@ -509,6 +524,81 @@ def test_huge_grid_error_is_one_short_line(tmp_path, capsys):
     assert (rc, out) == (3, "")
     assert len(err) == 1 and err[0].startswith("numeric error:") and "2^1023" in err[0], err
     assert len(err[0]) < 200, err
+
+
+# a discount rate or spectral value whose Q overflows the root finder of a
+# rational regime: one numeric error line and no traceback, from price under
+# either back end and at either process count (at 2 the error comes from a
+# worker), and from factors
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config, regime, argv", [
+    ("kou_memory", 1, ("price", "--threads", "1")),
+    ("kou_memory", 1, ("price", "--threads", "2")),
+    ("brownian_band", 0, ("price", "--threads", "1")),
+    ("brownian_band", 0, ("price", "--threads", "1", "--backend", "sinh")),
+    ("kou_memory", None, ("factors", "--q-value", "1e308")),
+    ("brownian_band", None, ("factors", "--q-value", "1e308")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_overflowing_q_is_numeric_error(tmp_path, capsys, config, regime, argv):
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    if regime is not None:
+        doc["regimes"][regime]["r"] = 1e308
+    rc, out = _run_cli(tmp_path, doc, *argv)
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("numeric error:") and "overflow" in err[0], err
+
+
+# a maturity whose sinh contour needs exp(sigma0*T) past the roundoff the
+# target allows: one config error line naming the maturity and the gwr back
+# end, where the sinh back end used to print a price swamped by roundoff
+@pytest.mark.parametrize("maturity", [24.0, 200.0])
+def test_sinh_refuses_a_maturity_it_cannot_afford(tmp_path, capsys, maturity):
+    doc = json.loads((ROOT / "configs" / "brownian_band.json").read_text())
+    doc["maturity"] = maturity
+    rc, out = _run_cli(tmp_path, doc, "price", "--backend", "sinh", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert f"maturity {maturity:g}" in err[0] and "gwr" in err[0], err
+
+
+# two zero-drift Brownian regimes whose switching makes the inner sweeps
+# slow: at rate 5 they converge in 427 sweeps, to prices 0.45701 and 0.45387
+SLOW_SWEEP_DOC = {
+    "regimes": [{"model": {"type": "BrownianDrift", "mu": 0.0, "sigma2": s2},
+                 "r": 0.0, "G": 1.0} for s2 in (0.5, 1.0)],
+    "chain": {"m": 2, "N": 0, "rates": 5.0},
+    "barriers": {"lower": -3.0, "upper": 3.0},
+    "x0": 0.0,
+    "maturity": 10.0,
+    "initialHistory": [1],
+    "inversion": {"backend": "gwr"},
+    "grid": {"mPower": 11},
+    "tolerances": {"maxSweeps": 20},
+}
+
+
+# inner solves that the sweep cap stops above their tolerance: the price is
+# still printed with exit 0, and one warning line names the setting to
+# raise, at either process count (the counts come back from the workers)
+def test_sweep_cap_warns(tmp_path, capsys):
+    for threads in ("1", "2"):
+        rc, out = _run_cli(tmp_path, SLOW_SWEEP_DOC, "price", "--all-histories",
+                           "--threads", threads)
+        err = capsys.readouterr().err.splitlines()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rc == 0 and len(rows) == 2 and {r["max_inner_sweeps"] for r in rows} == {"20"}
+        assert len(err) == 1 and err[0].startswith("warning:"), err
+        assert "tolerances.maxSweeps" in err[0], err
+
+
+@pytest.mark.parametrize("config", ["brownian_band", "kobol_single", "kou_memory"])
+def test_shipped_configs_price_without_warning(tmp_path, capsys, config):
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    rc, out = _run_cli(tmp_path, doc, "price", "--all-histories", "--threads", "2")
+    assert rc == 0 and out
+    assert capsys.readouterr().err == ""
 
 
 # the worker-process tests price BROWNIAN_DOC's 16 GWR nodes at 2 threads,

@@ -6,6 +6,7 @@ from rsbarrier.grids import Region, SampledFunction, indicator_soft
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.epv import (
     DECAY_PROBE_STRIDE,
+    DECAY_TOL,
     OperatorPlan,
     apply_epv,
     apply_multiplier,
@@ -223,10 +224,10 @@ def test_decay_check_takes_the_full_sup_norm_between_probes(setup):
     peak = grid.guard + DECAY_PROBE_STRIDE // 2
     values = np.zeros(grid.size)
     values[peak] = 1.0
-    values[:4] = 0.5 * grid.decay_tol
+    values[:4] = 0.5 * DECAY_TOL
     apply_epv(plan(f, "plus"), SampledFunction(grid, values, 0.0, 0.0))
     interior = slice(grid.guard, grid.size - grid.guard)
-    for spoiled in ([(slice(0, 4), 2.0 * grid.decay_tol)], [(slice(0, 4), np.nan)],
+    for spoiled in ([(slice(0, 4), 2.0 * DECAY_TOL)], [(slice(0, 4), np.nan)],
                     [(interior, 1.0), (peak + 1, np.nan)]):
         bad = values.copy()
         for at, value in spoiled:

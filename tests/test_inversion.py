@@ -125,8 +125,17 @@ def test_sinh_samples_invert_as_the_evaluator_does(n_nodes):
 def test_sinh_rejects_shallow_sector():
     with pytest.raises(PlanError):
         SinhPlan(sigma0=2.0, gamma=math.pi / 2, omega=0.3, b=1.0, step=0.1, n_nodes=16)
-    with pytest.raises(PlanError):
-        build.sinh(1.0, sinh_gamma=0.4 * math.pi)
+
+
+def test_sinh_plan_refuses_a_maturity_its_roundoff_cannot_afford():
+    # exp(sigma0*tau) scales every term's roundoff; at the default target the
+    # cap on sigma0*tau is ln(1e-10/3 / 2.3e-16) = 11.9, which the floor
+    # sigma0 >= 0.5 passes once tau passes 23.8
+    plan = build.sinh(23.7)
+    assert plan.sigma0 * 23.7 <= math.log(1e-10 / 3.0 / 2.3e-16)
+    for tau in (24.0, 200.0, 1e300):
+        with pytest.raises(PlanError, match="gwr"):
+            build.sinh(tau)
 
 
 def test_sinh_node_symmetry_and_sector():
