@@ -98,7 +98,8 @@ def test_parse_config_fuzz_fails_typed_or_prices_finite(data):
 
 # faults the fuzz found, each of which ended in another exception type
 @pytest.mark.parametrize("path, value", [
-    (("grid", "mPower"), math.inf), (("tolerances", "maxSweeps"), 0), (("grid", "domainFactor"), -1.0),
+    (("grid", "mPower"), math.inf), (("tolerances", "maxOuter"), -math.inf),
+    (("tolerances", "maxSweeps"), 0), (("grid", "domainFactor"), -1.0),
     (("initialHistory",), [0]),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
 def test_fuzz_findings_fail_typed(path, value):
@@ -153,18 +154,21 @@ def test_bad_sinh_setting_is_config_error(key, value):
 
 
 # count keys that int() used to truncate or convert: each must be a whole
-# number, so a fraction, a string or a boolean is a config error
+# number, so a fraction, a string or a boolean is a config error.  maxOuter
+# is a constant of the method now: a document that still gives it is
+# refused as an unknown key.
 @pytest.mark.parametrize("path, value", [
     (("grid", "mPower"), 12.9), (("grid", "mPower"), "12"),
     (("inversion", "nGaver"), 8.7), (("inversion", "sinhNodes"), 64.5),
-    (("tolerances", "maxSweeps"), "50"),
+    (("tolerances", "maxOuter"), True), (("tolerances", "maxSweeps"), "50"),
     (("chain", "m"), 1.5), (("chain", "N"), 0.5), (("initialHistory",), [1.7]),
     (("initialHistory",), ["1"]),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
 def test_count_key_must_be_whole(path, value):
     doc = copy.deepcopy(BASE)
     mutate(doc, path, value)
-    with pytest.raises(ConfigError, match="whole number"):
+    with pytest.raises(ConfigError, match="unknown key tolerances.maxOuter;"
+                       if path[-1] == "maxOuter" else "whole number"):
         parse_config(doc)
 
 
