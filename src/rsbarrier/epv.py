@@ -108,13 +108,19 @@ class OperatorPlan:
 
     @classmethod
     def build(cls, fac: WHFactorization, side: str) -> "OperatorPlan":
-        """Plan of E^side for one head's factorization."""
+        """Plan of E^side for one head's factorization.
+
+        It reads one factor, phi^side on this side's contour, and asks the
+        factorization for that factor alone; the other factor on that
+        contour is never built while pricing.  Per spectral value it builds
+        the damping, the symbols and the window; the roll is the grid's.
+        """
         grid = fac.grid
         real = complex(fac.Q).imag == 0.0
         bins = slice(grid.size // 2 + 1) if real else slice(None)
         roll = grid.roll[bins]
         omega = effective_omega(fac, side)
-        cs = fac.contour_symbols(omega)
+        cs = fac.contour_symbols(omega, side)
         symbol = (cs.phi_plus if side == "plus" else cs.phi_minus)[bins]
         damp = np.exp(omega * grid.x)
         arrays = (damp, 1.0 / damp, symbol * roll, 1.0 / symbol * roll,

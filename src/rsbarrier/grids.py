@@ -43,6 +43,10 @@ MAX_DAMPING_EXPONENT = 0.5 * math.log(sys.float_info.max)
 # default damping: DAMPING_SCALE of the nearest strip edge, at most DAMPING_CAP
 DAMPING_SCALE = 0.25
 DAMPING_CAP = 1.0
+# the Wiener-Hopf spectral split samples ln((Q+psi)/C) at the grid's
+# frequency spacing over OVERSAMPLE times the grid's frequency range, so the
+# up/down split sees the remainder decay well past the band the multipliers use
+OVERSAMPLE = 4
 
 
 class Region(Enum):
@@ -75,9 +79,11 @@ class DualGrid:
     inf-side operator applications; both sit strictly inside every regime's
     analyticity strip.  Arrays that depend only on the grid are built on
     first use and kept, read-only; they take no part in ``==`` or the hash.
-    ``split_arrays`` is such a store for the Wiener-Hopf spectral split: it
-    holds the Q-free arrays of each regime on the contours every spectral
-    value shares (see ``wiener_hopf``).
+    Among them are the Wiener-Hopf spectral split's oversampled frequencies
+    ``split_eta``, its half-plane mask ``split_mask`` and ``split_index``,
+    the grid's frequencies' places on ``split_eta``.  ``split_arrays`` is a
+    store of the split's Q-free arrays of each regime on the contours every
+    spectral value shares (see ``wiener_hopf``).
     """
 
     x_min: float
@@ -103,6 +109,33 @@ class DualGrid:
     @cached_property
     def xi(self) -> np.ndarray:
         return _frozen(2.0 * math.pi * np.fft.fftfreq(self.size, d=self.dx))
+
+    @cached_property
+    def split_eta(self) -> np.ndarray:
+        """The spectral split's real frequencies: the grid's spacing over
+        OVERSAMPLE times its range, ascending, with 0 at the middle node."""
+        m_total = OVERSAMPLE * self.size
+        dxi = 2.0 * math.pi / (self.size * self.dx)
+        return _frozen((np.arange(m_total) - m_total // 2) * dxi)
+
+    @cached_property
+    def split_mask(self) -> np.ndarray:
+        """Weights on the FFT coefficients of samples on ``split_eta`` that
+        keep their up-analytic part (components exp(i v eta) with v > 0);
+        the zero and Nyquist components are split evenly."""
+        m_total = OVERSAMPLE * self.size
+        vsign = np.fft.fftfreq(m_total)
+        mask = np.zeros(m_total)
+        mask[vsign > 0] = 1.0
+        mask[vsign == 0] = 0.5
+        mask[m_total // 2] = 0.5
+        return _frozen(mask)
+
+    @cached_property
+    def split_index(self) -> np.ndarray:
+        """Position of each of ``xi`` on ``split_eta``."""
+        dxi = 2.0 * math.pi / (self.size * self.dx)
+        return _frozen(np.rint(self.xi / dxi).astype(int) + OVERSAMPLE * self.size // 2)
 
     @property
     def lower(self) -> float:

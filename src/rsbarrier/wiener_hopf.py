@@ -17,14 +17,24 @@ normalization phi+-(0) = 1.
   eta) with v > 0 extend upward).  The split is exactly complementary, so
   the product identity holds to machine precision on the contour.
 
-  The comparison symbol takes no Q, so psi and the comparison symbol along
-  the oversampled contour do not depend on Q, and nearly every spectral
-  value splits on the same three contours: the real axis (for the
-  normalization) and the grid's two default damping contours.  Those arrays
-  are built once per (regime, contour) and kept, read-only, in the grid's
-  ``split_arrays``.  Any other contour is capped by the factor's own decay,
-  so it differs from one Q to the next and is built and dropped each time;
-  keeping it would grow memory with the number of spectral values.
+  What is kept per grid: the oversampled frequencies, the half-plane mask
+  of the split and the grid frequencies' places among them (``DualGrid``'s
+  ``split_eta``, ``split_mask`` and ``split_index``).  The comparison
+  symbol takes no Q, so psi and the comparison symbol along the oversampled
+  contour do not depend on Q either, and nearly every spectral value splits
+  on the same three contours: the real axis (for the normalization) and the
+  grid's two default damping contours.  Those arrays are built once per
+  (regime, contour) and kept, read-only, in the grid's ``split_arrays``.
+  Any other contour is capped by the factor's own decay, so it differs from
+  one Q to the next and is built and dropped each time; keeping it would
+  grow memory with the number of spectral values.
+
+  What is built per spectral value: Q + psi, its branch-tracked log, one
+  FFT pair on each contour the factorization is asked for, and on each
+  such contour only the factor asked for.  An operator plan reads phi+ on
+  the plus contour and phi- on the minus contour, so pricing builds one
+  factor per contour; ``product_residual`` and ``rsbarrier factors`` ask for
+  both.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourError, FactorizationDegenerateError, InternalError
-from .grids import DualGrid, _frozen
+from .grids import OVERSAMPLE, DualGrid, _frozen
 from .models import LevyModel, analyticity_strip, char_exponent
 
 __all__ = [
@@ -48,19 +58,21 @@ __all__ = [
 ]
 
 _IM_TOL = 1e-8
-# the spectral split samples ln((Q+psi)/C) at the grid's frequency spacing
-# over OVERSAMPLE times the grid's frequency range, so the up/down split sees
-# the remainder decay well past the band the multipliers use
-OVERSAMPLE = 4
+# largest |Q + psi(r)|/|Q| at a polished root that is not a pole: resolved
+# roots read 2e-9 or less on the shipped regimes for |Q| from 1e-3 to 1e60
+# (7.6e-6 on a Brownian regime with sigma2 = 1e-6 at Q = 1e-6); a root that
+# np.roots lost to underflow reads 1 or more after the polish
+_ROOT_TOL = 1e-4
 
 
 @dataclass
 class ContourSymbols:
-    """Factor values along one horizontal contour Im xi = omega."""
+    """Factor values along one horizontal contour Im xi = omega; a factor
+    not asked for on this contour yet is None."""
 
     omega: float
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
+    phi_plus: np.ndarray | None = None
+    phi_minus: np.ndarray | None = None
 
 
 @dataclass
@@ -105,44 +117,63 @@ class WHFactorization:
         return self.Q / (self.Q + char_exponent(self.model, xi))
 
     # -- contour arrays (both kinds) -------------------------------------
-    def contour_symbols(self, omega: float) -> ContourSymbols:
+    def contour_symbols(self, omega: float, side: str | None = None) -> ContourSymbols:
+        """Factor values on the grid's frequencies shifted to Im xi = omega.
+
+        ``side`` "plus" builds phi+ alone and "minus" phi- alone, the one
+        factor an operator plan on this contour reads; without a side both
+        are built.  Each factor is built once and kept with the contour, so
+        asking again, or for the other side later, builds only what is
+        missing.  On the integral route a factor costs one spectral split
+        of this Q on this contour (and the axis split of ``_norm_plus``,
+        once per factorization).
+        """
         key = round(float(omega), 12)
-        if key not in self._contours:
+        cs = self._contours.get(key)
+        if cs is None:
+            cs = self._contours[key] = ContourSymbols(omega)
+        missing = [s for s in (("plus", "minus") if side is None else (side,))
+                   if getattr(cs, f"phi_{s}") is None]
+        if missing:
             if self.kind == "rational":
                 zeta = self.grid.xi + 1j * omega
-                cs = ContourSymbols(omega, self.phi_plus(zeta), self.phi_minus(zeta))
+                built = [getattr(self, f"phi_{s}")(zeta) for s in missing]
             else:
-                pp, pm = self._split_factors(omega)
-                cs = ContourSymbols(omega, pp, pm)
-            self._contours[key] = cs
-        return self._contours[key]
+                built = self._split_factors(omega, missing)
+            for s, values in zip(missing, built):
+                setattr(cs, f"phi_{s}", values)
+        return cs
 
     def _norm_plus(self):
         """Global constant pinning phi_plus(0) = 1, from the axis split."""
         if not hasattr(self, "_norm_plus_cache"):
-            kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol()
-            _, t_plus, _ = _split_remainder_on_contour(self.model, self.Q, self.grid, 0.0)
-            m_total = OVERSAMPLE * self.grid.size
-            self._norm_plus_cache = a_exp * math.log(p_base) - t_plus[m_total // 2]
+            _, a_exp, p_base, _, _ = self.model.comparison_symbol()
+            _, t_plus = _split_remainder_on_contour(self.model, self.Q, self.grid, 0.0)
+            self._norm_plus_cache = (a_exp * math.log(p_base)
+                                     - t_plus[OVERSAMPLE * self.grid.size // 2])
         return self._norm_plus_cache
 
-    def _split_factors(self, omega: float):
+    def _split_factors(self, omega: float, sides) -> list:
+        """The factors named in ``sides`` on Im xi = omega, from one split."""
         kappa, a_exp, p_base, b_exp, m_base = self.model.comparison_symbol()
         if p_base + omega <= 0.0 or m_base - omega <= 0.0:
             raise ContourError("comparison bases must stay off the contour")
-        zeta_os, t_plus, t_minus = _split_remainder_on_contour(
-            self.model, self.Q, self.grid, omega)
+        t, t_plus = _split_remainder_on_contour(self.model, self.Q, self.grid, omega)
         n_plus = self._norm_plus()
         # the grid's M frequencies are taken out of the oversampled contour
         # first: the rest is elementwise, so the values are the same
-        m_total = OVERSAMPLE * self.grid.size
-        dxi = 2.0 * math.pi / (self.grid.size * self.grid.dx)
-        idx = np.rint(self.grid.xi / dxi).astype(int) + m_total // 2
-        zeta = zeta_os[idx]
-        log_pp = -a_exp * np.log(p_base - 1j * zeta) + t_plus[idx] + n_plus
-        log_pm = (-b_exp * np.log(m_base + 1j * zeta) + t_minus[idx]
-                  + cmath.log(self.Q) - cmath.log(complex(kappa)) - n_plus)
-        return np.exp(log_pp), np.exp(log_pm)
+        idx = self.grid.split_index
+        zeta = self.grid.split_eta[idx] + 1j * omega
+        t_plus = t_plus[idx]
+        out = []
+        for side in sides:
+            if side == "plus":
+                log_f = -a_exp * np.log(p_base - 1j * zeta) + t_plus + n_plus
+            else:
+                log_f = (-b_exp * np.log(m_base + 1j * zeta) + (t[idx] - t_plus)
+                         + cmath.log(self.Q) - cmath.log(complex(kappa)) - n_plus)
+            out.append(np.exp(log_f))
+        return out
 
     def product_residual(self, omega: float = 0.0) -> float:
         cs = self.contour_symbols(omega)
@@ -158,7 +189,13 @@ def factorize(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
 
 
 def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactorization:
-    """Root-based factorization for the rational regimes (Brownian, Kou)."""
+    """Root-based factorization for the rational regimes (Brownian, Kou).
+
+    Raises FactorizationDegenerateError when a root sits on the real axis,
+    when Q overflows the root finder, and when a polished root that is not
+    a jump pole leaves |Q + psi| above _ROOT_TOL * |Q|; InternalError when
+    resolved roots split against the theory's counts at a real Q > 0.
+    """
     Q = complex(Q)
     poly = model.cleared_polynomial(Q)
     # np.roots divides by the leading coefficient; past the float range its
@@ -172,13 +209,15 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
     # one Newton polish on Q + psi itself, skipping the cleared-pole roots
     up, down = model.pole_rates
     poles = [-1j * a for a in up] + [1j * a for a in down]
-    polished = []
+    polished, unresolved = [], False
     for r in roots:
         if not any(abs(r - pole) < 1e-8 * (1.0 + abs(pole)) for pole in poles):
             f = Q + model.psi_unchecked(r)
             fp = model.psi_deriv(r)
             if abs(fp) > 1e-14:
                 r = r - f / fp
+            with np.errstate(over="ignore", invalid="ignore"):
+                unresolved |= not abs(Q + model.psi_unchecked(r)) <= _ROOT_TOL * abs(Q)
         polished.append(complex(r))
 
     lower, upper = [], []
@@ -188,6 +227,13 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
                 f"root {r} of Q+psi sits on the real axis; Re Q too small"
             )
         (lower if r.imag < 0 else upper).append(r)
+    # at a huge Q the small coefficients underflow against the large ones:
+    # np.roots returns 0 for the roots near the poles, and the polish throws
+    # them far off
+    if unresolved:
+        raise FactorizationDegenerateError(
+            f"Q + psi at Q={Q} has a root its root finder cannot resolve; "
+            f"lower Q or the regime's rate r")
     if Q.imag == 0.0 and Q.real > 0.0:
         exp_lo, exp_hi = model.expected_root_counts()
         if (len(lower), len(upper)) != (exp_lo, exp_hi):
@@ -206,25 +252,39 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
 # -- integral (spectral split) route -------------------------------------
 
 def _continuous_log(values, where: str):
-    """Branch-tracked log along a contour; rejects net winding."""
+    """t = -ln(values) along a contour, the branch tracked from sample to
+    sample; rejects a vanishing, undersampled or winding path.
+
+    The principal angles are unwrapped only when some step between samples
+    reaches pi.  Otherwise np.unwrap would only add +0.0 to them (turning
+    -0.0 into +0.0), so adding +0.0 here, as the complex sum
+    ln|v| + i*angle also does, gives t the same bits.
+    """
     mag = np.abs(values)
     if np.min(mag) <= 0.0:
         raise ContourError(f"Q + psi vanishes on the {where} contour; raise Re Q")
-    ang = np.unwrap(np.angle(values))
-    if np.max(np.abs(np.diff(ang))) > 2.5:
+    ang = np.angle(values)
+    steps = np.abs(np.diff(ang))
+    if not np.max(steps) < math.pi:
+        ang = np.unwrap(ang)
+        steps = np.abs(np.diff(ang))
+    if np.max(steps) > 2.5:
         raise ContourError(f"phase undersampled on the {where} contour")
-    # anchor: the comparison-stripped symbol tends to 1 at both ends
+    # anchor: the comparison-stripped symbol tends to 1 at both ends, so a
+    # path that passes has no whole turn to take off
     drift = 2.0 * math.pi * round(0.5 * (ang[0] + ang[-1]) / (2.0 * math.pi))
-    ang = ang - drift
-    if abs(ang[0]) > 0.5 or abs(ang[-1]) > 0.5:
+    if abs(ang[0] - drift) > 0.5 or abs(ang[-1] - drift) > 0.5:
         raise ContourError(
             f"log of Q+psi winds along the {where} contour; raise Re Q or shift omega"
         )
-    return np.log(mag) + 1j * ang
+    t = np.empty(values.shape, np.complex128)
+    np.negative(np.log(mag, out=mag), out=t.real)
+    np.negative(np.add(ang, 0.0, out=t.imag), out=t.imag)
+    return t
 
 
-def _contour_arrays(model, grid: DualGrid, omega: float, zeta: np.ndarray):
-    """(psi, C) on ``zeta``, the oversampled contour Im xi = omega.
+def _contour_arrays(model, grid: DualGrid, omega: float):
+    """(psi, C) on the oversampled contour Im xi = omega.
 
     Kept in ``grid.split_arrays`` when the grid defines the contour; each
     entry is written once, whole and read-only, because every spectral
@@ -235,6 +295,7 @@ def _contour_arrays(model, grid: DualGrid, omega: float, zeta: np.ndarray):
     kept = omega in (0.0, grid.omega_plus, grid.omega_minus)
     if kept and key in grid.split_arrays:
         return grid.split_arrays[key]
+    zeta = grid.split_eta + 1j * omega
     kappa, a_exp, p_base, b_exp, m_base = model.comparison_symbol()
     comp = kappa * (p_base - 1j * zeta) ** a_exp * (m_base + 1j * zeta) ** b_exp
     arrays = (_frozen(char_exponent(model, zeta)), _frozen(comp))
@@ -244,33 +305,24 @@ def _contour_arrays(model, grid: DualGrid, omega: float, zeta: np.ndarray):
 
 
 def _split_remainder_on_contour(model, Q, grid: DualGrid, omega: float):
-    """Decaying remainder t = -ln((Q+psi)/C) split into up/down spectral parts.
+    """The decaying remainder t = -ln((Q+psi)/C) on the oversampled contour
+    Im xi = omega, and its up-analytic part t+; the down part is t - t+.
 
     The decaying split is unique (a constant shift would break decay), so the
     masked pieces are the canonical ones on every contour; normalization
-    constants are applied globally by the caller.
+    constants are applied globally by the caller.  Only Q + psi and what
+    follows from it are built per call; the rest is the grid's.
     """
     lo, hi = analyticity_strip(model)
     if not lo < omega < hi:
         raise ContourError(f"contour Im xi = {omega} outside the strip ({lo}, {hi})")
-    m_total = OVERSAMPLE * grid.size
-    dxi = 2.0 * math.pi / (grid.size * grid.dx)
-    j = np.arange(m_total)
-    eta = (j - m_total // 2) * dxi
-    zeta = eta + 1j * omega
-    psi, comp = _contour_arrays(model, grid, omega, zeta)
-    t = -_continuous_log((Q + psi) / comp, f"Im xi = {omega:g}")
-
+    psi, comp = _contour_arrays(model, grid, omega)
+    ratio = Q + psi
+    ratio /= comp
+    t = _continuous_log(ratio, f"Im xi = {omega:g}")
     coeffs = np.fft.fft(t)
-    vsign = np.fft.fftfreq(m_total)
-    mask = np.zeros(m_total)
-    mask[vsign > 0] = 1.0
-    mask[vsign == 0] = 0.5
-    if m_total % 2 == 0:
-        mask[m_total // 2] = 0.5  # Nyquist split evenly
-    t_plus = np.fft.ifft(coeffs * mask)
-    t_minus = t - t_plus
-    return zeta, t_plus, t_minus
+    coeffs *= grid.split_mask
+    return t, np.fft.ifft(coeffs, out=coeffs)
 
 
 def _axis_zero_scan(model, Q, edge: float, side: str) -> float:

@@ -14,9 +14,12 @@ from rsbarrier import engine, montecarlo
 from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.engine import QPricer
-from rsbarrier.errors import ConfigError, DivergenceError
+from rsbarrier.errors import ConfigError, DivergenceError, FactorizationDegenerateError
 from rsbarrier.inversion import gwr_nodes
 from rsbarrier.montecarlo import brownian_band_series
+from rsbarrier.wiener_hopf import factorize_rational
+
+import builders as build
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -208,6 +211,23 @@ def test_kou_memory_price_bits_are_pinned(backend, reprs):
     # thread count; a change to the order of any floating-point operation
     # from the nodes to the inversion shows here
     doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
+    doc["inversion"]["backend"] = backend
+    doc["grid"] = {"mPower": 10}
+    for threads in (1, 2):
+        doc["threads"] = threads
+        rows, _ = run_price(parse_config(doc), all_histories=True)
+        assert [repr(r["price"]) for r in rows] == reprs
+
+
+@pytest.mark.parametrize("backend, reprs", [
+    ("gwr", ["0.2405456829128286"]),
+    ("sinh", ["0.24055756887800622"]),
+])
+def test_kobol_price_bits_are_pinned(backend, reprs):
+    # the KoBoL regime takes the spectral split at every node: its price, bit
+    # for bit, at either thread count pins the split from the oversampled
+    # contour to the one-factor symbols the plans read
+    doc = json.loads((ROOT / "configs" / "kobol_single.json").read_text())
     doc["inversion"]["backend"] = backend
     doc["grid"] = {"mPower": 10}
     for threads in (1, 2):
@@ -547,6 +567,32 @@ def test_overflowing_q_is_numeric_error(tmp_path, capsys, config, regime, argv):
     err = capsys.readouterr().err.splitlines()
     assert (rc, out) == (3, "")
     assert len(err) == 1 and err[0].startswith("numeric error:") and "overflow" in err[0], err
+
+
+# a discount rate so large that np.roots loses the roots of Q + psi near the
+# jump poles to underflow (it returns 0 for both), short of the overflow
+# refusal above: one numeric error line, from the typed error of the root
+# route, not an internal error that blames the engine
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", [1e100, 1e154, 1e200, 1e300])
+def test_unresolved_root_is_numeric_error(tmp_path, capsys, rate):
+    doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
+    doc["grid"] = {"mPower": 10}
+    doc["regimes"][1]["r"] = rate
+    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("numeric error: Q + psi at Q="), err
+    assert "rate r" in err[0], err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unresolved_root_is_degenerate_factorization():
+    cfg = parse_config(json.loads((ROOT / "configs" / "kou_memory.json").read_text()))
+    model = cfg.problem.regimes[1].model
+    grid = build.grid(-0.3, 0.3, [model], m_power=10)
+    with pytest.raises(FactorizationDegenerateError, match=r"Q=\(1e\+200\+0j\)"):
+        factorize_rational(model, 1e200, grid)
 
 
 # a maturity whose sinh contour needs exp(sigma0*T) past the roundoff the
