@@ -6,7 +6,8 @@ evaluates the transform at the inversion nodes (in forked worker processes
 over the nodes when ``threads`` > 1, else in this process; results kept in
 fixed node order, one array shared by all histories) and inverts history by
 history.  ``price``, ``convergence`` and the acceptance criteria all price
-through it.
+through it.  ``mc`` forks over Monte Carlo path blocks the same way, through
+the same pool (``pool.map_tasks``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import argparse
 import cmath
 import copy
 import csv
+import dataclasses
 import math
-import os
 import sys
 import time
 
@@ -24,12 +25,13 @@ import numpy as np
 
 from .config import ProblemConfig, parse_config, read_document
 from .engine import QPricer, check_working_set
-from .errors import ConfigError, InternalError, RsBarrierError
+from .errors import ConfigError, RsBarrierError
 from .grids import DualGrid, build_grid
 from .histories import encode
 from .inversion import (InversionPlan, gwr_invert, gwr_nodes, sinh_evaluated,
                         sinh_invert, sinh_nodes, sinh_plan)
 from .montecarlo import simulate_price
+from .pool import map_tasks
 from .wiener_hopf import factorize
 
 
@@ -52,41 +54,6 @@ def _spot_value(pricer: QPricer, q):
     return field.at(pricer.problem.spot), field.stats
 
 
-_worker_pricer: QPricer | None = None  # a worker's copy, inherited through fork
-
-
-def _start_worker(pricer: QPricer) -> None:
-    global _worker_pricer
-    _worker_pricer = pricer
-
-
-def _worker_spot_value(q):
-    return _spot_value(_worker_pricer, q)
-
-
-def _in_workers(pricer: QPricer, nodes, workers: int):
-    """``_spot_value`` at each node, in node order, from ``workers`` forked
-    processes; None where fork is not available.  Fork, so that each worker
-    inherits ``pricer`` and its kept arrays without a pickle or a fresh
-    import.  A worker's RsBarrierError arrives with its own type; a worker
-    that dies is an InternalError.  No worker outlives the call."""
-    # imported here, not with the module: importing rsbarrier.cli is part of
-    # every command's start-up, and the pool's modules cost about 35 ms cold
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(pricer,))
-    try:
-        return list(pool.map(_worker_spot_value, nodes))
-    except BrokenProcessPool as exc:
-        raise InternalError(f"a worker process died: {exc}") from None
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _evaluate_nodes(pricer: QPricer, nodes, threads: int):
     """The transform at the spot, one row per node in node order and one
     column per history code, plus the most outer terms and inner sweeps
@@ -94,10 +61,7 @@ def _evaluate_nodes(pricer: QPricer, nodes, threads: int):
     stopped short of their tolerance.  ``threads`` counts worker processes
     over the nodes, at most one per node and per core; with fewer than 2 of
     them, or no fork, the nodes run one after another in this process."""
-    workers = min(threads, len(nodes), os.cpu_count() or 1)
-    results = _in_workers(pricer, nodes, workers) if workers > 1 else None
-    if results is None:
-        results = [_spot_value(pricer, q) for q in nodes]
+    results = map_tasks(_spot_value, nodes, threads, pricer)
     stats = [s for _, s in results]
     return np.array([v for v, _ in results]), {
         "outer": max(len(s.outer_terms) for s in stats),
@@ -156,8 +120,8 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
 # flag -> (document section it overrides, None for the top level; argparse
 # options); each subcommand takes only the flags it reads
 _OVERRIDES = {
-    "threads": (None, dict(type=int, help="worker processes over spectral values "
-                                   "(1 prices in this process)")),
+    "threads": (None, dict(type=int, help="worker processes over spectral values or "
+                                   "Monte Carlo path blocks (1 runs in this process)")),
     "seed": (None, dict(type=int, help="Monte Carlo seed")),
     "backend": ("inversion", dict(choices=["gwr", "sinh"],
                                   help="Laplace inversion back end")),
@@ -200,7 +164,8 @@ def _cmd_price(args) -> int:
 
 def _cmd_mc(args) -> int:
     cfg = parse_config(_document(args))
-    res = simulate_price(cfg.problem, cfg.mc)
+    mc = dataclasses.replace(cfg.mc, threads=cfg.resolve_threads())
+    res = simulate_price(cfg.problem, mc)
     _write_csv(args.out, ["estimate", "stderr", "paths", "dt", "seed", "wall_time"],
                [[repr(res.estimate), repr(res.stderr), res.paths, res.dt,
                  res.seed, f"{res.wall_time:.3f}"]])
@@ -326,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("price", _cmd_price, "price via transform inversion",
                 overrides=("threads", "backend"))
     p.add_argument("--all-histories", action="store_true")
-    command("mc", _cmd_mc, "Monte Carlo oracle estimate", overrides=("seed",))
+    command("mc", _cmd_mc, "Monte Carlo oracle estimate", overrides=("seed", "threads"))
     p = command("factors", _cmd_factors, "dump Wiener-Hopf factors on the grid")
     p.add_argument("--regime", type=int, default=1)
     p.add_argument("--q-value", default="1.0", help="spectral value, e.g. 2.0 or 3+4j")

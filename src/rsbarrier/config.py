@@ -238,14 +238,13 @@ def _parse(doc: dict) -> ProblemConfig:
         raise
     except (RsBarrierError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid inversion plan: {exc}") from exc
-    seed = {"seed": _whole(doc["seed"], "seed")} if "seed" in doc else {}
-    mc = _settings(doc, "mc", **seed)
+    # the top-level seed and thread count reach the Monte Carlo settings too,
+    # whose validate refuses a count below 1
+    top = {key: _whole(doc[key], key) for key in ("seed", "threads") if key in doc}
+    mc = _settings(doc, "mc", **top)
     mc.validate(maturity)
-    threads = doc.get("threads")
     return ProblemConfig(problem=problem, grid=grid, tolerances=tolerances,
-                         inversion=plan, mc=mc,
-                         threads=None if threads is None
-                         else _at_least_one(_whole(threads, "threads"), "threads"))
+                         inversion=plan, mc=mc, threads=top.get("threads"))
 
 
 def read_document(path: str) -> dict:

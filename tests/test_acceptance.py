@@ -5,6 +5,7 @@ doubles as a report; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -109,8 +110,9 @@ def test_criterion_3_monte_carlo_oracle(kou_memory_setup):
     prob, engine_price = kou_memory_setup
     start = time.perf_counter()
     engine = engine_price()
-    mc = simulate_price(prob, McConfig(paths=1_000_000, dt=1e-4,
-                                       seed=20260809, bridge=True))
+    # one worker process per core: the estimate keeps its bits at any count
+    mc = simulate_price(prob, McConfig(paths=1_000_000, dt=1e-4, seed=20260809,
+                                       bridge=True, threads=os.cpu_count() or 1))
     elapsed = time.perf_counter() - start
     z = abs(engine - mc.estimate) / mc.stderr
     ok = z < 3.0 and elapsed < 600.0

@@ -244,6 +244,17 @@ def test_mc_cli(tmp_path):
     assert int(row["paths"]) == 2000
 
 
+def test_mc_threads_keep_the_estimate(tmp_path):
+    # --threads 2 forks over the path blocks and prints the 1-thread bits
+    rows = {}
+    for threads in ("1", "2"):
+        rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "mc", "--threads", threads)
+        assert rc == 0
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        rows[threads] = row["estimate"], row["stderr"]
+    assert rows["2"] == rows["1"]
+
+
 def test_mc_refuses_a_regime_it_cannot_walk(tmp_path, capsys, monkeypatch):
     # the walker draws diffusions and Kou jumps, not KoBoL paths: one config
     # error line that names the regime, before any path is drawn
@@ -355,17 +366,30 @@ def test_unknown_key_is_config_error(tmp_path, capsys, doc_name, where):
 
 # a thread count must be a whole number >= 1, whether the document, the
 # command line or RSBARRIER_THREADS gives it, and even when the spot lies
-# outside the band and nothing is priced
-@pytest.mark.parametrize("source, value", [
+# outside the band and nothing is priced or drawn
+BAD_THREAD_SETTINGS = pytest.mark.parametrize("source, value", [
     ("env", "abc"), ("env", "0"), ("env", "-3"), ("env", "2.5"),
     ("doc", 0), ("doc", -2), ("doc", True), ("doc", 2.7), ("doc", "2"),
     ("flag", "0"), ("flag", "-1"), ("env-spot-outside", "0"),
 ], ids=lambda v: str(v))
+
+
+@BAD_THREAD_SETTINGS
 def test_bad_thread_setting_is_config_error(tmp_path, capsys, monkeypatch, source, value):
+    _check_bad_thread_setting(tmp_path, capsys, monkeypatch, "price", source, value)
+
+
+@BAD_THREAD_SETTINGS
+def test_bad_thread_setting_is_config_error_in_mc(tmp_path, capsys, monkeypatch,
+                                                  source, value):
+    _check_bad_thread_setting(tmp_path, capsys, monkeypatch, "mc", source, value)
+
+
+def _check_bad_thread_setting(tmp_path, capsys, monkeypatch, command, source, value):
     doc = copy.deepcopy(BROWNIAN_DOC)
     if source == "env-spot-outside":
         source, doc["x0"] = "env", 2.0
-    argv = ["price"]
+    argv = [command]
     if source == "env":
         monkeypatch.setenv("RSBARRIER_THREADS", value)
     else:
@@ -389,10 +413,8 @@ def test_large_thread_counts_parse(monkeypatch):
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):
-    # mc takes --seed only; argparse exits with code 2 on an unknown flag
-    with pytest.raises(SystemExit) as exc:
-        _run_cli(tmp_path, BROWNIAN_DOC, "mc", "--threads", "2")
-    assert exc.value.code == 2
+    # mc takes --seed and --threads; argparse exits with code 2 on an unknown
+    # flag
     for argv in (("mc", "--backend", "sinh"), ("factors", "--seed", "3"),
                  ("price", "--seed", "3")):
         with pytest.raises(SystemExit) as exc:

@@ -1,15 +1,23 @@
+import dataclasses
+import io
 import json
 import math
+import multiprocessing
+import os
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rsbarrier import montecarlo
+from rsbarrier.cli import main
 from rsbarrier.config import parse_config
 from rsbarrier.engine import BarrierProblem, RegimeSpec
 from rsbarrier.histories import HistoryIndex, MemoryChain
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
 from rsbarrier.montecarlo import (
+    PATH_BLOCK,
     McConfig,
     simulate_price,
     brownian_band_series,
@@ -205,6 +213,79 @@ def test_kou_memory_block_is_pinned(antithetic):
                   antithetic=antithetic)
     res = simulate_price(cfg.problem, mc)
     assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[antithetic]
+
+
+def kou_memory_doc():
+    return json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "kou_memory.json").read_text())
+
+
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+def test_kou_memory_block_pin_holds_at_2_threads(antithetic):
+    # the document's top-level threads reaches the Monte Carlo settings, and
+    # the block forks over its path blocks with the 1-thread bits
+    cfg = parse_config(dict(kou_memory_doc(), threads=2))
+    assert cfg.mc.threads == 2
+    mc = dataclasses.replace(cfg.mc, paths=2000, dt=1e-4, seed=1048576, bridge=True,
+                             antithetic=antithetic)
+    res = simulate_price(cfg.problem, mc)
+    assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[antithetic]
+
+
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+def test_estimate_keeps_its_bits_at_any_worker_count(monkeypatch, antithetic):
+    # a million threads asked for: each pool has at most one worker per path
+    # block and per core, 1 thread starts none, and the estimate and stderr
+    # keep the 1-thread bits
+    from concurrent.futures import process
+
+    started = []
+
+    class Recording(process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+    prob = brownian_problem(maturity=0.5)
+    cfg = McConfig(paths=2000, dt=5e-3, seed=42, antithetic=antithetic)
+    results = {}
+    for threads in (1, 2, 10**6):
+        res = simulate_price(prob, dataclasses.replace(cfg, threads=threads))
+        results[threads] = res.estimate, res.stderr
+        if threads == 1:
+            assert started == []
+    assert results[2] == results[1] and results[10**6] == results[1]
+    assert results[1][1] > 0.0
+    pairs = cfg.paths // 2 if antithetic else cfg.paths
+    cap = min(-(-pairs // PATH_BLOCK), os.cpu_count() or 1)
+    assert len(started) == 2 * (cap > 1) and all(n <= cap for n in started), started
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs 2 cores and the fork start method")
+def test_dead_mc_worker_is_internal_error(tmp_path, capsys, monkeypatch):
+    parent, one_path = os.getpid(), montecarlo._one_path
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return one_path(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_one_path", dying)
+    doc = kou_memory_doc()
+    doc["mc"] = {"paths": 2000, "dt": 1e-3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["mc", "--config", str(cfg_path), "--threads", "2"])
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out.getvalue()) == (3, "")
+    assert len(err) == 1 and err[0].startswith("numeric error: a worker process died"), err
+    assert multiprocessing.active_children() == []
 
 
 # -- the analytic band series itself --------------------------------------
