@@ -94,7 +94,7 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
         [encode(problem.chain.m, problem.initial_history)]
     meta = {"backend": plan.backend,
             "depth": plan.sinh_nodes if plan.backend == "sinh" else plan.n_gaver,
-            "outer": 0, "sweeps": 0, "warning": None}
+            "outer": 0, "sweeps": 0}
     if problem.lower < problem.spot < problem.upper:
         pricer = _make_pricer(cfg)
         if plan.backend == "sinh":
@@ -111,7 +111,7 @@ def run_price(cfg: ProblemConfig, all_histories: bool = False):
         meta.update(iterations)
     else:
         prices = [0.0] * problem.chain.size
-        meta["warning"] = "spot outside band"
+        print("warning: spot outside band", file=sys.stderr)
     rows = [dict(history=int(c), price=prices[c]) for c in codes]
     meta["wall"] = time.perf_counter() - start
     return rows, meta
@@ -152,8 +152,6 @@ def _write_csv(path, header, rows):
 def _cmd_price(args) -> int:
     cfg = parse_config(_document(args))
     rows, meta = run_price(cfg, all_histories=args.all_histories)
-    if meta["warning"]:
-        print(f"warning: {meta['warning']}", file=sys.stderr)
     header = ["history", "price", "backend", "depth", "outer_terms",
               "max_inner_sweeps", "wall_time"]
     csv_rows = [[r["history"], repr(r["price"]), meta["backend"], meta["depth"],

@@ -85,11 +85,6 @@ def _flag(value, name: str) -> bool:
     return value
 
 
-def _finite_or_none(value, name: str) -> float | None:
-    """A finite number, or JSON null for a setting the code chooses."""
-    return None if value is None else _finite(value, name)
-
-
 def _object(value, path: str, required, optional=()) -> dict:
     """``value``, a JSON object with every ``required`` key and no key outside
     ``required`` and ``optional``; ``path`` is empty for the document itself."""
@@ -121,7 +116,7 @@ _SECTIONS = {
         "sinhNodes": ("sinh_nodes", _whole), "sinhTargetTol": ("sinh_target_tol", _finite)}),
     "mc": (McConfig, {
         "paths": ("paths", _whole), "dt": ("dt", _finite),
-        "bridge": ("bridge", _flag), "antithetic": ("antithetic", _flag)}),
+        "bridge": ("bridge", _flag)}),
 }
 # model type -> (its class, JSON key -> field)
 _MODELS = {
@@ -182,22 +177,21 @@ def _rule(rule, path: str) -> dict:
 
 
 def _chain(d) -> MemoryChain:
-    d = _object(d, "chain", ("m", "N", "rates"), ("lambda0",))
-    m, n_mem = _whole(d["m"], "chain.m"), _whole(d["N"], "chain.N")
-    rates, lambda0 = d["rates"], _finite_or_none(d.get("lambda0"), "chain.lambda0")
+    d = _object(d, "chain", ("m", "N", "rates"))
+    m, n_mem, rates = _whole(d["m"], "chain.m"), _whole(d["N"], "chain.N"), d["rates"]
     try:
         if isinstance(rates, dict) and "dense" in rates:
             dense = _object(rates, "chain.rates", ("dense",))["dense"]
             table = [[_finite(v, f"chain.rates.dense[{i}][{j}]") for j, v in enumerate(row)]
                      for i, row in enumerate(dense)]
-            return MemoryChain(m, n_mem, table, lambda0)
+            return MemoryChain(m, n_mem, table)
         if isinstance(rates, dict):
             rules = _object(rates, "chain.rates", (), ("default", "rules")).get("rules", [])
             rules = [_rule(rule, f"chain.rates.rules[{i}]") for i, rule in enumerate(rules)]
             default = _finite(rates.get("default", 0.0), "chain.rates.default")
-            return MemoryChain.from_rules(m, n_mem, default, rules, lambda0)
+            return MemoryChain.from_rules(m, n_mem, default, rules)
         if _number(rates):
-            return MemoryChain.from_constant(m, n_mem, _finite(rates, "chain.rates"), lambda0)
+            return MemoryChain.from_constant(m, n_mem, _finite(rates, "chain.rates"))
     except ValueError as exc:
         raise ConfigError(f"invalid chain rates: {exc}") from exc
     except InfeasibleHistoryError as exc:  # m = 1 with N > 0

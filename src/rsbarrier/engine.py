@@ -182,27 +182,35 @@ class IterationStats:
 
 @dataclass
 class ValueField:
-    """Vector over histories of sampled transforms at one spectral value."""
+    """Vector over histories of sampled transforms at one spectral value;
+    ``regular`` says whether every regime makes both barriers regular."""
 
     q: complex
     v0: np.ndarray
     functions: SampledFunction     # batch shape (#histories, M)
     stats: IterationStats
+    regular: bool
 
     def at(self, x0: float) -> np.ndarray:
-        return interpolate_field(self.functions, x0)
+        return interpolate_field(self.functions, x0, self.regular)
 
 
-def interpolate_field(u: SampledFunction, x0: float) -> np.ndarray:
-    """Cubic Lagrange through the four nearest strictly-interior nodes.
+def interpolate_field(u: SampledFunction, x0: float, regular: bool) -> np.ndarray:
+    """Cubic Lagrange through the four nearest nodes of the band: its
+    barrier nodes count only when both barriers are ``regular``.
 
-    Within two cells of a barrier the stencil becomes one-sided; outside the
-    open band the value is the boundary condition, exactly zero.
+    The stencil becomes one-sided within two cells of a barrier.  At a
+    regular barrier the value tends to 0 from inside, and the barrier node,
+    exactly 0 after the clip, anchors it there; otherwise only strictly
+    interior nodes are used.  Outside the open band the value is the
+    boundary condition, exactly zero.
     """
     grid = u.grid
     if not grid.lower < x0 < grid.upper:
         return np.zeros(u.shape, dtype=np.complex128)
-    lo, hi = grid.lower_index + 1, grid.upper_index - 1  # strictly inside
+    lo, hi = grid.lower_index, grid.upper_index
+    if not regular:
+        lo, hi = lo + 1, hi - 1  # strictly inside
     j = int(np.clip(round((x0 - grid.x_min) / grid.dx) - 1, lo, hi - 3))
     nodes = np.arange(j, j + 4)
     xs = grid.x_min + grid.dx * nodes
@@ -276,6 +284,7 @@ class QPricer:
         # real samples need the least; price_field checks its own q's dtype
         check_working_set(problem.chain.size, self.grid.size, np.float64)
         self.tolerances = tolerances
+        self.regular = all(spec.model.half_lines_regular() for spec in problem.regimes)
         self._factor_cache: dict = {}
 
     # -- factorizations, one per regime head, at Q(s; q) -----------------
@@ -408,8 +417,7 @@ class QPricer:
                                                 + float(np.min(self.problem.rates)))
                     raise ContractionFailureError(
                         f"inner sweeps stopped contracting at q={q} "
-                        f"(empirical rate {ratio:.3f}, bound {bound:.3f})",
-                        empirical_rate=ratio, bound=bound)
+                        f"(empirical rate {ratio:.3f}, bound {bound:.3f})")
             prev_diff = diff
             if diff <= tol:
                 break
@@ -478,4 +486,5 @@ class QPricer:
         stats.boundary_residual = float(np.max(np.abs(full[..., grid.outside_band])))
         full[..., grid.outside_band] = 0.0
         clipped = SampledFunction.from_samples(grid, full, 0.0, 0.0)
-        return ValueField(q=complex(q), v0=v0, functions=clipped, stats=stats)
+        return ValueField(q=complex(q), v0=v0, functions=clipped, stats=stats,
+                          regular=self.regular)

@@ -57,11 +57,6 @@ class SpectralParameterError(RsBarrierError):
 class ContractionFailureError(SpectralParameterError):
     """Inner fixed-point sweeps stopped contracting."""
 
-    def __init__(self, message, empirical_rate=None, bound=None):
-        super().__init__(message)
-        self.empirical_rate = empirical_rate
-        self.bound = bound
-
 
 class DivergenceError(SpectralParameterError):
     """Outer series terms stopped decreasing."""

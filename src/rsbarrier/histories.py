@@ -8,7 +8,6 @@ integer code is mixed-radix: h0 in base m, every later entry in base m-1
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,13 +126,12 @@ class MemoryChain:
 
     ``rates[i, j]`` is the rate from the history with code ``i`` into its
     j-th admissible target state (targets sorted ascending, skipping h0).
-    ``lambda0`` defaults to max_h Lambda_h; an override must dominate it.
+    ``lambda0`` is max_h Lambda_h, the uniformization constant.
     """
 
     m: int
     n_memory: int
     rates: np.ndarray
-    lambda0_override: float | None = None
 
     histories: list[HistoryIndex] = field(init=False, repr=False)
     codes_after_shift: np.ndarray = field(init=False, repr=False)
@@ -157,16 +155,7 @@ class MemoryChain:
             for j, s in enumerate(_targets(self.m, h.head)):
                 self.codes_after_shift[i, j] = encode(self.m, shift(h, s))
         self.lam_total = self.rates.sum(axis=1) if self.m > 1 else np.zeros(size)
-        lam_max = float(self.lam_total.max()) if size else 0.0
-        if self.lambda0_override is None:
-            self.lambda0 = lam_max
-        else:
-            if not math.isfinite(self.lambda0_override) or self.lambda0_override < lam_max:
-                raise ValueError(
-                    f"lambda0 override {self.lambda0_override} must be finite "
-                    f"and >= max Lambda_h = {lam_max}"
-                )
-            self.lambda0 = float(self.lambda0_override)
+        self.lambda0 = float(self.lam_total.max()) if size else 0.0
 
     @property
     def size(self) -> int:
@@ -176,13 +165,13 @@ class MemoryChain:
         return np.array([h.head for h in self.histories], dtype=np.intp)
 
     @classmethod
-    def from_constant(cls, m, n_memory, rate, lambda0=None):
+    def from_constant(cls, m, n_memory, rate):
         size = space_size(m, n_memory)
         table = np.full((size, max(m - 1, 0)), float(rate))
-        return cls(m, n_memory, table, lambda0)
+        return cls(m, n_memory, table)
 
     @classmethod
-    def from_rules(cls, m, n_memory, default, rules, lambda0=None):
+    def from_rules(cls, m, n_memory, default, rules):
         """Materialize the dense table from (s, history-prefix) -> rate rules.
 
         A rule history shorter than N+1 matches every history extending it;
@@ -201,5 +190,5 @@ class MemoryChain:
                                  f"no (history, target) pair")
             for i in rows:
                 table[i, _targets(m, histories[i].head).index(s)] = rate
-        return cls(m, n_memory, table, lambda0)
+        return cls(m, n_memory, table)
 

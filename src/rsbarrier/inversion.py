@@ -36,6 +36,7 @@ __all__ = [
 LN2 = math.log(2.0)
 _RHO_BREAKDOWN = 1e-30
 SINH_GAMMA = 0.75 * math.pi  # half-angle of the sector the sinh plan assumes
+SINH_OMEGA = 0.5 * (SINH_GAMMA - math.pi / 2)  # contour tilt, mid-margin of the sector
 
 
 def gwr_nodes(tau: float, n_gaver: int) -> np.ndarray:
@@ -137,25 +138,20 @@ def gwr_invert(samples, tau: float, n_gaver: int) -> GwrResult:
 
 @dataclass(frozen=True)
 class SinhPlan:
-    """Deformed-contour quadrature plan: q(y) = sigma0 + i*b*sinh(y + i*omega)."""
+    """Deformed-contour quadrature plan: q(y) = sigma0 + i*b*sinh(y + i*omega),
+    with omega = SINH_OMEGA, in the sector of half-angle SINH_GAMMA."""
 
     sigma0: float
-    gamma: float
-    omega: float
     b: float
     step: float
     n_nodes: int
 
     def __post_init__(self):
-        if not math.pi / 2 < self.gamma < math.pi:
-            raise PlanError("gamma must lie in (pi/2, pi)")
         if self.sigma0 <= 0.0:
             raise PlanError("sigma0 must be > 0")
-        if not 0.0 < self.omega < self.gamma - math.pi / 2:
-            raise PlanError("omega must lie in (0, gamma - pi/2)")
         if self.n_nodes < 5:
             raise PlanError("need at least 5 nodes")
-        if self.b * math.sin(self.omega) >= self.sigma0:
+        if self.b * math.sin(SINH_OMEGA) >= self.sigma0:
             raise PlanError(
                 "contour apex sigma0 - b*sin(omega) left of the origin; "
                 "the contour would exit the sector"
@@ -163,7 +159,7 @@ class SinhPlan:
         # per-node sector membership (sector vertex at the origin); the
         # asymptotic ray angle pi/2 + omega < gamma guarantees the tails.
         for q in sinh_nodes(self)[0]:
-            if abs(cmath.phase(complex(q))) > self.gamma - 1e-12:
+            if abs(cmath.phase(complex(q))) > SINH_GAMMA - 1e-12:
                 raise PlanError("node outside the sector Sigma_gamma + sigma0")
 
 
@@ -188,9 +184,7 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
         raise PlanError("tau must be > 0")
     if not 0.0 < target_tol < 1.0:
         raise PlanError(f"target_tol must lie in (0, 1), got {target_tol}")
-    margin = SINH_GAMMA - math.pi / 2
-    omega = 0.5 * margin
-    d_strip = 0.5 * margin
+    omega = d_strip = SINH_OMEGA
     apex_fraction = 0.95 / (2.0 * math.cos(omega))
     round_cap = math.log(max(target_tol / 3.0, 3e-15) / 2.3e-16)
     depth = -math.log(target_tol) + 2.0
@@ -223,15 +217,14 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
                         f"the {round_cap:.3g} at which exp(sigma0*maturity) times roundoff "
                         f"exceeds sinhTargetTol; price it with the gwr back end")
     b = apex_fraction * s0 / math.sin(omega)
-    return SinhPlan(sigma0=s0, gamma=SINH_GAMMA, omega=omega, b=b,
-                    step=step, n_nodes=n_nodes)
+    return SinhPlan(sigma0=s0, b=b, step=step, n_nodes=n_nodes)
 
 
 def sinh_nodes(plan: SinhPlan) -> tuple[np.ndarray, np.ndarray]:
     """Contour nodes q_k and quadrature weights for f(tau) = Re sum w_k e^{q_k tau} F(q_k)."""
     k = np.arange(plan.n_nodes)
     y = (k - (plan.n_nodes - 1) / 2.0) * plan.step
-    arg = y + 1j * plan.omega
+    arg = y + 1j * SINH_OMEGA
     q = plan.sigma0 + 1j * plan.b * np.sinh(arg)
     w = plan.step * plan.b * np.cosh(arg) / (2.0 * math.pi)
     return q, w

@@ -11,9 +11,9 @@ Im xi = omega, which must stay strictly inside the strip reported by
 
 Each family's formulas live on its class, and no other module tests a
 regime's class: psi (``psi_unchecked``), the strip and the domain check that
-``char_exponent`` runs, sinh admissibility, creeping, the Wiener-Hopf inputs
-of the route the family takes, and whether the Monte Carlo walker draws its
-paths.  Brownian and Kou regimes take the root route alone and supply its
+``char_exponent`` runs, sinh admissibility, creeping, regularity of the
+half-lines, the Wiener-Hopf inputs of the route the family takes, and
+whether the Monte Carlo walker draws its paths.  Brownian and Kou regimes take the root route alone and supply its
 cleared polynomial, root counts and jump poles; only KoBoL takes the
 spectral split and supplies its comparison symbol, which does not read Q.
 """
@@ -57,6 +57,12 @@ class _Diffusive:
 
     def sinh_inversion_admissible(self) -> bool:
         return self.sigma2 > 0.0 or self.mu == 0.0
+
+    def half_lines_regular(self) -> bool:
+        """Whether the process, started at 0, enters both (0, inf) and
+        (-inf, 0) at once, so that a knock-out value falls to 0 at either
+        barrier from inside: a diffusion part makes it so."""
+        return self.sigma2 > 0.0
 
     def expected_root_counts(self):
         """Roots of Q + psi below and above the real axis at a real Q > 0."""
@@ -233,6 +239,10 @@ class KoBoL:
 
     def sinh_inversion_admissible(self) -> bool:
         return self.nu > 1.0 or self.mu == 0.0
+
+    def half_lines_regular(self) -> bool:
+        """Both half-lines are regular at unbounded variation, nu > 1."""
+        return self.nu > 1.0
 
     def creeps(self, side: str) -> bool:
         return False

@@ -10,10 +10,10 @@ model is ``simulated`` (Brownian, Kou) are walked; each draws its own jump
 counts and sizes.
 
 Each path owns a counter-based stream Philox(key=(seed, path_index)), so
-estimates are bit-identical under any execution schedule.  The paths (the
-antithetic pairs) run in fixed blocks of ``PATH_BLOCK``: in forked worker
-processes when ``McConfig.threads`` > 1 (``pool.map_tasks``), else one block
-after another in the calling process.  Each block returns its per-path
+estimates are bit-identical under any execution schedule.  The paths run
+in fixed blocks of ``PATH_BLOCK``: in forked worker processes when
+``McConfig.threads`` > 1 (``pool.map_tasks``), else one block after another
+in the calling process.  Each block returns its per-path
 values, and the caller sums them in path order, so an estimate and its
 standard error keep their bits at any worker count.
 """
@@ -37,9 +37,9 @@ __all__ = ["McConfig", "McResult", "simulate_price", "brownian_band_series"]
 # bridge factors are taken only within sqrt(_BRIDGE_REACH * sigma^2 * max dt)
 # of a barrier; see _walk_segment
 _BRIDGE_REACH = 20.0
-# paths (antithetic pairs) per block, the task of simulate_price's pool: a
-# 2,000-path estimate makes 8 tasks, some 90 ms each on kou_memory at
-# dt = 1e-4, against about 10 ms to start and stop a 2-worker pool
+# paths per block, the task of simulate_price's pool: a 2,000-path estimate
+# makes 8 tasks, some 90 ms each on kou_memory at dt = 1e-4, against about
+# 10 ms to start and stop a 2-worker pool
 PATH_BLOCK = 250
 
 
@@ -53,7 +53,6 @@ class McConfig:
     dt: float = 1e-3
     seed: int = 20260809
     bridge: bool = True
-    antithetic: bool = False
     threads: int = 1
 
     def validate(self, maturity: float) -> None:
@@ -65,8 +64,6 @@ class McConfig:
             raise ValueError(f"dt must lie in (0, T/10], got {self.dt}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.antithetic and self.paths % 2:
-            raise ValueError("antithetic runs need an even path count")
 
 
 @dataclass
@@ -101,11 +98,8 @@ def _segment_events(rng, t0, t1, dt, model):
 
 
 def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
-                  have_jumps, sign=1.0):
-    """Survival weight through one regime sojourn; (alive, weight, x_end).
-
-    ``sign`` multiplies the Gaussian draws: -1.0 gives the antithetic twin.
-    """
+                  have_jumps):
+    """Survival weight through one regime sojourn; (alive, weight, x_end)."""
     if times.size == 0:
         return True, 1.0, x0
     deltas = np.empty_like(times)  # np.diff(times, prepend=t0) without its copy
@@ -114,7 +108,7 @@ def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
     sig2 = model.sigma2
     mu = model.mu
     if sig2 > 0.0:
-        incs = mu * deltas + sign * np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
+        incs = mu * deltas + np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
     else:
         incs = mu * deltas
     if have_jumps:
@@ -157,9 +151,8 @@ def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
     return True, float(np.prod(factors)), x_end
 
 
-def _one_path(rng, problem: BarrierProblem, cfg: McConfig, sign: float = 1.0):
-    """Discounted knock-out payoff (with bridge survival weight) of one path;
-    ``sign`` = -1.0 mirrors its Gaussians and nothing else."""
+def _one_path(rng, problem: BarrierProblem, cfg: McConfig):
+    """Discounted knock-out payoff (with bridge survival weight) of one path."""
     chain = problem.chain
     rates = problem.rates
     payoffs = problem.payoffs
@@ -181,7 +174,7 @@ def _one_path(rng, problem: BarrierProblem, cfg: McConfig, sign: float = 1.0):
         times, sizes = _segment_events(rng, t, seg_end, cfg.dt, model)
         alive, w, x = _walk_segment(rng, x, t, times, sizes, model,
                                     problem.lower, problem.upper, cfg.bridge,
-                                    have_jumps=sizes is not None, sign=sign)
+                                    have_jumps=sizes is not None)
         discount += rates[head - 1] * (seg_end - t)
         if not alive:
             return 0.0
@@ -195,17 +188,10 @@ def _one_path(rng, problem: BarrierProblem, cfg: McConfig, sign: float = 1.0):
 
 
 def _path_values(problem: BarrierProblem, cfg: McConfig, block: range) -> np.ndarray:
-    """The discounted payoffs of the paths in ``block`` (or the pair means of
-    those antithetic pairs), in path order: one path per Philox key (seed, i),
-    or an antithetic pair sharing it."""
-    values = []
-    for i in block:
-        v = _one_path(np.random.Generator(np.random.Philox(key=[cfg.seed, i])), problem, cfg)
-        if cfg.antithetic:
-            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
-            v = 0.5 * (v + _one_path(rng, problem, cfg, sign=-1.0))
-        values.append(v)
-    return np.array(values)
+    """The discounted payoffs of the paths in ``block``, in path order: one
+    path per Philox key (seed, i)."""
+    return np.array([_one_path(np.random.Generator(np.random.Philox(key=[cfg.seed, i])),
+                               problem, cfg) for i in block])
 
 
 def simulate_price(problem: BarrierProblem, cfg: McConfig) -> McResult:
@@ -220,7 +206,7 @@ def simulate_price(problem: BarrierProblem, cfg: McConfig) -> McResult:
     if not problem.lower < problem.spot < problem.upper:
         return McResult(0.0, 0.0, cfg.paths, cfg.dt, cfg.seed,
                         time.perf_counter() - start)
-    n = cfg.paths // 2 if cfg.antithetic else cfg.paths
+    n = cfg.paths
     blocks = map_tasks(_path_values, [range(n)[i:i + PATH_BLOCK]
                                       for i in range(0, n, PATH_BLOCK)],
                        cfg.threads, problem, cfg)

@@ -80,7 +80,6 @@ class WHFactorization:
     model: LevyModel
     Q: complex
     grid: DualGrid
-    kind: str                      # "rational" | "integral"
     roots_lower: list[complex]
     roots_upper: list[complex]
     decay_plus: float
@@ -89,7 +88,7 @@ class WHFactorization:
 
     # -- pointwise evaluation (rational closed form) --------------------
     def phi_plus(self, xi):
-        if self.kind != "rational":
+        if not self.model.rational:
             raise NotImplementedError("pointwise factors only for rational models")
         xi = np.asarray(xi, np.complex128)
         out = np.ones_like(xi)
@@ -101,7 +100,7 @@ class WHFactorization:
         return out
 
     def phi_minus(self, xi):
-        if self.kind != "rational":
+        if not self.model.rational:
             raise NotImplementedError("pointwise factors only for rational models")
         xi = np.asarray(xi, np.complex128)
         out = np.ones_like(xi)
@@ -116,7 +115,7 @@ class WHFactorization:
         xi = np.asarray(xi, np.complex128)
         return self.Q / (self.Q + char_exponent(self.model, xi))
 
-    # -- contour arrays (both kinds) -------------------------------------
+    # -- contour arrays (both routes) ------------------------------------
     def contour_symbols(self, omega: float, side: str | None = None) -> ContourSymbols:
         """Factor values on the grid's frequencies shifted to Im xi = omega.
 
@@ -135,7 +134,7 @@ class WHFactorization:
         missing = [s for s in (("plus", "minus") if side is None else (side,))
                    if getattr(cs, f"phi_{s}") is None]
         if missing:
-            if self.kind == "rational":
+            if self.model.rational:
                 zeta = self.grid.xi + 1j * omega
                 built = [getattr(self, f"phi_{s}")(zeta) for s in missing]
             else:
@@ -241,7 +240,7 @@ def factorize_rational(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
                 f"root split ({len(lower)},{len(upper)}) != theory ({exp_lo},{exp_hi})"
             )
     return WHFactorization(
-        model=model, Q=Q, grid=grid, kind="rational",
+        model=model, Q=Q, grid=grid,
         roots_lower=sorted(lower, key=lambda z: abs(z.imag)),
         roots_upper=sorted(upper, key=lambda z: abs(z.imag)),
         decay_plus=min(-r.imag for r in lower) if lower else math.inf,
@@ -350,7 +349,7 @@ def factorize_integral(model: LevyModel, Q: complex, grid: DualGrid) -> WHFactor
     edge_lo = abs(lo) if math.isfinite(lo) else 10.0 * max(1.0, abs(Q))
     edge_hi = abs(hi) if math.isfinite(hi) else 10.0 * max(1.0, abs(Q))
     return WHFactorization(
-        model=model, Q=Q, grid=grid, kind="integral",
+        model=model, Q=Q, grid=grid,
         roots_lower=[], roots_upper=[],
         decay_plus=_axis_zero_scan(model, Q, edge_lo, "lower"),
         decay_minus=_axis_zero_scan(model, Q, edge_hi, "upper"),

@@ -238,7 +238,7 @@ class ExactEpv:
     """Exact EPV operators for one rational factorization at real Q > 0."""
 
     def __init__(self, factors: WHFactorization):
-        if factors.kind != "rational":
+        if not factors.model.rational:
             raise ValueError("exact backend needs a rational factorization")
         if abs(complex(factors.Q).imag) > 0:
             raise ValueError("exact backend is for real spectral values")

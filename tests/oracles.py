@@ -125,6 +125,8 @@ class IntegralRoute:
     model: LevyModel
     Q: complex
 
+    rational = False  # the route a factorization reads off its model
+
     def strip(self):
         return self.model.strip()
 
@@ -159,18 +161,17 @@ def sup_norm_by_masks(u: SampledFunction) -> float:
 
 
 def full_product_walk(rng, x0, t0, times, sizes, model, lower, upper, bridge,
-                      have_jumps, sign=1.0):
+                      have_jumps):
     """(alive, weight, x_end) of one sojourn, the bridge weight taken as the
     product of (1 - e^{-2(u-s)(u-e)/(sigma^2 dt)})(1 - e^{-2(s-l)(e-l)/(sigma^2 dt)})
-    over every step, however far from a barrier; ``sign`` multiplies the
-    Gaussian draws."""
+    over every step, however far from a barrier."""
     if times.size == 0:
         return True, 1.0, x0
     deltas = np.diff(times, prepend=t0)
     sig2 = model.sigma2
     mu = model.mu
     if sig2 > 0.0:
-        incs = mu * deltas + np.sqrt(sig2 * deltas) * (sign * rng.standard_normal(times.size))
+        incs = mu * deltas + np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
     else:
         incs = mu * deltas
     if have_jumps:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rsbarrier import engine, montecarlo
+from rsbarrier import cli, engine, montecarlo
 from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.engine import QPricer
@@ -59,9 +59,11 @@ TWO_REGIME_DOC = {
     "seed": 11,
 }
 
-# settings that are constants of the method now, by their former keys
+# settings that are constants of the method now, by their former keys: lambda0
+# is always the largest total switching rate, and Monte Carlo paths are never
+# antithetic pairs
 CONSTANT_KEYS = {"dampingScale", "dampingCap", "decayTol", "maxOuter", "sinhGamma",
-                 "sinhSigma0"}
+                 "sinhSigma0", "lambda0", "antithetic"}
 
 
 def test_rule_rates_materialized():
@@ -165,12 +167,41 @@ def test_price_cli_and_boundary_zero(tmp_path, capsys):
     assert "warning: spot outside band" in capsys.readouterr().err.splitlines()
 
 
+def test_convergence_rungs_warn_spot_outside_band(tmp_path, capsys):
+    # each rung prices through run_price, which prints its own warnings
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    doc["x0"] = -1.0  # exactly on the lower barrier
+    rc, out = _run_cli(tmp_path, doc, "convergence", "--param", "mPower",
+                       "--values", "11,12", "--threads", "1")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rc == 0 and [float(r["price"]) for r in rows] == [0.0, 0.0]
+    assert capsys.readouterr().err.splitlines() == ["warning: spot outside band"] * 2
+
+
 def test_price_cli_matches_series(tmp_path):
     rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "price", "--threads", "1")
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 1.0)
     assert abs(float(rows[0]["price"]) - truth) < 1e-4
+
+
+# a spot within a cell of a barrier: a Brownian regime makes both barriers
+# regular, so the barrier node, valued 0, anchors the interpolation there.
+# At mPower 12 the price falls short of the series by at most 7.7% of it
+# (7.0% at 1e-3, 4.6% at half a cell, under either back end); the bound of
+# 10% leaves a 1.3x margin.  A stencil of interior nodes alone priced these
+# spots at -8.6e-4 to -1.8e-4.
+@pytest.mark.parametrize("distance", [1e-10, 1e-4, 1e-3, "half_cell"])
+@pytest.mark.parametrize("barrier", ["lower", "upper"])
+def test_spot_near_barrier_prices_the_series(barrier, distance):
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    if distance == "half_cell":
+        distance = 0.5 * cli._grid(parse_config(doc)).dx
+    doc["x0"] = doc["barriers"][barrier] + (distance if barrier == "lower" else -distance)
+    rows, _ = run_price(parse_config(dict(doc, threads=1)))
+    truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, doc["x0"], 1.0)
+    assert 0.0 <= rows[0]["price"] and abs(rows[0]["price"] - truth) <= 0.1 * truth
 
 
 def _strip_wall(text):
@@ -286,6 +317,24 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
     err = capsys.readouterr().err.splitlines()
     assert (rc, out) == (2, "")
     assert len(err) == 1 and err[0].startswith("config error:"), err
+    if path[-1] in CONSTANT_KEYS:
+        assert f"unknown key {'.'.join(path)};" in err[0], err
+
+
+# keys whose settings are gone: one config error line naming the key and
+# exit 2, from price and from mc alike
+@pytest.mark.parametrize("path, value", [
+    (("mc", "antithetic"), True), (("chain", "lambda0"), 5.0),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+def test_removed_setting_is_unknown_key(tmp_path, capsys, path, value):
+    doc = copy.deepcopy(BROWNIAN_DOC)
+    doc[path[0]][path[1]] = value
+    for argv in (("price", "--threads", "1"), ("mc",)):
+        rc, out = _run_cli(tmp_path, doc, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, out) == (2, ""), argv
+        assert len(err) == 1 and err[0].startswith(
+            f"config error: unknown key {'.'.join(path)};"), err
 
 
 # grid settings outside their range: one config error line and exit 2, from

@@ -42,7 +42,6 @@ FIELDS = [
     (("regimes",), st.one_of(JUNK, st.just([]))),
     (("chain", "m"), COUNT),
     (("chain", "N"), COUNT),
-    (("chain", "lambda0"), REAL),
     (("chain", "rates"), REAL),
     (("barriers", "lower"), REAL),
     (("barriers", "upper"), REAL),

@@ -87,13 +87,6 @@ def test_lambda0_two_state():
     assert chain.lambda0 == pytest.approx(2.0)
 
 
-def test_lambda0_override():
-    chain = MemoryChain(2, 0, np.array([[1.0], [2.0]]), lambda0_override=5.0)
-    assert chain.lambda0 == 5.0
-    with pytest.raises(ValueError):
-        MemoryChain(2, 0, np.array([[1.0], [2.0]]), lambda0_override=1.5)
-
-
 def test_rate_lookup_and_shift_codes():
     chain = MemoryChain.from_rules(
         3, 1, default=0.5,

@@ -8,7 +8,7 @@ from rsbarrier.errors import PlanError
 from rsbarrier.inversion import (
     GwrResult,
     InversionPlan,
-    SinhPlan,
+    SINH_GAMMA,
     gwr_invert,
     gwr_nodes,
     sinh_evaluated,
@@ -122,11 +122,6 @@ def test_sinh_samples_invert_as_the_evaluator_does(n_nodes):
             sinh_invert(wrong, 1.0, plan)
 
 
-def test_sinh_rejects_shallow_sector():
-    with pytest.raises(PlanError):
-        SinhPlan(sigma0=2.0, gamma=math.pi / 2, omega=0.3, b=1.0, step=0.1, n_nodes=16)
-
-
 def test_sinh_plan_refuses_a_maturity_its_roundoff_cannot_afford():
     # exp(sigma0*tau) scales every term's roundoff; at the default target the
     # cap on sigma0*tau is ln(1e-10/3 / 2.3e-16) = 11.9, which the floor
@@ -142,7 +137,7 @@ def test_sinh_node_symmetry_and_sector():
     plan = build.sinh(1.0, sinh_nodes=48)
     q, w = sinh_nodes(plan)
     assert np.allclose(q, np.conj(q[::-1]))
-    assert np.all(np.abs(np.angle(q)) < plan.gamma)
+    assert np.all(np.abs(np.angle(q)) < SINH_GAMMA)
     # apex stays right of the origin even though the tails go far left
     assert q.real.max() > 0.0
     assert q.real.min() < 0.0

@@ -150,6 +150,17 @@ def test_sinh_admissibility_flags():
                  mu=0.0).sinh_inversion_admissible()
 
 
+def test_half_lines_regular():
+    # a diffusion part, or KoBoL's unbounded variation, makes both barriers
+    # regular; a pure-jump or pure-drift path of bounded variation does not
+    assert BM.half_lines_regular() and KOU.half_lines_regular()
+    assert KOBOL.half_lines_regular()  # nu > 1
+    assert not BrownianDrift(mu=0.3, sigma2=0.0).half_lines_regular()
+    assert not KouJumpDiffusion(mu=0.1, sigma2=0.0, lambda_j=1.0, p=0.5, alpha_plus=10.0,
+                                alpha_minus=5.0).half_lines_regular()
+    assert not ALL_MODELS[-1].half_lines_regular()  # nu = 0.6
+
+
 def test_comparison_symbol_reads_no_q():
     # the spectral split keeps psi and C per (regime, contour) for every Q,
     # which holds only while no family's comparison symbol takes Q; only

@@ -86,20 +86,6 @@ def test_monitoring_bias_direction():
     assert bridged < fine < coarse
 
 
-def test_antithetic_consistent_and_deterministic():
-    # indicator payoffs gain little from antithetics; the estimator must
-    # still be unbiased and reproducible (pairs share events, mirror noise)
-    prob = brownian_problem(maturity=0.5)
-    truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.5)
-    cfg = McConfig(paths=8000, dt=5e-3, seed=21, antithetic=True)
-    anti = simulate_price(prob, cfg)
-    assert abs(anti.estimate - truth) < 3.5 * max(anti.stderr, 1e-6)
-    again = simulate_price(prob, cfg)
-    assert again.estimate == anti.estimate
-    with pytest.raises(ValueError):
-        simulate_price(prob, McConfig(paths=8001, dt=5e-3, seed=1, antithetic=True))
-
-
 def test_regime_switch_and_jumps_run():
     kou = KouJumpDiffusion(mu=0.0, sigma2=0.05, lambda_j=3.0, p=0.5,
                            alpha_plus=12.0, alpha_minus=9.0)
@@ -146,11 +132,11 @@ class FixedDraws:
 def sojourn(x0, model, times, sizes=None, seed=None, z=None):
     """A sojourn walked by ``walk`` from a fresh generator: Philox(seed, 0),
     or the fixed draws ``z``."""
-    def run(walk, sign):
+    def run(walk):
         rng = FixedDraws(z) if z is not None else \
             np.random.Generator(np.random.Philox(key=[seed, 0]))
         return walk(rng, x0, 0.0, times, sizes, model, LOWER, UPPER, True,
-                    sizes is not None, sign=sign)
+                    sizes is not None)
     return run
 
 
@@ -181,16 +167,16 @@ SOJOURNS = {
 }
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "antithetic"])
-@pytest.mark.parametrize("name", SOJOURNS)
-def test_near_barrier_bridge_weight_equals_full_product(name, sign):
+# the "plain" in each id names the walk's one way of drawing its Gaussians
+@pytest.mark.parametrize("name", SOJOURNS, ids=[f"{name}-plain" for name in SOJOURNS])
+def test_near_barrier_bridge_weight_equals_full_product(name):
     # the walk evaluates bridge factors only within reach of a barrier; its
     # weight must equal the product over every step bit for bit
     weights = []
     with np.errstate(divide="ignore"):  # a zero-length step divides by 0
         for run in SOJOURNS[name]:
-            got = run(_walk_segment, sign)
-            assert got == run(full_product_walk, sign)
+            got = run(_walk_segment)
+            assert got == run(full_product_walk)
             weights.append(got[1])
     assert any(0.0 < w < 1.0 for w in weights)  # some factor below 1 was taken
 
@@ -199,20 +185,18 @@ def test_near_barrier_bridge_weight_equals_full_product(name, sign):
 # dt = 1e-4 with the bridge: any change to the per-path streams or to the
 # walk's arithmetic moves these reprs
 KOU_MEMORY_BLOCK = {
-    False: ("0.8259763947117551", "0.008183131642829146"),
-    True: ("0.8234298261832553", "0.009889412996276287"),
+    "plain": ("0.8259763947117551", "0.008183131642829146"),
 }
 
 
-@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
-def test_kou_memory_block_is_pinned(antithetic):
+@pytest.mark.parametrize("draws", KOU_MEMORY_BLOCK)
+def test_kou_memory_block_is_pinned(draws):
     doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
                       / "kou_memory.json").read_text())
     cfg = parse_config(doc)
-    mc = McConfig(paths=2000, dt=1e-4, seed=1048576, bridge=True,
-                  antithetic=antithetic)
+    mc = McConfig(paths=2000, dt=1e-4, seed=1048576, bridge=True)
     res = simulate_price(cfg.problem, mc)
-    assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[antithetic]
+    assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[draws]
 
 
 def kou_memory_doc():
@@ -220,20 +204,19 @@ def kou_memory_doc():
                        / "kou_memory.json").read_text())
 
 
-@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
-def test_kou_memory_block_pin_holds_at_2_threads(antithetic):
+@pytest.mark.parametrize("draws", KOU_MEMORY_BLOCK)
+def test_kou_memory_block_pin_holds_at_2_threads(draws):
     # the document's top-level threads reaches the Monte Carlo settings, and
     # the block forks over its path blocks with the 1-thread bits
     cfg = parse_config(dict(kou_memory_doc(), threads=2))
     assert cfg.mc.threads == 2
-    mc = dataclasses.replace(cfg.mc, paths=2000, dt=1e-4, seed=1048576, bridge=True,
-                             antithetic=antithetic)
+    mc = dataclasses.replace(cfg.mc, paths=2000, dt=1e-4, seed=1048576, bridge=True)
     res = simulate_price(cfg.problem, mc)
-    assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[antithetic]
+    assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[draws]
 
 
-@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
-def test_estimate_keeps_its_bits_at_any_worker_count(monkeypatch, antithetic):
+@pytest.mark.parametrize("cfg", [McConfig(paths=2000, dt=5e-3, seed=42)], ids=["plain"])
+def test_estimate_keeps_its_bits_at_any_worker_count(monkeypatch, cfg):
     # a million threads asked for: each pool has at most one worker per path
     # block and per core, 1 thread starts none, and the estimate and stderr
     # keep the 1-thread bits
@@ -248,7 +231,6 @@ def test_estimate_keeps_its_bits_at_any_worker_count(monkeypatch, antithetic):
 
     monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
     prob = brownian_problem(maturity=0.5)
-    cfg = McConfig(paths=2000, dt=5e-3, seed=42, antithetic=antithetic)
     results = {}
     for threads in (1, 2, 10**6):
         res = simulate_price(prob, dataclasses.replace(cfg, threads=threads))
@@ -257,8 +239,7 @@ def test_estimate_keeps_its_bits_at_any_worker_count(monkeypatch, antithetic):
             assert started == []
     assert results[2] == results[1] and results[10**6] == results[1]
     assert results[1][1] > 0.0
-    pairs = cfg.paths // 2 if antithetic else cfg.paths
-    cap = min(-(-pairs // PATH_BLOCK), os.cpu_count() or 1)
+    cap = min(-(-cfg.paths // PATH_BLOCK), os.cpu_count() or 1)
     assert len(started) == 2 * (cap > 1) and all(n <= cap for n in started), started
     assert multiprocessing.active_children() == []
 

@@ -211,8 +211,13 @@ def test_drift_only_brownian(grid):
 
 
 def test_dispatcher(grid):
-    assert factorize(BM2, 1.0, grid).kind == "rational"
-    assert factorize(KOBOL, 1.0, grid).kind == "integral"
+    # the model names the route: the roots of Q + psi, or the spectral split
+    assert BM2.rational and not KOBOL.rational
+    rational, integral = factorize(BM2, 1.0, grid), factorize(KOBOL, 1.0, grid)
+    assert rational.roots_lower == factorize_rational(BM2, 1.0, grid).roots_lower
+    assert rational.roots_lower and rational.roots_upper
+    assert integral.roots_lower == integral.roots_upper == []
+    assert integral.decay_plus == factorize_integral(KOBOL, 1.0, grid).decay_plus
 
 
 def test_brownian_sup_law_cdf(grid):
