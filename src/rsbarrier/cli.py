@@ -18,6 +18,7 @@ import copy
 import csv
 import dataclasses
 import math
+import os
 import sys
 import time
 
@@ -28,8 +29,8 @@ from .engine import QPricer, check_working_set
 from .errors import ConfigError, RsBarrierError
 from .grids import DualGrid, build_grid
 from .histories import encode
-from .inversion import (InversionPlan, gwr_invert, gwr_nodes, sinh_evaluated,
-                        sinh_invert, sinh_nodes, sinh_plan)
+from .inversion import (InversionPlan, gwr_invert, gwr_nodes, sinh_invert, sinh_nodes,
+                        sinh_plan)
 from .montecarlo import simulate_price
 from .pool import map_tasks
 from .wiener_hopf import factorize
@@ -76,12 +77,11 @@ def price_histories(pricer: QPricer, inversion: InversionPlan, threads: int = 1)
     tau, n_gaver = pricer.problem.maturity, inversion.n_gaver
     if inversion.backend == "sinh":
         splan = sinh_plan(tau, inversion)
-        nodes = sinh_nodes(splan)[0][sinh_evaluated(splan)]
-        values, iterations = _evaluate_nodes(pricer, nodes, threads)
-        prices = [sinh_invert(column, tau, splan).value for column in values.T]
+        values, iterations = _evaluate_nodes(pricer, sinh_nodes(splan)[0], threads)
+        prices = [sinh_invert(column, tau, splan) for column in values.T]
     else:
         values, iterations = _evaluate_nodes(pricer, gwr_nodes(tau, n_gaver), threads)
-        prices = [gwr_invert(column.real, tau, n_gaver).value for column in values.T]
+        prices = [gwr_invert(column.real, tau, n_gaver) for column in values.T]
     return prices, iterations
 
 
@@ -136,6 +136,16 @@ def _document(args) -> dict:
         if value is not None:
             (doc.setdefault(section, {}) if section else doc)[flag] = value
     return doc
+
+
+def _check_out(path) -> None:
+    """Refuse, before any work, an output path that is a directory or lies
+    in a directory that is missing or read-only."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+    if not os.access(folder, os.W_OK):
+        raise ConfigError(f"--out {path}: directory {folder} is missing or read-only")
 
 
 def _write_csv(path, header, rows):
@@ -205,8 +215,9 @@ def _cmd_invert_demo(args) -> int:
     ]
     plan, rows = InversionPlan(), []
     for name, fn, tau, truth in pairs:
-        gwr = gwr_invert(fn(gwr_nodes(tau, plan.n_gaver)), tau, plan.n_gaver).value
-        snh = sinh_invert(fn, tau, sinh_plan(tau, plan)).value
+        gwr = gwr_invert(fn(gwr_nodes(tau, plan.n_gaver)), tau, plan.n_gaver)
+        splan = sinh_plan(tau, plan)
+        snh = sinh_invert(fn(sinh_nodes(splan)[0]), tau, splan)
         rows.append([name, repr(abs(gwr - truth)), repr(abs(snh - truth))])
     _write_csv(args.out, ["pair", "gwr_error", "sinh_error"], rows)
     return 0
@@ -306,6 +317,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

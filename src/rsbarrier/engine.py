@@ -169,7 +169,6 @@ class IterationStats:
     contraction_ratios: list[float] = field(default_factory=list)
     capped_solves: int = 0  # inner solves stopped by max_sweeps above their tolerance
     monotone_undershoot: float = 0.0
-    boundary_residual: float = 0.0
 
     @property
     def max_inner_sweeps(self) -> int:
@@ -185,8 +184,6 @@ class ValueField:
     """Vector over histories of sampled transforms at one spectral value;
     ``regular`` says whether every regime makes both barriers regular."""
 
-    q: complex
-    v0: np.ndarray
     functions: SampledFunction     # batch shape (#histories, M)
     stats: IterationStats
     regular: bool
@@ -483,8 +480,6 @@ class QPricer:
 
         # knock-out boundary condition: exactly zero outside the open band
         full = total.full()
-        stats.boundary_residual = float(np.max(np.abs(full[..., grid.outside_band])))
         full[..., grid.outside_band] = 0.0
         clipped = SampledFunction.from_samples(grid, full, 0.0, 0.0)
-        return ValueField(q=complex(q), v0=v0, functions=clipped, stats=stats,
-                          regular=self.regular)
+        return ValueField(functions=clipped, stats=stats, regular=self.regular)

@@ -23,13 +23,10 @@ from .errors import PlanError
 __all__ = [
     "gwr_nodes",
     "gwr_invert",
-    "GwrResult",
     "SinhPlan",
     "sinh_plan",
     "sinh_nodes",
-    "sinh_evaluated",
     "sinh_invert",
-    "SinhResult",
     "InversionPlan",
 ]
 
@@ -53,15 +50,6 @@ def _check_n_gaver(n_gaver: int) -> None:
         raise PlanError("n_gaver must be even and lie in [4, 16]")
 
 
-@dataclass
-class GwrResult:
-    value: float
-    gaver: list[float]
-    rho_diagonal: list[float]
-    stability: float
-    breakdown: bool
-
-
 def _gaver_ladder(samples, a, n_gaver):
     # Level-0 entries i*a*F(i*a); each level j combines neighbours with
     # weights (1 + i/j, -i/j); the j-th Gaver value is the level-j leading entry.
@@ -79,43 +67,35 @@ def _gaver_ladder(samples, a, n_gaver):
     return seq
 
 
-def _wynn_rho(seq):
-    """Even-level rho extrapolants; returns (diag, breakdown_flag).
+def _wynn_rho(seq) -> float:
+    """The deepest usable even-level rho extrapolant.
 
     The k-th level of the table is built from levels k-1 and k-2; odd levels
     are auxiliary reciprocal differences.  The most converged entry of each
-    even level is its last one (it consumes the tail of the sequence), so
-    those are collected, ending with the deepest usable extrapolant.
+    even level is its last one (it consumes the tail of the sequence), and
+    the deepest even level reached is returned.  A near-zero denominator
+    stops the table, and the last even level built before it is returned.
     """
     n = len(seq)
     two_back = [0.0] * (n + 1)
     one_back = list(seq)
-    diag = [seq[-1]]
-    breakdown = False
+    best = seq[-1]
     for k in range(1, n):
         new = []
         for i in range(len(one_back) - 1):
             den = one_back[i + 1] - one_back[i]
             if abs(den) < _RHO_BREAKDOWN:
-                breakdown = True
-                break
+                return best
             new.append(two_back[i + 1] + k / den)
-        if breakdown:
-            break
         two_back, one_back = one_back, new
         if k % 2 == 0:
-            diag.append(one_back[-1])
-    return diag, breakdown
+            best = one_back[-1]
+    return best
 
 
-def gwr_invert(samples, tau: float, n_gaver: int) -> GwrResult:
-    """Invert from samples F(k*ln2/tau), k = 1..2*n_gaver.
-
-    Returns the top of the even rho diagonal, the raw Gaver sequence, and a
-    stability indicator (spread of the last three diagonal entries).  A
-    near-zero denominator in the rho recursion marks ``breakdown`` and the
-    result falls back to the last stable diagonal entry.
-    """
+def gwr_invert(samples, tau: float, n_gaver: int) -> float:
+    """f(tau) from samples F(k*ln2/tau), k = 1..2*n_gaver: the Gaver
+    sequence's deepest even rho extrapolant (``_wynn_rho``)."""
     _check_n_gaver(n_gaver)
     samples = list(samples)
     if len(samples) != 2 * n_gaver:
@@ -126,14 +106,8 @@ def gwr_invert(samples, tau: float, n_gaver: int) -> GwrResult:
     level0 = [float((i + 1) * a) * float(samples[i]) for i in range(2 * n_gaver)]
     scale = max(abs(g) for g in level0)
     if max(level0) - min(level0) <= 32 * np.finfo(float).eps * max(scale, 1.0):
-        return GwrResult(value=level0[0], gaver=level0[:n_gaver],
-                         rho_diagonal=[level0[0]], stability=0.0, breakdown=False)
-    gaver = _gaver_ladder([float(s) for s in samples], LN2 / tau, n_gaver)
-    diag, breakdown = _wynn_rho(gaver)
-    tail = diag[-3:]
-    stability = max(tail) - min(tail) if len(tail) > 1 else 0.0
-    return GwrResult(value=diag[-1], gaver=gaver, rho_diagonal=diag,
-                     stability=float(stability), breakdown=breakdown)
+        return level0[0]
+    return _wynn_rho(_gaver_ladder([float(s) for s in samples], a, n_gaver))
 
 
 @dataclass(frozen=True)
@@ -156,8 +130,9 @@ class SinhPlan:
                 "contour apex sigma0 - b*sin(omega) left of the origin; "
                 "the contour would exit the sector"
             )
-        # per-node sector membership (sector vertex at the origin); the
-        # asymptotic ray angle pi/2 + omega < gamma guarantees the tails.
+        # per-node sector membership (sector vertex at the origin) of the
+        # upper half, which the lower half mirrors; the asymptotic ray angle
+        # pi/2 + omega < gamma guarantees the tails.
         for q in sinh_nodes(self)[0]:
             if abs(cmath.phase(complex(q))) > SINH_GAMMA - 1e-12:
                 raise PlanError("node outside the sector Sigma_gamma + sigma0")
@@ -197,7 +172,10 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
         converged = False
         for _ in range(80):
             step = 2.0 * math.pi * d_strip / (depth + s0 * tau)
-            ch = math.cosh(0.5 * step * (n_nodes - 1))
+            try:
+                ch = math.cosh(0.5 * step * (n_nodes - 1))
+            except OverflowError:
+                ch = math.inf  # refused below
             if apex_fraction * ch <= 1.1:
                 break
             s0_need = (depth / tau) / (apex_fraction * ch - 1.0)
@@ -217,12 +195,20 @@ def sinh_plan(tau: float, settings: InversionPlan) -> SinhPlan:
                         f"the {round_cap:.3g} at which exp(sigma0*maturity) times roundoff "
                         f"exceeds sinhTargetTol; price it with the gwr back end")
     b = apex_fraction * s0 / math.sin(omega)
+    # b*cosh(y) bounds |q - sigma0| and the weights out to the outermost node
+    if not math.isfinite(b * ch * max(tau, 1.0)):
+        raise PlanError(f"sinhNodes = {n_nodes} puts the outermost contour nodes past the "
+                        f"float range at maturity {tau:g}; use fewer nodes")
     return SinhPlan(sigma0=s0, b=b, step=step, n_nodes=n_nodes)
 
 
 def sinh_nodes(plan: SinhPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Contour nodes q_k and quadrature weights for f(tau) = Re sum w_k e^{q_k tau} F(q_k)."""
-    k = np.arange(plan.n_nodes)
+    """The contour nodes q_k that ``sinh_invert`` reads F at, and their
+    quadrature weights w_k, for f(tau) = Re sum w_k e^{q_k tau} F(q_k) over
+    the symmetric node set.  They are its upper half, from the real-axis node
+    at its middle when the count is odd, since F(conj q) = conj F(q) for a
+    real f gives the rest."""
+    k = np.arange(plan.n_nodes // 2, plan.n_nodes)
     y = (k - (plan.n_nodes - 1) / 2.0) * plan.step
     arg = y + 1j * SINH_OMEGA
     q = plan.sigma0 + 1j * plan.b * np.sinh(arg)
@@ -230,47 +216,22 @@ def sinh_nodes(plan: SinhPlan) -> tuple[np.ndarray, np.ndarray]:
     return q, w
 
 
-@dataclass
-class SinhResult:
-    value: float
-    error_estimate: float
-    min_re_q: float
-    n_evaluations: int
-
-
-def sinh_evaluated(plan: SinhPlan) -> slice:
-    """The nodes ``sinh_invert`` reads F at: the upper half of the symmetric
-    node set, from the real-axis node at its middle when the count is odd,
-    since F(conj q) = conj F(q) for a real f gives the rest."""
-    return slice(plan.n_nodes // 2, plan.n_nodes)
-
-
-def sinh_invert(transform, tau: float, plan: SinhPlan) -> SinhResult:
-    """Trapezoid sum over the deformed contour.
-
-    ``transform`` holds F at the nodes ``sinh_evaluated(plan)`` selects, in
-    node order, or maps complex q to F(q) and is then called on those nodes
-    alone; F must be analytic in the plan's sector.
-    """
+def sinh_invert(samples, tau: float, plan: SinhPlan) -> float:
+    """Trapezoid sum over the deformed contour, from F at the nodes
+    ``sinh_nodes(plan)`` returns, in node order; F must be analytic in the
+    plan's sector.  The terms are summed over the whole symmetric node set
+    in node order, the lower half's as the conjugates of their mirrors."""
     if tau <= 0.0:
         raise PlanError("tau must be > 0")
     q, w = sinh_nodes(plan)
-    n = plan.n_nodes
-    upper = range(n)[sinh_evaluated(plan)]
-    samples = [transform(q[i]) for i in upper] if callable(transform) else transform
-    if len(samples) != len(upper):
-        raise PlanError(f"need {len(upper)} samples, got {len(samples)}")
-    terms = np.empty(n, dtype=np.complex128)
-    for i, f in zip(upper, samples):
-        terms[i] = w[i] * np.exp(q[i] * tau) * f
-    for i in range(upper.start):
-        terms[i] = np.conj(terms[n - 1 - i])
+    if len(samples) != len(q):
+        raise PlanError(f"need {len(q)} samples, got {len(samples)}")
+    upper = [w[i] * np.exp(q[i] * tau) * f for i, f in enumerate(samples)]
+    lower = [np.conj(t) for t in upper[::-1][:plan.n_nodes // 2]]
     total = 0.0 + 0.0j
-    for t in terms:  # fixed summation order for bit reproducibility
+    for t in lower + upper:  # fixed summation order for bit reproducibility
         total += t
-    tail = max(abs(terms[0]), abs(terms[-1]))
-    return SinhResult(value=float(total.real), error_estimate=float(tail),
-                      min_re_q=float(q.real.min()), n_evaluations=len(upper))
+    return float(total.real)
 
 
 @dataclass(frozen=True)

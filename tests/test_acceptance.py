@@ -14,7 +14,7 @@ import pytest
 from rsbarrier.cli import price_histories
 from rsbarrier.engine import BarrierProblem, RegimeSpec
 from rsbarrier.histories import HistoryIndex, MemoryChain, enumerate_histories
-from rsbarrier.inversion import InversionPlan, gwr_invert, gwr_nodes, sinh_invert
+from rsbarrier.inversion import InversionPlan, gwr_invert, gwr_nodes, sinh_invert, sinh_nodes
 from rsbarrier.models import BrownianDrift, KoBoL, KouJumpDiffusion
 from rsbarrier.montecarlo import McConfig, brownian_band_series, simulate_price
 from rsbarrier.wiener_hopf import factorize_integral, factorize_rational
@@ -204,17 +204,19 @@ def test_criterion_5_contraction_monotonicity():
 def test_criterion_6_inversion_suite(brownian_pipeline):
     start = time.perf_counter()
     q = gwr_nodes(1.0, 8)
-    e1 = abs(gwr_invert(1.0 / (q + 1.0), 1.0, 8).value - math.exp(-1.0))
+    e1 = abs(gwr_invert(1.0 / (q + 1.0), 1.0, 8) - math.exp(-1.0))
     q = gwr_nodes(2.0, 8)
-    e2 = abs(gwr_invert(1.0 / q**2, 2.0, 8).value - 2.0)
+    e2 = abs(gwr_invert(1.0 / q**2, 2.0, 8) - 2.0)
     q = gwr_nodes(0.7, 8)
-    e3 = abs(gwr_invert(1.0 / q, 0.7, 8).value - 1.0)
-    s1 = abs(sinh_invert(lambda z: 1.0 / (z + 1.0), 1.0,
-                         build.sinh(1.0, sinh_nodes=64)).value - math.exp(-1.0))
-    s2 = abs(sinh_invert(lambda z: 1.0 / z**2, 2.0,
-                         build.sinh(2.0, sinh_nodes=64)).value - 2.0)
-    s3 = abs(sinh_invert(lambda z: 1.0 / z, 1.5,
-                         build.sinh(1.5, sinh_nodes=64)).value - 1.0)
+    e3 = abs(gwr_invert(1.0 / q, 0.7, 8) - 1.0)
+
+    def sinh_error(fn, tau, truth):
+        plan = build.sinh(tau, sinh_nodes=64)
+        return abs(sinh_invert(fn(sinh_nodes(plan)[0]), tau, plan) - truth)
+
+    s1 = sinh_error(lambda z: 1.0 / (z + 1.0), 1.0, math.exp(-1.0))
+    s2 = sinh_error(lambda z: 1.0 / z**2, 2.0, 2.0)
+    s3 = sinh_error(lambda z: 1.0 / z, 1.5, 1.0)
 
     # back-end agreement on a Brownian instance (GWR is the bottleneck)
     prob = brownian_pipeline["problem"]

@@ -8,6 +8,7 @@ import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rsbarrier import cli, engine, montecarlo
@@ -15,7 +16,7 @@ from rsbarrier.cli import main, run_price
 from rsbarrier.config import DEFAULTS, parse_config
 from rsbarrier.engine import QPricer
 from rsbarrier.errors import ConfigError, DivergenceError, FactorizationDegenerateError
-from rsbarrier.inversion import gwr_nodes
+from rsbarrier.inversion import gwr_nodes, sinh_nodes, sinh_plan
 from rsbarrier.montecarlo import brownian_band_series
 from rsbarrier.wiener_hopf import factorize_rational
 
@@ -511,6 +512,19 @@ def test_invert_demo_cli():
     assert max(float(r["sinh_error"]) for r in rows) < 1e-10
 
 
+def test_invert_demo_bits_are_pinned():
+    # both back ends' errors on the known pairs, bit for bit: a change to the
+    # order of any floating-point operation of either inversion shows here
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["invert-demo"]) == 0
+    assert [list(r.values()) for r in csv.DictReader(io.StringIO(buf.getvalue()))] == [
+        ["1/(q+1)@tau=1", "1.805925575748546e-09", "8.52906634207784e-11"],
+        ["1/q@tau=1.5", "0.0", "8.570910647875962e-11"],
+        ["1/q^2@tau=2", "8.164460085779979e-08", "7.043032823617068e-12"],
+    ]
+
+
 def test_convergence_cli_grid_ladder(tmp_path):
     rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "convergence",
                        "--param", "mPower", "--values", "11,12,13", "--threads", "1")
@@ -678,6 +692,45 @@ def test_sinh_refuses_a_maturity_it_cannot_afford(tmp_path, capsys, maturity):
     assert (rc, out) == (2, "")
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert f"maturity {maturity:g}" in err[0] and "gwr" in err[0], err
+
+
+# a node count whose outermost contour nodes leave the float range: a config
+# error that names sinhNodes, where the plan used to fail with a bare
+# OverflowError (at maturity 20) or with a numpy overflow warning and a
+# "node outside the sector" refusal; one node fewer still plans, with finite
+# nodes and weights
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("maturity, target, limit", [
+    (0.5, 1e-10, 15528), (1.0, 1e-6, 10246), (20.0, 1e-10, 20098)])
+def test_sinh_refuses_nodes_past_the_float_range(tmp_path, capsys, maturity, target, limit):
+    doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
+    doc["maturity"] = maturity
+    doc["inversion"] = {"backend": "sinh", "sinhNodes": limit, "sinhTargetTol": target}
+    plan = parse_config(doc).inversion
+    assert all(np.all(np.isfinite(a)) for a in sinh_nodes(sinh_plan(maturity, plan)))
+    doc["inversion"]["sinhNodes"] = limit + 1
+    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert f"sinhNodes = {limit + 1}" in err[0], err
+
+
+# an --out path that cannot be written: one config error line naming it,
+# before anything is priced, where it used to end in a traceback after the
+# whole price had been computed
+@pytest.mark.parametrize("argv", [("price", "--threads", "1"), ("invert-demo",)], ids=" ".join)
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, argv, target):
+    monkeypatch.setattr(cli, "price_histories", None)  # nothing may be priced
+    out = str(tmp_path / target)
+    if argv[0] == "invert-demo":
+        rc = main([*argv, "--out", out])
+    else:
+        rc, _ = _run_cli(tmp_path, BROWNIAN_DOC, *argv, "--out", out)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("config error:") and out in err[0], err
 
 
 # two zero-drift Brownian regimes whose switching makes the inner sweeps

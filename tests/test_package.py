@@ -124,6 +124,45 @@ def test_settings_defaults_written_once():
     assert found == []
 
 
+# definitions no module of the package reads, and who reads them instead
+READ_OUTSIDE_THE_PACKAGE = {
+    "IterationStats.max_ratio": "criterion 5 bounds the sweeps' contraction by it",
+    "WHFactorization.product_residual": "the bench's inspect_pricer checks each contour",
+    "ContourSymbols.omega": "the bench's inspect_pricer passes it to product_residual",
+    "brownian_band_series": "tests and bench/test_oracle.py; it leaves src/ with the bench",
+}
+
+
+def test_every_definition_is_read_by_the_package():
+    # a function, class, method or dataclass field that no module of the
+    # package loads is dead weight, or a figure that the pricing path drops;
+    # members count as read only through an attribute load, so a field that
+    # is written but never read shows, and dunder methods are left out
+    defined, names, attributes = {}, set(), set()
+    for path, tree in module_trees():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined[node.name] = False
+            if not isinstance(node, ast.ClassDef):
+                continue
+            dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    defined[f"{node.name}.{item.name}"] = True
+                elif (dataclass and isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)):
+                    defined[f"{node.name}.{item.target.id}"] = True
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    unread = {name for name, member in defined.items()
+              if name.split(".")[-1] not in (attributes if member else names | attributes)}
+    assert unread == set(READ_OUTSIDE_THE_PACKAGE)
+
+
 def module_trees():
     """(path, syntax tree) of every module of the package."""
     for path in sorted((ROOT / "src" / "rsbarrier").glob("*.py")):
