@@ -6,8 +6,11 @@ and Vt1 is built as an alternating series of one-barrier corrections.
 Each series term solves a half-line problem by block Gauss-Seidel sweeps
 over the head groups.  The operator depends only on a history's head, and a
 history's rows are contiguous by head, so ``price_field`` builds one
-``epv.OperatorPlan`` per side and head from that head's factorization, and
-a sweep walks the groups in head order: each group gathers its
+``epv.OperatorPlan`` per side and head from that head's factorization.  Head
+s is factorized at Q_s = q + lambda_s + r_s, where lambda_s is the largest
+Lambda_h of the head's histories, and each row keeps the slack
+lambda_s - Lambda_h of itself: m factorizations per q, whatever the memory
+depth.  A sweep walks the groups in head order: each group gathers its
 rate-weighted neighbours, the groups before it already updated in this
 sweep, and takes one inner-side and one outer-side application of its
 head's plan.  A plan and the rows given to it belong to one head.  At a real
@@ -231,8 +234,10 @@ class Workspace:
     coupling's gathered rows and each group's step, then the sup-norms'
     sums; ``real``, always real, takes the magnitudes; ``half``, complex
     (histories, M/2 + 1) and held only for real samples, takes a real
-    plan's half spectra.  ``keep`` and ``rates`` are the coupling's weights
-    lambda0 - Lambda_h and lam_{h,j}, cast to the samples' dtype once."""
+    plan's half spectra.  ``keep`` and ``rates`` are the coupling's weights,
+    the slack lambda_{h0} - Lambda_h and lam_{h,j}, cast to the samples' dtype
+    once; head s's operators are taken at Q_s = q + lambda_s + r_s, where
+    lambda_s is the largest Lambda_h of the head's histories."""
 
     term: np.ndarray
     gather: np.ndarray
@@ -247,7 +252,7 @@ class Workspace:
         half = (np.empty((chain.size, size // 2 + 1), np.complex128)
                 if dtype == np.float64 else None)
         return cls(np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape), half,
-                   (chain.lambda0 - chain.lam_total).astype(dtype),
+                   chain.slack.astype(dtype),
                    chain.rates.astype(dtype))
 
 
@@ -288,10 +293,10 @@ class QPricer:
     def factorizations(self, q):
         key = complex(q)
         if key not in self._factor_cache:
-            chain, rates = self.problem.chain, self.problem.rates
+            chain = self.problem.chain
             self._factor_cache[key] = [
-                factorize(spec.model, q + chain.lambda0 + spec.rate, self.grid)
-                for spec in self.problem.regimes
+                factorize(spec.model, q + lam + spec.rate, self.grid)
+                for lam, spec in zip(chain.lambda_heads, self.problem.regimes)
             ]
         return self._factor_cache[key]
 
@@ -311,11 +316,12 @@ class QPricer:
 
     def _coupling(self, cur: SampledFunction, rows: slice,
                   work: Workspace) -> SampledFunction:
-        """(Lambda0 - Lambda_h) * cur_h + sum_s lam_{s,h} * cur_{shift(h,s)}
-        on one head group's rows, accumulated in ``work.term`` in ascending
-        target order for reproducibility; each neighbour's rows are gathered
-        into ``work.gather``.  A switch changes the head, so every neighbour
-        lies in another group."""
+        """(lambda_{h0} - Lambda_h) * cur_h + sum_s lam_{s,h} * cur_{shift(h,s)}
+        on one head group's rows.  lambda_s is the largest Lambda_h of head
+        s's histories, and Q_s = q + lambda_s + r_s.  The sum is accumulated
+        in ``work.term`` in ascending target order for reproducibility; each
+        neighbour's rows are gathered into ``work.gather``.  A switch changes
+        the head, so every neighbour lies in another group."""
         codes = self.problem.chain.codes_after_shift[rows]
         out, gather = work.term[rows], work.gather[rows]
         keep, rates = work.keep[rows], work.rates[rows]
@@ -347,8 +353,8 @@ class QPricer:
         group's step.  The rows of a group update together, so lumpable
         copies of a history keep its bits."""
         problem, chain, grid = self.problem, self.problem.chain, self.grid
-        q_heads = np.array([q + chain.lambda0 + problem.regimes[s - 1].rate
-                            for s in range(1, chain.m + 1)])
+        q_heads = np.array([q + lam + spec.rate
+                            for lam, spec in zip(chain.lambda_heads, problem.regimes)])
 
         if side == "plus":
             first_touch, inner, region = first_touch_above, "minus", Region.BELOW_UPPER
@@ -410,8 +416,7 @@ class QPricer:
                 stats.contraction_ratios.append(ratio)
                 rising = rising + 1 if ratio >= 1.0 else 0
                 if rising >= 3:
-                    bound = chain.lambda0 / abs(q + chain.lambda0
-                                                + float(np.min(self.problem.rates)))
+                    bound = float(np.max(np.array(chain.lambda_heads) / np.abs(q_heads)))
                     raise ContractionFailureError(
                         f"inner sweeps stopped contracting at q={q} "
                         f"(empirical rate {ratio:.3f}, bound {bound:.3f})")

@@ -126,7 +126,11 @@ class MemoryChain:
 
     ``rates[i, j]`` is the rate from the history with code ``i`` into its
     j-th admissible target state (targets sorted ascending, skipping h0).
-    ``lambda0`` is max_h Lambda_h, the uniformization constant.
+    ``lambda0`` is max_h Lambda_h, the uniformization constant of the whole
+    chain.  ``lambda_heads[s - 1]`` is lambda_s, the largest Lambda_h over
+    the histories with head s (0 for a head with none): head s is factorized
+    at Q_s = q + lambda_s + r_s, and ``slack[h]`` = lambda_{h0} - Lambda_h >= 0
+    is the weight each row keeps of itself in the sweeps' coupling.
     """
 
     m: int
@@ -137,6 +141,8 @@ class MemoryChain:
     codes_after_shift: np.ndarray = field(init=False, repr=False)
     lam_total: np.ndarray = field(init=False, repr=False)
     lambda0: float = field(init=False)
+    lambda_heads: tuple[float, ...] = field(init=False)
+    slack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _validate_mn(self.m, self.n_memory)
@@ -156,6 +162,11 @@ class MemoryChain:
                 self.codes_after_shift[i, j] = encode(self.m, shift(h, s))
         self.lam_total = self.rates.sum(axis=1) if self.m > 1 else np.zeros(size)
         self.lambda0 = float(self.lam_total.max()) if size else 0.0
+        heads = self.heads()
+        per_head = np.zeros(self.m)
+        np.maximum.at(per_head, heads - 1, self.lam_total)
+        self.lambda_heads = tuple(float(lam) for lam in per_head)
+        self.slack = per_head[heads - 1] - self.lam_total
 
     @property
     def size(self) -> int:

@@ -194,9 +194,9 @@ def test_kou_chain_transform_bits_are_pinned():
     # order of the sweeps' floating-point operations shows here
     pricer = kou_chain_pricer()
     pinned = {
-        2.0: ["(0.4113155165936921+0j)", "(0.3369668892548788+0j)"],
-        3.0 + 2.0j: ["(0.22664817033748244-0.1291709463899283j)",
-                     "(0.2046984081197901-0.10007653308089967j)"],
+        2.0: ["(0.41131643760122094+0j)", "(0.33696747148196077+0j)"],
+        3.0 + 2.0j: ["(0.22664821986742478-0.1291712263447874j)",
+                     "(0.20469842881021758-0.10007671300266757j)"],
     }
     for q, reprs in pinned.items():
         assert [repr(complex(v)) for v in at_spot(pricer, q)] == reprs
@@ -278,6 +278,108 @@ def test_contraction_rate_vs_bound(kou_memory_field):
     chain, prob, field, q = kou_memory_field
     bound = chain.lambda0 / abs(q + chain.lambda0 + float(np.min(prob.rates)))
     assert field.stats.max_ratio <= bound + 0.01
+
+
+def test_contraction_rate_vs_per_head_bound(kou_memory_field):
+    # head s is factorized at Q_s = q + lambda_s + r_s, so the sweeps contract
+    # at least as fast as max_s lambda_s / |Q_s|; here that bound is 0.362
+    # and the measured rate 0.119, so the bound holds with no margin added
+    chain, prob, field, q = kou_memory_field
+    bound = max(lam / abs(q + lam + spec.rate)
+                for lam, spec in zip(chain.lambda_heads, prob.regimes))
+    assert field.stats.max_ratio <= bound
+
+
+def test_contraction_failure_quotes_the_per_head_bound(monkeypatch):
+    # sweeps made to expand (each indicator product taken 4 times over) stop
+    # with the per-head bound in the message: 0.438 on the coupled Kou chain
+    # at q = 2, where lambda0 / (q + lambda0 + min r) would read 0.442
+    from rsbarrier import engine
+    from rsbarrier.errors import ContractionFailureError
+    from rsbarrier.grids import SampledFunction
+
+    soft = engine.indicator_soft
+
+    def amplified(u, region, out=None):
+        got = soft(u, region, out=out)
+        got.values *= 4.0
+        return SampledFunction(got.grid, got.values, got.c_lo * 4.0, got.c_hi * 4.0)
+
+    monkeypatch.setattr(engine, "indicator_soft", amplified)
+    pricer = kou_chain_pricer()
+    q = 2.0
+    bound = max(lam / (q + lam + spec.rate)
+                for lam, spec in zip(pricer.problem.chain.lambda_heads,
+                                     pricer.problem.regimes))
+    with pytest.raises(ContractionFailureError, match=f"bound {bound:.3f}\\)"):
+        pricer.price_field(q)
+
+
+def whole_history_chain(n_memory):
+    """Three regimes whose switching rates read every entry of the history,
+    so no two histories lump and the heads' constants differ."""
+    weights = (0.05, 0.03, 0.02)
+    rules = [{"s": s, "history": list(h.labels),
+              "rate": 0.3 + 0.1 * s + sum(w * v for w, v in zip(weights, h.labels))}
+             for h in enumerate_histories(3, n_memory) for s in (1, 2, 3) if s != h.head]
+    return MemoryChain.from_rules(3, n_memory, 0.0, rules)
+
+
+@pytest.mark.parametrize("n_memory", [0, 1, 2])
+def test_memory_adds_no_factorization(monkeypatch, n_memory):
+    # the paper's block count: m factorizations per spectral value whatever
+    # the depth N, one per head s at Q_s = q + lambda_s + r_s
+    from rsbarrier import engine
+
+    calls, factorize = [], engine.factorize
+
+    def counted_factorize(model, big_q, grid):
+        calls.append((model, big_q))
+        return factorize(model, big_q, grid)
+
+    monkeypatch.setattr(engine, "factorize", counted_factorize)
+    chain = whole_history_chain(n_memory)
+    regimes = tuple(RegimeSpec(BrownianDrift(mu=0.0, sigma2=s2), r, 1.0)
+                    for s2, r in ((0.5, 0.01), (1.0, 0.02), (1.5, 0.03)))
+    prob = BarrierProblem(regimes=regimes, chain=chain, lower=-1.0, upper=1.0,
+                          spot=0.2, maturity=1.0, initial_history=chain.histories[0])
+    heads = chain.heads()
+    lams = [chain.lam_total[heads == s].max() for s in (1, 2, 3)]
+    # every head's Lambda is 1.2 at N = 0; deeper, the heads' constants part
+    assert chain.lambda_heads == tuple(lams)
+    assert (min(lams) < chain.lambda0) == (n_memory > 0)
+    pricer = build.pricer(prob, m_power=10)
+    for q in (1.5, 2.0 + 3.0j):
+        calls.clear()
+        pricer.price_field(q)
+        assert calls == [(spec.model, q + lam + spec.rate)
+                         for lam, spec in zip(lams, regimes)]
+
+
+def test_head_constants_leave_the_limit_unchanged(monkeypatch):
+    # the fixed point (q + Lambda_h + r - L) v = coupling does not read
+    # lambda_s, but each head's discrete operators do: taking every head back
+    # to lambda0 moves kou_memory's transform by the grid's error, not by the
+    # sweeps' tolerances (1e-10 and 1e-8 of max|G|/|q|).  At the spot the gap
+    # reads 4.7e-7 / 2.8e-7 (real / complex q) at M = 2^12 and 1.2e-7 /
+    # 7.2e-8 at 2^13: it falls 4x per doubling of M, towards one limit.
+    # Checked: at most 2e-7 at 2^13, and at least 3x smaller than at 2^12
+    def spot_values(m_power, q, constants):
+        chain = MemoryChain(2, 1, np.array([[0.8], [1.6]]))
+        if constants == "lambda0":
+            monkeypatch.setattr(chain, "lambda_heads", (chain.lambda0,) * chain.m)
+            monkeypatch.setattr(chain, "slack", chain.lambda0 - chain.lam_total)
+        prob = BarrierProblem(
+            regimes=(RegimeSpec(KOU1, 0.02, 1.0), RegimeSpec(KOU2, 0.05, 1.0)),
+            chain=chain, lower=-0.3, upper=0.3, spot=0.0, maturity=0.5,
+            initial_history=HistoryIndex((1, 2)))
+        return at_spot(build.pricer(prob, m_power=m_power), q)
+
+    for q in (2.0 * math.log(2.0) / 0.5, 3.0 + 2.0j):
+        gaps = [np.max(np.abs(spot_values(m_power, q, "heads")
+                              - spot_values(m_power, q, "lambda0")))
+                for m_power in (12, 13)]
+        assert gaps[1] <= 2e-7 and gaps[0] >= 3.0 * gaps[1]
 
 
 def test_monotone_inner_iterates(kou_memory_field):

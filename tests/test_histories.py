@@ -87,6 +87,35 @@ def test_lambda0_two_state():
     assert chain.lambda0 == pytest.approx(2.0)
 
 
+def test_head_constants_two_state():
+    # kou_memory's chain: each head has one history, so lambda_s is its
+    # Lambda_h and no row keeps any slack
+    chain = MemoryChain(2, 1, np.array([[0.8], [1.6]]))
+    assert chain.lambda_heads == (0.8, 1.6)
+    assert np.all(chain.slack == 0.0)
+
+
+def test_head_constants_single_regime():
+    assert MemoryChain.from_constant(1, 0, 0.0).lambda_heads == (0.0,)
+
+
+def test_lumpable_copies_get_equal_slack():
+    # rates read (h0, h-1) only, so at N = 2 the histories that share that
+    # prefix are lumpable copies and must keep the same bits of slack
+    rules = [{"s": s, "history": [h0, h1], "rate": 0.2 * s + 0.1 * h0 + 0.07 * h1}
+             for s in (1, 2, 3) for h0 in (1, 2, 3) for h1 in (1, 2, 3)
+             if s != h0 and h1 != h0]
+    chain = MemoryChain.from_rules(3, 2, 0.0, rules)
+    heads = chain.heads()
+    for s in (1, 2, 3):
+        assert chain.lambda_heads[s - 1] == chain.lam_total[heads == s].max()
+    assert np.all(chain.slack >= 0.0) and np.any(chain.slack > 0.0)
+    by_prefix = {}
+    for h, slack in zip(chain.histories, chain.slack):
+        by_prefix.setdefault(h.labels[:2], set()).add(slack)
+    assert all(len(values) == 1 for values in by_prefix.values())
+
+
 def test_rate_lookup_and_shift_codes():
     chain = MemoryChain.from_rules(
         3, 1, default=0.5,
