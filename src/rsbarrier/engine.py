@@ -301,15 +301,11 @@ class QPricer:
         return self._factor_cache[key]
 
     def _groups(self):
-        """(head, rows) of each head present; a head's rows are contiguous,
-        since the head is the leading digit of the history code."""
-        heads = self.problem.chain.heads()
-        groups = []
-        for s in range(1, self.problem.chain.m + 1):
-            rows = np.flatnonzero(heads == s)
-            if rows.size:
-                groups.append((s, slice(rows[0], rows[-1] + 1)))
-        return groups
+        """(head, rows) of each head: the head is the leading digit of the
+        history code, so each head owns one run of size / m rows."""
+        chain = self.problem.chain
+        k = chain.size // chain.m
+        return [(s, slice((s - 1) * k, s * k)) for s in range(1, chain.m + 1)]
 
     def _scale(self, q) -> float:
         return float(np.max(np.abs(self.problem.payoffs)) / abs(q))

@@ -28,6 +28,10 @@ the same.
 
 ``first_touch_above``/``first_touch_below`` compose these into the value of
 receiving given data at the first entrance of the region beyond a barrier.
+On a side the head's process crosses only by creeping, first entrance is at
+the barrier itself, so the part of the data that vanishes there is its own
+image and only the data's boundary value takes a transform; a side that
+jumps takes that part through an inverse and a forward application.
 """
 
 from __future__ import annotations
@@ -257,7 +261,8 @@ def _boundary_value(full: np.ndarray, node: int, direction: int) -> np.ndarray:
 
 
 def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
-    """E^side 1_beyond (E^side)^{-1} tail for a tail that vanishes at the node.
+    """E^side 1_beyond (E^side)^{-1} tail, on a side that jumps, for a tail
+    that vanishes at the node.
 
     The inverse image's node must end up holding the mid-value of (0,
     kept-side limit); the sampled node already holds the mid-value of the
@@ -268,13 +273,7 @@ def _tail_image(plan: OperatorPlan, tail, node, direction) -> SampledFunction:
     full = z.full(out=z.values)
     full[..., node] -= 0.5 * _boundary_value(full, node, -direction)
     z = SampledFunction.beyond(z.grid, full, z.c_lo, z.c_hi, node, direction, 1.0, out=full)
-    out = apply_epv(plan, z, out=z.values)
-    if plan.model.creeps(plan.side):
-        # creeping passage sees only the boundary value, which the peel set
-        # to zero: the true contribution beyond the data region vanishes
-        out = SampledFunction.beyond(out.grid, out.full(out=out.values), out.c_lo, out.c_hi,
-                                     node, direction, 1.0, out=out.values)
-    return out
+    return apply_epv(plan, z, out=z.values)
 
 
 def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
@@ -288,7 +287,11 @@ def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     clip it.  The constant part maps through E^side 1_beyond directly.  The
     remainder (u - c_b) is kept strictly beyond the node: it vanishes at the
     barrier by construction of c_b, so its mid-value there is zero whether
-    or not u itself jumps, and its inverse image is delta-free.
+    or not u itself jumps.  On a side the head's process crosses only by
+    creeping, first entrance happens at the barrier, where the remainder is
+    0, so its image is the remainder itself: 0 in the band and at the node,
+    and the data less c_b beyond.  On a side that jumps, its inverse image
+    is delta-free and goes through ``_tail_image``.
     """
     grid = u.grid
     region = Region.AT_OR_ABOVE_UPPER if plan.side == "plus" else Region.AT_OR_BELOW_LOWER
@@ -300,6 +303,8 @@ def _first_touch(plan: OperatorPlan, u: SampledFunction) -> SampledFunction:
     full -= c_b[..., None]
     tail = SampledFunction.beyond(grid, full, u.c_lo - c_b, u.c_hi - c_b,
                                   node, direction, 0.0, out=full)
+    if plan.model.creeps(plan.side):
+        return out.add(tail, out=out.values)
     if tail.sup_norm() > 1e-13 * max(u.sup_norm(), 1e-300):
         out = out.add(_tail_image(plan, tail, node, direction), out=out.values)
     return out

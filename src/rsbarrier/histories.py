@@ -128,9 +128,9 @@ class MemoryChain:
     j-th admissible target state (targets sorted ascending, skipping h0).
     ``lambda0`` is max_h Lambda_h, the uniformization constant of the whole
     chain.  ``lambda_heads[s - 1]`` is lambda_s, the largest Lambda_h over
-    the histories with head s (0 for a head with none): head s is factorized
-    at Q_s = q + lambda_s + r_s, and ``slack[h]`` = lambda_{h0} - Lambda_h >= 0
-    is the weight each row keeps of itself in the sweeps' coupling.
+    the histories with head s: head s is factorized at Q_s = q + lambda_s +
+    r_s, and ``slack[h]`` = lambda_{h0} - Lambda_h >= 0 is the weight each
+    row keeps of itself in the sweeps' coupling.
     """
 
     m: int

@@ -268,6 +268,22 @@ def test_kobol_price_bits_are_pinned(backend, reprs):
         assert [repr(r["price"]) for r in rows] == reprs
 
 
+@pytest.mark.parametrize("backend, reprs", [
+    ("gwr", ["0.3707479640572107"]),
+    ("sinh", ["0.37076443988170593"]),
+])
+def test_brownian_band_price_bits_are_pinned(backend, reprs):
+    # both sides of a Brownian regime creep: its price, bit for bit, at
+    # either thread count pins the first touch of a side no jump crosses
+    doc = json.loads((ROOT / "configs" / "brownian_band.json").read_text())
+    doc["inversion"]["backend"] = backend
+    doc["grid"] = {"mPower": 12}
+    for threads in (1, 2):
+        doc["threads"] = threads
+        rows, _ = run_price(parse_config(doc), all_histories=True)
+        assert [repr(r["price"]) for r in rows] == reprs
+
+
 def test_mc_cli(tmp_path):
     rc, out = _run_cli(tmp_path, BROWNIAN_DOC, "mc")
     assert rc == 0

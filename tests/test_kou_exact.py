@@ -4,7 +4,14 @@ import pytest
 from rsbarrier.errors import ResourceLimitError
 from rsbarrier.grids import Region, SampledFunction, indicator_soft
 from rsbarrier.models import BrownianDrift, KouJumpDiffusion
-from rsbarrier.epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below
+from rsbarrier import epv
+from rsbarrier.epv import (
+    OperatorPlan,
+    apply_epv,
+    apply_multiplier,
+    first_touch_above,
+    first_touch_below,
+)
 from rsbarrier.wiener_hopf import factorize_rational
 
 import builders as build
@@ -25,9 +32,15 @@ def plan(factors, side):
 
 
 @pytest.fixture(scope="module")
-def brownian_exact():
+def brownian_pair():
     grid = build.grid(-1.0, 1.0, m_power=10, models=[BM2])
-    return ExactEpv(factorize_rational(BM2, 1.0, grid))
+    factors = factorize_rational(BM2, 1.0, grid)
+    return grid, factors, ExactEpv(factors)
+
+
+@pytest.fixture(scope="module")
+def brownian_exact(brownian_pair):
+    return brownian_pair[2]
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +176,45 @@ def test_first_touch_tail_image(request, pair, side, bound):
             & (np.abs(grid.x - grid.upper) > 0.05)
             & (np.abs(grid.x - grid.lower) > 0.05))
     assert np.abs(on_grid.full() - exact(grid.x))[mask].max() < bound
+
+
+@pytest.mark.parametrize("pair, side, calls", [
+    ("brownian_pair", "plus", 1), ("brownian_pair", "minus", 1), ("kou_creep_pair", "plus", 1),
+    ("kou_pair", "plus", 3), ("kou_pair", "minus", 3), ("kou_creep_pair", "minus", 3),
+])
+def test_first_touch_transforms_only_a_jump_sides_tail(monkeypatch, request, pair, side, calls):
+    # first entrance beyond a creeping side is at the barrier, where the
+    # peeled tail is 0: the tail is its own image, and only the boundary
+    # value's step takes a multiplier.  A jump side takes the tail through
+    # the inverse and the forward multiplier as well
+    grid, factors, _ = request.getfixturevalue(pair)
+    u, _, _ = tail_seed(grid, side)
+    p = plan(factors, side)
+    seen = []
+
+    def counted(v, *args, **kwargs):
+        seen.append(v)
+        return apply_multiplier(v, *args, **kwargs)
+
+    monkeypatch.setattr(epv, "apply_multiplier", counted)
+    out = (first_touch_above if side == "plus" else first_touch_below)(p, u)
+    monkeypatch.undo()
+    assert len(seen) == calls
+    if calls > 1:
+        return
+    region = Region.AT_OR_ABOVE_UPPER if side == "plus" else Region.AT_OR_BELOW_LOWER
+    node, direction = grid.region_edge(region)
+    full = u.full()
+    c_b = 2.0 * full[node + direction] - full[node + 2 * direction]
+    step_image = apply_epv(p, SampledFunction.step(grid, region, c_b))
+    tail = SampledFunction.beyond(grid, full - c_b, u.c_lo - c_b, u.c_hi - c_b,
+                                  node, direction, 0.0)
+    assert np.array_equal(out.values, step_image.values + tail.values)
+    assert out.c_lo == step_image.c_lo + tail.c_lo
+    assert out.c_hi == step_image.c_hi + tail.c_hi
+    kept = grid.half_line(node, direction, 0.0) == 1.0
+    assert np.all(tail.full()[~kept] == 0.0) and not kept[node]
+    assert np.any(tail.full()[kept] != 0.0)
 
 
 def test_term_count_guard():
