@@ -78,13 +78,6 @@ def _at_least_one(count: int, name: str) -> int:
     return count
 
 
-def _flag(value, name: str) -> bool:
-    """A JSON boolean: the string "false" is a fault, not a true value."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def _object(value, path: str, required, optional=()) -> dict:
     """``value``, a JSON object with every ``required`` key and no key outside
     ``required`` and ``optional``; ``path`` is empty for the document itself."""
@@ -114,9 +107,7 @@ _SECTIONS = {
     "inversion": (InversionPlan, {
         "backend": ("backend", None), "nGaver": ("n_gaver", _whole),
         "sinhNodes": ("sinh_nodes", _whole), "sinhTargetTol": ("sinh_target_tol", _finite)}),
-    "mc": (McConfig, {
-        "paths": ("paths", _whole), "dt": ("dt", _finite),
-        "bridge": ("bridge", _flag)}),
+    "mc": (McConfig, {"paths": ("paths", _whole), "dt": ("dt", _finite)}),
 }
 # model type -> (its class, JSON key -> field)
 _MODELS = {

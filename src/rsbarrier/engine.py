@@ -4,8 +4,9 @@ For a fixed q with Re q > 0 the knock-out value transform splits as
 Vt = Vt0 + Vt1: Vt0 solves the barrier-free linear system over histories,
 and Vt1 is built as an alternating series of one-barrier corrections.
 Each series term solves a half-line problem by block Gauss-Seidel sweeps
-over the head groups.  The operator depends only on a history's head, and a
-history's rows are contiguous by head, so ``price_field`` builds one
+over the head groups.  The operator depends only on a history's head, and
+the chain hands out each head's rows as one contiguous run
+(``MemoryChain.head_rows``), so ``price_field`` builds one
 ``epv.OperatorPlan`` per side and head from that head's factorization.  Head
 s is factorized at Q_s = q + lambda_s + r_s, where lambda_s is the largest
 Lambda_h of the head's histories, and each row keeps the slack
@@ -300,13 +301,6 @@ class QPricer:
             ]
         return self._factor_cache[key]
 
-    def _groups(self):
-        """(head, rows) of each head: the head is the leading digit of the
-        history code, so each head owns one run of size / m rows."""
-        chain = self.problem.chain
-        k = chain.size // chain.m
-        return [(s, slice((s - 1) * k, s * k)) for s in range(1, chain.m + 1)]
-
     def _scale(self, q) -> float:
         return float(np.max(np.abs(self.problem.payoffs)) / abs(q))
 
@@ -357,11 +351,11 @@ class QPricer:
         else:
             first_touch, inner, region = first_touch_below, "plus", Region.ABOVE_LOWER
         groups = [(s, rows, plans[side][s - 1], plans[inner][s - 1])
-                  for s, rows in self._groups()]
+                  for s, rows in enumerate(chain.head_rows, 1)]
 
         boundary = SampledFunction.zero(grid, (chain.size,), work.term.dtype)
         for _, rows, plan, _ in groups:
-            boundary.assign(rows, first_touch(plan, boundary_data.select(rows)))
+            boundary.assign(rows, first_touch(plan, boundary_data.rows(rows)))
 
         tol = self.tolerances.inner * self._scale(q)
         real_path = (complex(q).imag == 0.0

@@ -15,9 +15,9 @@ What depends only on one regime head's factorization (exp(omega*x), the
 symbols times the roll, the window) is built once per (spectral value,
 side, head) into an ``OperatorPlan``.  A plan and the rows given to it
 belong to one head: the operators depend on a history only through its
-head, the leading digit of the history code, so a head's rows are
-contiguous and the engine's sweeps make one inner-side and one outer-side
-application per head group, each with that head's plan.
+head, whose rows are one contiguous run of the batch
+(``MemoryChain.head_rows``), and the engine's sweeps make one inner-side and
+one outer-side application per head group, each with that head's plan.
 
 At a real Q (GWR's nodes) the symbols are Hermitian and the operators map
 real data to real data, so a plan of a real Q is a real plan: it keeps the

@@ -470,9 +470,6 @@ class SampledFunction:
         return max(m, float(np.abs(self.c_lo).max(initial=0.0)),
                    float(np.abs(self.c_hi).max(initial=0.0)))
 
-    def select(self, idx) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values[idx], self.c_lo[idx], self.c_hi[idx])
-
     def rows(self, idx: slice) -> "SampledFunction":
         """A run of rows that shares this function's arrays: a write through
         either shows in both."""

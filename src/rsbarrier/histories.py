@@ -3,7 +3,9 @@
 Histories are tuples (h0, h-1, ..., h-N) of regime labels in {1..m} with
 consecutive entries distinct, so there are m*(m-1)**N of them.  The dense
 integer code is mixed-radix: h0 in base m, every later entry in base m-1
-(skip the previous label).
+(skip the previous label).  h0 is the leading digit, so the histories with
+head s are the contiguous run ``MemoryChain.head_rows[s - 1]`` of the
+codes; this module alone knows how long each run is.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ class HistoryIndex:
     @property
     def head(self) -> int:
         return self.labels[0]
-
-    @property
-    def depth(self) -> int:
-        return len(self.labels) - 1
 
 
 def space_size(m: int, n_memory: int) -> int:
@@ -113,7 +111,7 @@ def shift(h: HistoryIndex, s: int) -> HistoryIndex:
     """New history after a switch to regime s: (s, h0, ..., h_{-N+1})."""
     if s == h.head:
         raise InvalidTransitionError(f"transition into the current state {s}")
-    return HistoryIndex((s,) + h.labels[:-1] if h.depth > 0 else (s,))
+    return HistoryIndex((s,) + h.labels[:-1])
 
 
 def _targets(m: int, head: int) -> list[int]:
@@ -130,7 +128,9 @@ class MemoryChain:
     chain.  ``lambda_heads[s - 1]`` is lambda_s, the largest Lambda_h over
     the histories with head s: head s is factorized at Q_s = q + lambda_s +
     r_s, and ``slack[h]`` = lambda_{h0} - Lambda_h >= 0 is the weight each
-    row keeps of itself in the sweeps' coupling.
+    row keeps of itself in the sweeps' coupling.  ``head_rows[s - 1]`` is
+    the slice of codes whose head is s, in head order, and ``heads()`` each
+    code's head; both are built once and read-only.
     """
 
     m: int
@@ -143,6 +143,8 @@ class MemoryChain:
     lambda0: float = field(init=False)
     lambda_heads: tuple[float, ...] = field(init=False)
     slack: np.ndarray = field(init=False, repr=False)
+    head_rows: tuple[slice, ...] = field(init=False, repr=False)
+    _heads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _validate_mn(self.m, self.n_memory)
@@ -162,7 +164,12 @@ class MemoryChain:
                 self.codes_after_shift[i, j] = encode(self.m, shift(h, s))
         self.lam_total = self.rates.sum(axis=1) if self.m > 1 else np.zeros(size)
         self.lambda0 = float(self.lam_total.max()) if size else 0.0
-        heads = self.heads()
+        # h0 is the leading digit of the code: each head owns size // m rows
+        k = size // self.m
+        self.head_rows = tuple(slice((s - 1) * k, s * k) for s in range(1, self.m + 1))
+        heads = np.array([h.head for h in self.histories], dtype=np.intp)
+        heads.flags.writeable = False
+        self._heads = heads
         per_head = np.zeros(self.m)
         np.maximum.at(per_head, heads - 1, self.lam_total)
         self.lambda_heads = tuple(float(lam) for lam in per_head)
@@ -173,7 +180,8 @@ class MemoryChain:
         return len(self.histories)
 
     def heads(self) -> np.ndarray:
-        return np.array([h.head for h in self.histories], dtype=np.intp)
+        """Each code's head, read-only."""
+        return self._heads
 
     @classmethod
     def from_constant(cls, m, n_memory, rate):

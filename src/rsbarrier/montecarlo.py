@@ -3,9 +3,11 @@
 Paths simulate the memory chain exactly (exponential sojourns, shift map)
 and the within-regime dynamics on the monitoring grid: Brownian increments
 are exact, jumps happen at exact Poisson epochs, and the barrier is
-checked at every grid time, jump epoch and regime switch.  The bridge flag
-multiplies in the analytic crossing probability of each diffusion
-sub-segment, removing the dominant monitoring bias.  Only regimes whose
+checked at every grid time, jump epoch and regime switch.  Every diffusion
+step also multiplies in the Brownian-bridge probabilities, given its end
+points, of crossing neither barrier in between (Glasserman 2004, section
+6.4), so the estimate prices continuous monitoring, as the engine does, and
+not the grid's.  There is no unbridged walk.  Only regimes whose
 model is ``simulated`` (Brownian, Kou) are walked; each draws its own jump
 counts and sizes.
 
@@ -45,14 +47,14 @@ PATH_BLOCK = 250
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings.  ``seed`` and ``threads`` come from the config
-    document's top level; ``threads`` counts worker processes over the path
-    blocks (1, the default, draws every path in the calling process) and
-    moves no bit of the estimate."""
+    """Monte Carlo settings: the path count and the monitoring step, whose
+    bias the bridge factors always correct.  ``seed`` and ``threads`` come
+    from the config document's top level; ``threads`` counts worker
+    processes over the path blocks (1, the default, draws every path in the
+    calling process) and moves no bit of the estimate."""
     paths: int = 100_000
     dt: float = 1e-3
     seed: int = 20260809
-    bridge: bool = True
     threads: int = 1
 
     def validate(self, maturity: float) -> None:
@@ -97,9 +99,10 @@ def _segment_events(rng, t0, t1, dt, model):
     return times[order], sizes[order]
 
 
-def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
-                  have_jumps):
-    """Survival weight through one regime sojourn; (alive, weight, x_end)."""
+def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper):
+    """Survival weight through one regime sojourn, the bridge factors of a
+    diffusion included; (alive, weight, x_end).  ``sizes`` is None when the
+    sojourn has no jump."""
     if times.size == 0:
         return True, 1.0, x0
     deltas = np.empty_like(times)  # np.diff(times, prepend=t0) without its copy
@@ -111,7 +114,7 @@ def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
         incs = mu * deltas + np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
     else:
         incs = mu * deltas
-    if have_jumps:
+    if sizes is not None:
         pre = x0 + np.cumsum(incs) + (np.cumsum(sizes) - sizes)
         post = pre + sizes
         lo = min(pre.min(), post.min())
@@ -123,7 +126,7 @@ def _walk_segment(rng, x0, t0, times, sizes, model, lower, upper, bridge,
     x_end = float(post[-1])
     if not (lo > lower and hi < upper):
         return False, 0.0, x_end
-    if not (bridge and sig2 > 0.0):
+    if sig2 == 0.0:
         return True, 1.0, x_end
     # A step whose start and end both lie at least `reach` from a barrier has
     # a = 2(u - s)(u - e)/(sigma^2 delta) >= 40 there, so exp(-a) < 2**-54 and
@@ -173,8 +176,7 @@ def _one_path(rng, problem: BarrierProblem, cfg: McConfig):
         seg_end = min(t + sojourn, T)
         times, sizes = _segment_events(rng, t, seg_end, cfg.dt, model)
         alive, w, x = _walk_segment(rng, x, t, times, sizes, model,
-                                    problem.lower, problem.upper, cfg.bridge,
-                                    have_jumps=sizes is not None)
+                                    problem.lower, problem.upper)
         discount += rates[head - 1] * (seg_end - t)
         if not alive:
             return 0.0

@@ -160,11 +160,11 @@ def sup_norm_by_masks(u: SampledFunction) -> float:
                float(np.max(np.abs(u.c_hi), initial=0.0)))
 
 
-def full_product_walk(rng, x0, t0, times, sizes, model, lower, upper, bridge,
-                      have_jumps):
+def full_product_walk(rng, x0, t0, times, sizes, model, lower, upper):
     """(alive, weight, x_end) of one sojourn, the bridge weight taken as the
     product of (1 - e^{-2(u-s)(u-e)/(sigma^2 dt)})(1 - e^{-2(s-l)(e-l)/(sigma^2 dt)})
-    over every step, however far from a barrier."""
+    over every step, however far from a barrier; ``sizes`` is None when the
+    sojourn has no jump."""
     if times.size == 0:
         return True, 1.0, x0
     deltas = np.diff(times, prepend=t0)
@@ -174,7 +174,7 @@ def full_product_walk(rng, x0, t0, times, sizes, model, lower, upper, bridge,
         incs = mu * deltas + np.sqrt(sig2 * deltas) * rng.standard_normal(times.size)
     else:
         incs = mu * deltas
-    if have_jumps:
+    if sizes is not None:
         pre = x0 + np.cumsum(incs) + (np.cumsum(sizes) - sizes)
         post = pre + sizes
         ok = (pre.min() > lower and pre.max() < upper
@@ -185,7 +185,7 @@ def full_product_walk(rng, x0, t0, times, sizes, model, lower, upper, bridge,
     if not ok:
         return False, 0.0, float(post[-1])
     weight = 1.0
-    if bridge and sig2 > 0.0:
+    if sig2 > 0.0:
         starts = np.empty_like(post)
         starts[0] = x0
         starts[1:] = post[:-1]

@@ -112,7 +112,7 @@ def test_criterion_3_monte_carlo_oracle(kou_memory_setup):
     engine = engine_price()
     # one worker process per core: the estimate keeps its bits at any count
     mc = simulate_price(prob, McConfig(paths=1_000_000, dt=1e-4, seed=20260809,
-                                       bridge=True, threads=os.cpu_count() or 1))
+                                       threads=os.cpu_count() or 1))
     elapsed = time.perf_counter() - start
     z = abs(engine - mc.estimate) / mc.stderr
     ok = z < 3.0 and elapsed < 600.0
@@ -265,7 +265,7 @@ def test_criterion_8_determinism(brownian_pipeline, kou_memory_setup,
     _, engine_price = kou_memory_setup
     a = engine_price(m_power=13)
     b = engine_price(m_power=13)
-    cfg = McConfig(paths=50_000, dt=1e-3, seed=20260809, bridge=True)
+    cfg = McConfig(paths=50_000, dt=1e-3, seed=20260809)
     prob = kou_memory_setup[0]
     mc_a = simulate_price(prob, cfg)
     mc_b = simulate_price(prob, cfg)

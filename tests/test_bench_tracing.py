@@ -11,12 +11,14 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
 
 from tracing import TRACE_POINTS, Tracer, summarize  # noqa: E402
-from workloads import RESIDUAL_BOUND, PricingWorkload, memory_chain_doc  # noqa: E402
+from workloads import (  # noqa: E402
+    NAMES, RESIDUAL_BOUND, PricingWorkload, make, memory_chain_doc)
 
 from rsbarrier.cli import run_price  # noqa: E402
 from rsbarrier.config import parse_config  # noqa: E402
@@ -72,3 +74,17 @@ def test_memory_chain_workload_prices_without_warning(capsys):
     rows, meta = run_price(parse_config(doc), all_histories=True)
     assert len(rows) == 24 and meta["sweeps"] < 100
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_workload_reference_setup_runs(name):
+    # each workload's once-per-run set-up reads the chain (histories, labels,
+    # shift codes, rates, heads) and builds a pricer: a change to those reads
+    # must fail here, not only as a failed benchmark run
+    workload = make(name, 0)
+    workload.reference_setup()
+    if name == "memory_depth_sinh":
+        # the exact oracle's price of each of the 24 histories
+        assert len(workload.exact) == 24 and np.all((workload.exact > 0.0)
+                                                    & (workload.exact < 1.0))
+        assert workload.tolerance > 0.0

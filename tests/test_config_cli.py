@@ -62,9 +62,9 @@ TWO_REGIME_DOC = {
 
 # settings that are constants of the method now, by their former keys: lambda0
 # is always the largest total switching rate, and Monte Carlo paths are never
-# antithetic pairs
+# antithetic pairs and always take the bridge factors
 CONSTANT_KEYS = {"dampingScale", "dampingCap", "decayTol", "maxOuter", "sinhGamma",
-                 "sinhSigma0", "lambda0", "antithetic"}
+                 "sinhSigma0", "lambda0", "antithetic", "bridge"}
 
 
 def test_rule_rates_materialized():
@@ -342,6 +342,7 @@ def test_bad_mc_setting_is_config_error(tmp_path, capsys, path, value):
 # exit 2, from price and from mc alike
 @pytest.mark.parametrize("path, value", [
     (("mc", "antithetic"), True), (("chain", "lambda0"), 5.0),
+    (("mc", "bridge"), True), (("mc", "bridge"), False),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
 def test_removed_setting_is_unknown_key(tmp_path, capsys, path, value):
     doc = copy.deepcopy(BROWNIAN_DOC)

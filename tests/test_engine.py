@@ -163,7 +163,7 @@ def test_first_sweep_transforms_nothing(monkeypatch):
 
     per_iteration.clear()
     pricer = kou_chain_pricer()
-    groups = len(pricer._groups())
+    groups = len(pricer.problem.chain.head_rows)
     pricer.price_field(2.0)
     assert groups == 2
     assert per_iteration and all(n == 2 * groups * (sweeps - 1)
@@ -171,7 +171,8 @@ def test_first_sweep_transforms_nothing(monkeypatch):
     assert max(sweeps for _, sweeps in per_iteration) > 1
     # the rows are views of the sweep's workspace; their offset in it names
     # the rows, and the plan's model names the head
-    regimes, rows_of = pricer.problem.regimes, dict(pricer._groups())
+    regimes = pricer.problem.regimes
+    rows_of = dict(enumerate(pricer.problem.chain.head_rows, 1))
     for plan, values in calls:
         s = next(s for s, spec in enumerate(regimes, 1) if plan.model is spec.model)
         start = (values.ctypes.data - values.base.ctypes.data) // values.strides[0]

@@ -95,9 +95,9 @@ def test_batch_shapes_and_algebra():
     s = u.scale(np.array([2.0, -1.0]))
     assert np.allclose(s.full()[0], 2 * u.full()[0])
     assert np.allclose(s.full()[1], -u.full()[1])
-    one = u.select(1)
-    assert one.shape == ()
-    u.assign(0, one)
+    one = u.rows(slice(1, 2))
+    assert one.shape == (1,)
+    u.assign(slice(0, 1), one)
     assert np.allclose(u.full()[0], u.full()[1])
 
 
@@ -119,6 +119,6 @@ def test_sliced_full_and_norm_equal_mask_formula():
     # each of the first two rows peaks on one side of the split at ref_index
     values[0, g.ref_index] = values[1, g.ref_index - 1] = 10.0
     u = SampledFunction(g, values, [-5.0, 5.0, 0.5j], [5.0, -5.0, 0.25])
-    rows = [u.select(i) for i in range(3)]
+    rows = [u.rows(slice(i, i + 1)) for i in range(3)]
     assert (np.array_equal(u.full(), full_by_masks(u))
             and [r.sup_norm() for r in rows] == [sup_norm_by_masks(r) for r in rows])

@@ -66,12 +66,21 @@ def test_encode_decode_roundtrip(m, n):
 
 @given(st.integers(1, 4), st.integers(0, 3))
 def test_head_groups_contiguous_and_equal(m, n):
-    # the engine's operator plans split the rows into m equal blocks, one per
-    # head in order, with no gather: h0 must be the leading digit of the code
+    # the engine's operator plans take each head's rows as the chain's run
+    # head_rows[s - 1], with no gather: the runs must tile the codes in head
+    # order and hold exactly the histories with that head
     if m == 1 and n > 0:
         return
-    heads = MemoryChain.from_constant(m, n, 1.0).heads()
+    chain = MemoryChain.from_constant(m, n, 1.0)
+    heads = chain.heads()
+    codes = np.arange(chain.size)
+    assert np.array_equal(np.concatenate([codes[rows] for rows in chain.head_rows]), codes)
+    assert len(chain.head_rows) == m
+    for s, rows in enumerate(chain.head_rows, 1):
+        assert np.all(heads[rows] == s)
     assert np.array_equal(heads, np.repeat(np.arange(1, m + 1), space_size(m, n) // m))
+    # built once and shared, so no caller may write to it
+    assert chain.heads() is heads and not heads.flags.writeable
 
 
 def test_out_degree_sum():

@@ -52,13 +52,13 @@ def test_spot_on_barrier_prices_zero():
 def test_matches_band_series_within_monte_carlo_error():
     prob = brownian_problem(maturity=0.5)
     truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.5)
-    res = simulate_price(prob, McConfig(paths=40_000, dt=1e-3, seed=5, bridge=True))
+    res = simulate_price(prob, McConfig(paths=40_000, dt=1e-3, seed=5))
     assert abs(res.estimate - truth) < 3.0 * res.stderr
 
 
 def test_seeded_determinism():
     prob = brownian_problem(maturity=0.5)
-    cfg = McConfig(paths=2000, dt=5e-3, seed=42, bridge=True)
+    cfg = McConfig(paths=2000, dt=5e-3, seed=42)
     a = simulate_price(prob, cfg)
     b = simulate_price(prob, cfg)
     assert a.estimate == b.estimate
@@ -73,17 +73,14 @@ def test_stderr_scaling():
     assert ratio == pytest.approx(4.0, rel=0.2)  # 16x paths -> 4x smaller
 
 
-def test_monitoring_bias_direction():
-    # discrete monitoring over-prices survival; halving dt and the bridge
-    # correction both pull the estimate down toward the truth
+def test_bridge_removes_monitoring_bias_at_coarse_dt():
+    # ten monitoring steps over the maturity: a grid check alone would
+    # over-price survival, but the bridge factors price continuous
+    # monitoring, so the estimate meets the band series within its error
     prob = brownian_problem(maturity=0.5)
-    cfg_coarse = McConfig(paths=30_000, dt=5e-2, seed=10, bridge=False)
-    cfg_fine = McConfig(paths=30_000, dt=2.5e-2, seed=10, bridge=False)
-    cfg_bridge = McConfig(paths=30_000, dt=5e-2, seed=10, bridge=True)
-    coarse = simulate_price(prob, cfg_coarse).estimate
-    fine = simulate_price(prob, cfg_fine).estimate
-    bridged = simulate_price(prob, cfg_bridge).estimate
-    assert bridged < fine < coarse
+    truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.5)
+    res = simulate_price(prob, McConfig(paths=30_000, dt=5e-2, seed=10))
+    assert abs(res.estimate - truth) < 3.0 * res.stderr
 
 
 def test_regime_switch_and_jumps_run():
@@ -135,8 +132,7 @@ def sojourn(x0, model, times, sizes=None, seed=None, z=None):
     def run(walk):
         rng = FixedDraws(z) if z is not None else \
             np.random.Generator(np.random.Philox(key=[seed, 0]))
-        return walk(rng, x0, 0.0, times, sizes, model, LOWER, UPPER, True,
-                    sizes is not None)
+        return walk(rng, x0, 0.0, times, sizes, model, LOWER, UPPER)
     return run
 
 
@@ -194,7 +190,7 @@ def test_kou_memory_block_is_pinned(draws):
     doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
                       / "kou_memory.json").read_text())
     cfg = parse_config(doc)
-    mc = McConfig(paths=2000, dt=1e-4, seed=1048576, bridge=True)
+    mc = McConfig(paths=2000, dt=1e-4, seed=1048576)
     res = simulate_price(cfg.problem, mc)
     assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[draws]
 
@@ -210,7 +206,7 @@ def test_kou_memory_block_pin_holds_at_2_threads(draws):
     # the block forks over its path blocks with the 1-thread bits
     cfg = parse_config(dict(kou_memory_doc(), threads=2))
     assert cfg.mc.threads == 2
-    mc = dataclasses.replace(cfg.mc, paths=2000, dt=1e-4, seed=1048576, bridge=True)
+    mc = dataclasses.replace(cfg.mc, paths=2000, dt=1e-4, seed=1048576)
     res = simulate_price(cfg.problem, mc)
     assert (repr(res.estimate), repr(res.stderr)) == KOU_MEMORY_BLOCK[draws]
 
@@ -306,5 +302,5 @@ def test_series_against_mc_with_drift():
                           lower=-0.8, upper=1.2, spot=0.1, maturity=T,
                           initial_history=HistoryIndex((1,)))
     truth, _ = brownian_band_series(sig2, mu, 0.02, -0.8, 1.2, 0.1, T)
-    res = simulate_price(prob, McConfig(paths=40_000, dt=1e-3, seed=17, bridge=True))
+    res = simulate_price(prob, McConfig(paths=40_000, dt=1e-3, seed=17))
     assert abs(res.estimate - truth) < 3.0 * res.stderr

@@ -99,8 +99,8 @@ def test_only_models_names_a_model_class():
 # parameter names that stand for a setting held by GridConfig, Tolerances,
 # InversionPlan or McConfig.  damping_scale, damping_cap, decay_tol,
 # max_outer, gamma, sigma0 and lambda0 are constants of the method now, and
-# antithetic is gone; they stay here to stop one from coming back as a
-# keyword default.
+# antithetic and bridge are gone; they stay here to stop one from coming back
+# as a keyword default.
 SETTING_NAMES = {"m_power", "domain_factor", "damping_scale", "damping_cap", "decay_tol",
                  "tol_inner", "tol_outer", "max_outer", "max_sweeps", "n_nodes", "n_gaver",
                  "gamma", "target_tol", "sigma0", "bridge", "antithetic", "lambda0"}
