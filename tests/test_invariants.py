@@ -44,12 +44,6 @@ def single_regime(model, lower, upper, rate=0.02):
             "initialHistory": [1]}
 
 
-def kou_memory():
-    doc = json.loads((ROOT / "configs" / "kou_memory.json").read_text())
-    del doc["mc"]
-    return doc
-
-
 CASES = {
     "brownian": single_regime({"type": "BrownianDrift", "mu": 0.15, "sigma2": 0.4},
                               -0.8, 1.1),
@@ -59,7 +53,7 @@ CASES = {
     "kobol": single_regime({"type": "KoBoL", "nu": 1.2, "c": 1.0, "lambdaPlus": 8.0,
                             "lambdaMinus": -4.0, "mu": 0.05}, -0.5, 0.6, rate=0.01),
     # two Kou regimes, two histories: the chain is left as it is
-    "kou_memory": kou_memory(),
+    "kou_memory": json.loads((ROOT / "configs" / "kou_memory.json").read_text()),
 }
 
 # (case, back end) -> bound on the largest price gap over the histories.
