@@ -13,9 +13,12 @@ Lambda_h of the head's histories, and each row keeps the slack
 lambda_s - Lambda_h of itself: m factorizations per q, whatever the memory
 depth.  A sweep walks the groups in head order: each group gathers its
 rate-weighted neighbours, the groups before it already updated in this
-sweep, and takes one inner-side and one outer-side application of its
-head's plan.  A plan and the rows given to it belong to one head.  At a real
-q the iteration is nonnegative, so it contracts at least as fast as Jacobi
+sweep, and takes its head's step.  A rational (Brownian or Kou) head's plan
+applies E = phi+ phi- once and adds closed-form barrier terms
+(``epv.sweep_step``), and its first touches take no transform; a KoBoL
+head takes one inner-side and one outer-side application.  A plan and the
+rows given to it belong to one head.  At a real q the iteration is
+nonnegative, so it contracts at least as fast as Jacobi
 (Stein-Rosenberg) and, started from below, stays monotone.  The plans are
 dropped when the spectral value is done.  Sweep 1 starts from zero, so it
 is the boundary term itself and transforms nothing; on a chain with
@@ -41,7 +44,7 @@ from .errors import (
 from .grids import DualGrid, Region, SampledFunction, indicator_soft
 from .histories import HistoryIndex, MemoryChain
 from .models import LevyModel
-from .epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below
+from .epv import OperatorPlan, apply_epv, first_touch_above, first_touch_below, sweep_step
 from .wiener_hopf import factorize
 
 __all__ = ["RegimeSpec", "BarrierProblem", "ValueField", "IterationStats",
@@ -212,7 +215,7 @@ def interpolate_field(u: SampledFunction, x0: float, regular: bool) -> np.ndarra
     lo, hi = grid.lower_index, grid.upper_index
     if not regular:
         lo, hi = lo + 1, hi - 1  # strictly inside
-    j = int(np.clip(round((x0 - grid.x_min) / grid.dx) - 1, lo, hi - 3))
+    j = int(np.clip(math.floor((x0 - grid.x_min) / grid.dx) - 1, lo, hi - 3))
     nodes = np.arange(j, j + 4)
     xs = grid.x_min + grid.dx * nodes
     vals = u.full()[..., nodes]
@@ -335,7 +338,8 @@ class QPricer:
         zero), taken without a transform.  Each later sweep walks the head
         groups in head order: group s couples to the rows as they stand,
         so its neighbours in earlier groups are already this sweep's, then
-        takes head s's inner-side and outer-side applications, the scaling
+        takes head s's sweep step (one application of E on a rational head,
+        an inner-side and an outer-side one on a KoBoL head), the scaling
         by 1/Q_s and its boundary rows.  The group's new rows are formed in
         ``work.term`` and its step in ``work.gather`` before they are
         committed to the term's own array, which is returned; the sweep's
@@ -381,9 +385,13 @@ class QPricer:
         for sweep in range(2, self.tolerances.max_sweeps + 1):
             for rows, plan, inner_plan, inv_q, old, bnd, moved, out, half in blocks:
                 new = self._coupling(cur, rows, work)
-                new = apply_epv(inner_plan, new, out=out, scratch=half)
-                new = indicator_soft(new, region, out=out)
-                new = apply_epv(plan, new, out=out, scratch=half)
+                if plan.product:
+                    # the step is not written yet, so its rows take the products
+                    new = sweep_step(plan, new, out=out, scratch=half, buffer=moved.values)
+                else:
+                    new = apply_epv(inner_plan, new, out=out, scratch=half)
+                    new = indicator_soft(new, region, out=out)
+                    new = apply_epv(plan, new, out=out, scratch=half)
                 # scaled by 1/Q_s, plus the boundary rows, on the bare arrays
                 np.multiply(out, inv_q, out=out)
                 out += bnd.values
@@ -469,7 +477,7 @@ class QPricer:
             q, v0 = complex(q).real, v0.real.copy()
         stats = IterationStats()
         factors = self.factorizations(q)
-        plans = {side: [OperatorPlan.build(f, side) for f in factors]
+        plans = {side: [OperatorPlan.build(f, side, product=f.model.rational) for f in factors]
                  for side in ("plus", "minus")}
         total = self._series(q, v0, plans, stats)
 

@@ -11,11 +11,13 @@ Im xi = omega, which must stay strictly inside the strip reported by
 
 Each family's formulas live on its class, and no other module tests a
 regime's class: psi (``psi_unchecked``), the strip and the domain check that
-``char_exponent`` runs, sinh admissibility, creeping, regularity of the
-half-lines, the Wiener-Hopf inputs of the route the family takes, and
-whether the Monte Carlo walker draws its paths.  Brownian and Kou regimes take the root route alone and supply its
-cleared polynomial, root counts and jump poles; only KoBoL takes the
-spectral split and supplies its comparison symbol, which does not read Q.
+``char_exponent`` runs, sinh admissibility, regularity of the half-lines,
+the Wiener-Hopf inputs of the route the family takes, and whether the Monte
+Carlo walker draws its paths.  Brownian and Kou regimes take the root route
+alone and supply its cleared polynomial, root counts and jump poles, and
+the overshoot law of a jump across a barrier that the closed-form barrier
+operators read; only KoBoL takes the spectral split and supplies its
+comparison symbol, which does not read Q.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ class BrownianDrift(_Diffusive):
     def psi_deriv(self, z):
         return self.sigma2 * z - 1j * self.mu
 
-    def creeps(self, side: str) -> bool:
-        return True
+    def overshoot_rate(self, side: str) -> None:
+        """No jump crosses a barrier: the process creeps onto it."""
+        return None
 
     def cleared_polynomial(self, Q):
         if self.sigma2 > 0.0:
@@ -169,11 +172,15 @@ class KouJumpDiffusion(_Diffusive):
                 + self.lambda_j * (-self.p * ap * 1j / (ap - 1j * z) ** 2
                                    + (1.0 - self.p) * am * 1j / (am + 1j * z) ** 2))
 
-    def creeps(self, side: str) -> bool:
-        """Whether this side's barrier is passed only by creeping: no jump
-        crosses it, so first touch happens exactly at the barrier."""
+    def overshoot_rate(self, side: str) -> float | None:
+        """Rate of the exponential overshoot of a jump across this side's
+        barrier ("plus" above, "minus" below), memoryless whatever the
+        start; None when no jump crosses it, so that first touch happens
+        exactly at the barrier."""
         prob = self.p if side == "plus" else 1.0 - self.p
-        return self.lambda_j * prob == 0.0
+        if self.lambda_j * prob == 0.0:
+            return None
+        return self.alpha_plus if side == "plus" else self.alpha_minus
 
     def cleared_polynomial(self, Q):
         lam, p = self.lambda_j, self.p
@@ -243,9 +250,6 @@ class KoBoL:
     def half_lines_regular(self) -> bool:
         """Both half-lines are regular at unbounded variation, nu > 1."""
         return self.nu > 1.0
-
-    def creeps(self, side: str) -> bool:
-        return False
 
     def comparison_symbol(self):
         """(kappa, a, p_base, b, m_base): C(xi) = kappa*(p - i xi)^a * (m + i xi)^b

@@ -31,7 +31,10 @@ def test_tracer_records_every_trace_point():
     # from the 1-thread price, the one the per-layer figures come from: at
     # 2 threads the nodes run in forked workers, whose spans and factor
     # caches never reach this process.  The 2-thread price must repeat the
-    # 1-thread bits.
+    # 1-thread bits.  Kou heads sweep through ``epv.sweep_step``, so a
+    # chain of kobol_single's regime and kou_memory's second one, switching
+    # at rate 0.5, is priced too: its KoBoL head's sweeps call
+    # ``engine.apply_epv``.
     with open(os.path.join(os.path.dirname(BENCH), "configs", "kou_memory.json")) as fh:
         doc = json.load(fh)
     doc["grid"] = {"mPower": 10}
@@ -51,6 +54,12 @@ def test_tracer_records_every_trace_point():
         cfg = parse_config(copy.deepcopy(doc))
         # looked up at call time, as the Monte Carlo workload does
         montecarlo.simulate_price(cfg.problem, cfg.mc)
+        with open(os.path.join(os.path.dirname(BENCH), "configs", "kobol_single.json")) as fh:
+            mixed = json.load(fh)
+        mixed.update(threads=1, grid={"mPower": 10},
+                     regimes=mixed["regimes"] + doc["regimes"][1:],
+                     chain={"m": 2, "N": 0, "rates": {"dense": [[0.5], [0.5]]}})
+        run_price(parse_config(mixed))
     finally:
         tracer.uninstall()
     for backend, (prices, pooled, inverts, worst_residual) in runs.items():

@@ -189,10 +189,11 @@ def test_price_cli_matches_series(tmp_path):
 
 # a spot within a cell of a barrier: a Brownian regime makes both barriers
 # regular, so the barrier node, valued 0, anchors the interpolation there.
-# At mPower 12 the price falls short of the series by at most 7.7% of it
-# (7.0% at 1e-3, 4.6% at half a cell, under either back end); the bound of
-# 10% leaves a 1.3x margin.  A stencil of interior nodes alone priced these
-# spots at -8.6e-4 to -1.8e-4.
+# At mPower 12 the price falls short of the series by at most 0.68% of it
+# (0.64% at 1e-3, 0.51% at half a cell, under either back end); the bound
+# of 1% leaves a 1.5x margin.  Before the first touches took closed forms
+# these spots read up to 7.7% short, against a bound of 10%.  A stencil of
+# interior nodes alone priced them at -8.6e-4 to -1.8e-4.
 @pytest.mark.parametrize("distance", [1e-10, 1e-4, 1e-3, "half_cell"])
 @pytest.mark.parametrize("barrier", ["lower", "upper"])
 def test_spot_near_barrier_prices_the_series(barrier, distance):
@@ -202,7 +203,30 @@ def test_spot_near_barrier_prices_the_series(barrier, distance):
     doc["x0"] = doc["barriers"][barrier] + (distance if barrier == "lower" else -distance)
     rows, _ = run_price(parse_config(dict(doc, threads=1)))
     truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, doc["x0"], 1.0)
-    assert 0.0 <= rows[0]["price"] and abs(rows[0]["price"] - truth) <= 0.1 * truth
+    assert 0.0 <= rows[0]["price"] and abs(rows[0]["price"] - truth) <= 0.01 * truth
+
+
+# the spot on the node one cell inside the upper barrier of brownian_band,
+# under sinh: the price's error against the series, relative to it, falls
+# with the grid, from -1.33% at mPower 10 to -0.37% at 12 and -0.094% at 14
+# (3.6x and 3.9x per two grid doublings; the spot moves in with the node).
+# The bounds hold 1.5 times those errors, and the error must fall 3x per
+# two doublings.  Before the first touches took closed forms, that node
+# read -3.2%, -2.3% and -2.0%.
+@pytest.mark.parametrize("m_powers, bounds", [((10, 12, 14), (2.0e-2, 5.5e-3, 1.4e-3))])
+def test_node_next_to_a_barrier_converges(m_powers, bounds):
+    doc = json.loads((ROOT / "configs" / "brownian_band.json").read_text())
+    doc.update(threads=1, inversion={"backend": "sinh"})
+    errors = []
+    for m_power in m_powers:
+        doc["grid"] = {"mPower": m_power}
+        grid = cli._grid(parse_config(doc))
+        doc["x0"] = grid.x_min + (grid.upper_index - 1) * grid.dx
+        rows, _ = run_price(parse_config(doc))
+        truth, _ = brownian_band_series(1.0, 0.0, 0.0, -1.0, 1.0, doc["x0"], 1.0)
+        errors.append(abs(rows[0]["price"] - truth) / truth)
+    assert all(e <= b for e, b in zip(errors, bounds)), errors
+    assert all(a >= 3.0 * b for a, b in zip(errors, errors[1:])), errors
 
 
 def _strip_wall(text):
@@ -235,8 +259,8 @@ def test_kobol_price_thread_independent():
 
 
 @pytest.mark.parametrize("backend, reprs", [
-    ("gwr", ["0.8332342594250856", "0.5899088021304019"]),
-    ("sinh", ["0.833209320583143", "0.5899222333606009"]),
+    ("gwr", ["0.8333571515758889", "0.5899875087015153"]),
+    ("sinh", ["0.8333321696402147", "0.5899988976519344"]),
 ])
 def test_kou_memory_price_bits_are_pinned(backend, reprs):
     # every history's price of the coupled Kou chain, bit for bit, at either
@@ -269,12 +293,14 @@ def test_kobol_price_bits_are_pinned(backend, reprs):
 
 
 @pytest.mark.parametrize("backend, reprs", [
-    ("gwr", ["0.3707479640572107"]),
-    ("sinh", ["0.37076443988170593"]),
+    ("gwr", ["0.37075541343439455"]),
+    ("sinh", ["0.3707719916013474"]),
 ])
 def test_brownian_band_price_bits_are_pinned(backend, reprs):
     # both sides of a Brownian regime creep: its price, bit for bit, at
-    # either thread count pins the first touch of a side no jump crosses
+    # either thread count pins the closed-form first touch of a side no jump
+    # crosses, and, with the spot at cell 2047.5 of this grid, the spot's
+    # centred stencil
     doc = json.loads((ROOT / "configs" / "brownian_band.json").read_text())
     doc["inversion"]["backend"] = backend
     doc["grid"] = {"mPower": 12}

@@ -138,17 +138,18 @@ def test_boundary_term_single_sweep_closed_form():
 
 
 def test_first_sweep_transforms_nothing(monkeypatch):
-    # sweep 1 is the boundary term; each later sweep makes one inner-side and
-    # one outer-side application per head group, each on that group's rows
-    # with that head's plan, and a chain with lambda0 = 0 has none
-    from rsbarrier import engine
+    # sweep 1 is the boundary term, and a rational head's first touch takes
+    # no transform; each later sweep makes one application of E = phi+ phi-
+    # per head group, on that group's rows with that head's plan, and a chain
+    # with lambda0 = 0 has none
+    from rsbarrier import epv
 
     calls, per_iteration = [], []
-    apply_epv, inner_iteration = engine.apply_epv, QPricer._inner_iteration
+    apply_multiplier, inner_iteration = epv.apply_multiplier, QPricer._inner_iteration
 
-    def counted_apply(plan, u, *args, **kwargs):
+    def counted_apply(u, plan, *args, **kwargs):
         calls.append((plan, u.values))
-        return apply_epv(plan, u, *args, **kwargs)
+        return apply_multiplier(u, plan, *args, **kwargs)
 
     def counted_iteration(self, side, boundary_data, q, stats, *args):
         before = len(calls)
@@ -156,7 +157,7 @@ def test_first_sweep_transforms_nothing(monkeypatch):
         per_iteration.append((len(calls) - before, stats.inner_sweeps[-1]))
         return out
 
-    monkeypatch.setattr(engine, "apply_epv", counted_apply)
+    monkeypatch.setattr(epv, "apply_multiplier", counted_apply)
     monkeypatch.setattr(QPricer, "_inner_iteration", counted_iteration)
     field = single_brownian(m_power=12).price_field(1.0)
     assert calls == [] and field.stats.inner_sweeps == [1] * len(per_iteration)
@@ -166,14 +167,14 @@ def test_first_sweep_transforms_nothing(monkeypatch):
     groups = len(pricer.problem.chain.head_rows)
     pricer.price_field(2.0)
     assert groups == 2
-    assert per_iteration and all(n == 2 * groups * (sweeps - 1)
-                                 for n, sweeps in per_iteration)
+    assert per_iteration and all(n == groups * (sweeps - 1) for n, sweeps in per_iteration)
     assert max(sweeps for _, sweeps in per_iteration) > 1
     # the rows are views of the sweep's workspace; their offset in it names
     # the rows, and the plan's model names the head
     regimes = pricer.problem.regimes
     rows_of = dict(enumerate(pricer.problem.chain.head_rows, 1))
     for plan, values in calls:
+        assert plan.product
         s = next(s for s, spec in enumerate(regimes, 1) if plan.model is spec.model)
         start = (values.ctypes.data - values.base.ctypes.data) // values.strides[0]
         assert rows_of[s] == slice(start, start + len(values))
@@ -195,9 +196,9 @@ def test_kou_chain_transform_bits_are_pinned():
     # order of the sweeps' floating-point operations shows here
     pricer = kou_chain_pricer()
     pinned = {
-        2.0: ["(0.41131643760122094+0j)", "(0.33696747148196077+0j)"],
-        3.0 + 2.0j: ["(0.22664821986742478-0.1291712263447874j)",
-                     "(0.20469842881021758-0.10007671300266757j)"],
+        2.0: ["(0.41131339279918744+0j)", "(0.3369566738175358+0j)"],
+        3.0 + 2.0j: ["(0.2266494281422946-0.12917181181272006j)",
+                     "(0.20470099420498022-0.10007539844528507j)"],
     }
     for q, reprs in pinned.items():
         assert [repr(complex(v)) for v in at_spot(pricer, q)] == reprs
@@ -292,21 +293,21 @@ def test_contraction_rate_vs_per_head_bound(kou_memory_field):
 
 
 def test_contraction_failure_quotes_the_per_head_bound(monkeypatch):
-    # sweeps made to expand (each indicator product taken 4 times over) stop
-    # with the per-head bound in the message: 0.438 on the coupled Kou chain
-    # at q = 2, where lambda0 / (q + lambda0 + min r) would read 0.442
+    # sweeps made to expand (each sweep step taken 4 times over) stop with
+    # the per-head bound in the message: 0.438 on the coupled Kou chain at
+    # q = 2, where lambda0 / (q + lambda0 + min r) would read 0.442
     from rsbarrier import engine
     from rsbarrier.errors import ContractionFailureError
     from rsbarrier.grids import SampledFunction
 
-    soft = engine.indicator_soft
+    step = engine.sweep_step
 
-    def amplified(u, region, out=None):
-        got = soft(u, region, out=out)
+    def amplified(plan, u, **kwargs):
+        got = step(plan, u, **kwargs)
         got.values *= 4.0
         return SampledFunction(got.grid, got.values, got.c_lo * 4.0, got.c_hi * 4.0)
 
-    monkeypatch.setattr(engine, "indicator_soft", amplified)
+    monkeypatch.setattr(engine, "sweep_step", amplified)
     pricer = kou_chain_pricer()
     q = 2.0
     bound = max(lam / (q + lam + spec.rate)
