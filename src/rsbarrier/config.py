@@ -207,10 +207,6 @@ def _parse(doc: dict) -> ProblemConfig:
     x0 = _finite(doc["x0"], "x0")
     maturity = _finite(doc["maturity"], "maturity")
     init = tuple(_whole(v, "initialHistory") for v in doc["initialHistory"])
-    if len(regimes) != chain.m:
-        raise ConfigError(f"{len(regimes)} regimes but chain has m={chain.m}")
-    if len(init) != chain.n_memory + 1:
-        raise ConfigError(f"initial history must list N+1={chain.n_memory + 1} states")
     problem = BarrierProblem(regimes=tuple(regimes), chain=chain, lower=lower,
                              upper=upper, spot=x0, maturity=maturity,
                              initial_history=HistoryIndex(init))

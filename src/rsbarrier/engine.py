@@ -14,11 +14,11 @@ lambda_s - Lambda_h of itself: m factorizations per q, whatever the memory
 depth.  A sweep walks the groups in head order: each group gathers its
 rate-weighted neighbours, the groups before it already updated in this
 sweep, and takes its head's step.  A rational (Brownian or Kou) head's plan
-applies E = phi+ phi- once and adds closed-form barrier terms
-(``epv.sweep_step``), and its first touches take no transform; a KoBoL
-head takes one inner-side and one outer-side application.  A plan and the
-rows given to it belong to one head.  At a real q the iteration is
-nonnegative, so it contracts at least as fast as Jacobi
+applies E = phi+ phi- once and subtracts the closed-form first touch of
+its image (``epv.sweep_step``), and its first touches take no transform;
+a KoBoL head takes one inner-side and one outer-side application.  A plan
+and the rows given to it belong to one head.  At a real q the iteration
+is nonnegative, so it contracts at least as fast as Jacobi
 (Stein-Rosenberg) and, started from below, stays monotone.  The plans are
 dropped when the spectral value is done.  Sweep 1 starts from zero, so it
 is the boundary term itself and transforms nothing; on a chain with
@@ -96,6 +96,8 @@ class BarrierProblem:
     def __post_init__(self):
         if len(self.regimes) != self.chain.m:
             raise ValueError("regime count must match the chain's m")
+        if len(self.initial_history.labels) != self.chain.n_memory + 1:
+            raise ValueError(f"initial history must list N+1={self.chain.n_memory + 1} states")
         if not all(1 <= s <= self.chain.m for s in self.initial_history.labels):
             raise ValueError(f"initial history labels must lie in 1..{self.chain.m}")
         if not self.lower < self.upper:

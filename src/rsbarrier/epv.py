@@ -38,13 +38,14 @@ barrier is exponential (Kou & Wang, Adv. Appl. Probab. 2003).  So its first
 touch takes no transform: below h+ it is a(h - x) c_b + b(h - x) J_alpha,
 with a and b sums of exp(-r_j (h - x)), c_b the data's limit at the barrier
 and J_alpha its mean against the overshoot law.  Its sweep step
-E+ 1_(-inf,h+) E- u takes one: E u, with E = phi+ phi- = Q/(Q + psi), less
-sum_j w_j exp(-r_j (h+ - x)) J_j below h+, and 0 above, where each J_j
-integrates u against exponentials on both sides of h+.  ``BarrierForms``
-holds a side's weights and rows; every such integral takes exponentially
-fitted weights, which integrate each exponential exactly against the
+E+ 1_(-inf,h+) E- u takes one.  Since E+ 1_[h+,inf) E- = E+ 1_[h+,inf)
+(E+)^{-1} E with E = phi+ phi- = Q/(Q + psi), the step is E u less the
+first touch of E u below h+, and 0 above; E's kernel is a density, so E u
+is continuous and its sample at the barrier node is its limit c_b.
+``BarrierForms`` holds a side's closed form; J_alpha takes exponentially
+fitted weights, which integrate the exponential exactly against the
 piecewise-linear interpolant of the samples, with the barrier's one-sided
-limits extrapolated and the far fields in closed form.  The inf side
+limit extrapolated and the far fields in closed form.  The inf side
 mirrors all of this.
 """
 
@@ -198,10 +199,10 @@ class ExpIntegral:
 
 
 def _mixture(fac: WHFactorization, side: str, real: bool):
-    """(rates r_j, weights w_j, atom) of phi^side = atom + sum_j w_j r_j /
-    (r_j - s), with s = i xi on the sup side and -i xi on the inf side.  The
-    atom, the chance that the extremum is 0, is nonzero only on an irregular
-    side, where the factor has as many roots as jump poles."""
+    """(rates r_j, weights w_j) of phi^side = w_0 + sum_j w_j r_j / (r_j - s),
+    with s = i xi on the sup side and -i xi on the inf side.  The atom w_0,
+    the chance that the extremum is 0, is nonzero only on an irregular side,
+    and no closed form here reads it."""
     if side == "plus":
         rates, poles = [1j * r for r in fac.roots_lower], fac.model.pole_rates[0]
     else:
@@ -217,57 +218,46 @@ def _mixture(fac: WHFactorization, side: str, real: bool):
         for pole in poles:
             w *= (pole - r) / pole
         weights.append(w)
-    atom = 0.0
-    if len(rates) == len(poles):
-        atom = math.prod(rates) / math.prod(poles)
-    return np.array(rates), np.array(weights), atom
+    return np.array(rates), np.array(weights)
 
 
 @dataclass(frozen=True, eq=False)
 class BarrierForms:
-    """Closed forms of one side's first touch and sweep step on a rational
-    head at one spectral value.
+    """The closed-form first touch of one side on a rational head at one
+    spectral value; the sweep step takes it too.
 
     The side's barrier is ``node``; ``direction`` points beyond it (+1 above
     h+, -1 below h-).  phi^side's rates r_j and weights w_j give each a row
     of ``decay``: exp(-r_j t) at t = 0, dx, ... into the band, with 1/2 at
     the node, which takes the mid-value.
 
-    First touch: a jump across the barrier overshoots it by an exponential
-    with the ``overshoot`` rate alpha, so the value below h+ is
-    sum_j exp(-r_j (h+ - x)) (creep_j c_b + jump_j I_alpha), where I_alpha
-    integrates the data beyond h+ against exp(-alpha t) and jump_j holds
-    alpha b_j = -prod_k (r_k - alpha) / prod_{k != j} (r_k - r_j), while
-    creep_j = w_j - b_j (a + b is the transform of the passage time, sum_j
-    w_j exp(-r_j d)).  A side no jump crosses has no overshoot, and b = 0.
+    A jump across the barrier overshoots it by an exponential with the
+    ``overshoot`` rate alpha, so the first touch of data u below h+ is
+    sum_j exp(-r_j (h+ - x)) (creep_j c_b + jump_j I_alpha), where c_b is
+    u's limit at h+, I_alpha integrates u beyond h+ against exp(-alpha t),
+    jump_j holds alpha b_j = -prod_k (r_k - alpha) / prod_{k != j} (r_k -
+    r_j), and creep_j = w_j - b_j (a + b is the transform of the passage
+    time, sum_j w_j exp(-r_j d)).  A side no jump crosses has no overshoot,
+    and b = 0.
 
-    Sweep step: phi^other's rates g_k, weights d_k and atom d_0 enter
-    J_j = r_j (D_j A_j + sum_k e_jk B_k), where A_j integrates u beyond the
-    barrier against exp(-r_j t), B_k integrates it on the band side against
-    exp(-g_k t), e_jk = d_k g_k / (r_j + g_k) and D_j = d_0 + sum_k e_jk.
-    ``sweep_beyond`` holds w_j r_j D_j and ``sweep_band`` w_j r_j e_jk, so
-    that w_j J_j is their sum against the integrals ``beyond`` and ``band``.
+    The sweep step needs nothing more: E+ 1_[h+,inf) E- = E+ 1_[h+,inf)
+    (E+)^{-1} E, so what its indicator removes from E u is the first touch
+    of E u.
     """
 
     node: int
     direction: int
     decay: tuple
-    beyond: tuple
-    band: tuple
     overshoot: ExpIntegral | None
     creep: np.ndarray
     jump: np.ndarray
-    sweep_beyond: np.ndarray
-    sweep_band: np.ndarray
 
     @classmethod
     def build(cls, fac: WHFactorization, side: str, real: bool) -> "BarrierForms":
         grid = fac.grid
         region = Region.AT_OR_ABOVE_UPPER if side == "plus" else Region.AT_OR_BELOW_LOWER
         node, direction = grid.region_edge(region)
-        rates, weights, _ = _mixture(fac, side, real)
-        inner, inner_weights, inner_atom = _mixture(
-            fac, "minus" if side == "plus" else "plus", real)
+        rates, weights = _mixture(fac, side, real)
         band_nodes = node if direction > 0 else grid.size - 1 - node
         decay = []
         for r in rates:
@@ -283,13 +273,16 @@ class BarrierForms:
                              for j, r in enumerate(rates)])
             creep = weights - jump / alpha
             overshoot = ExpIntegral.build(grid, node, direction, alpha)
-        mix = inner_weights * inner / (rates[:, None] + inner)
-        scale = weights * rates
-        return cls(node, direction, tuple(decay),
-                   tuple(ExpIntegral.build(grid, node, direction, r) for r in rates),
-                   tuple(ExpIntegral.build(grid, node, -direction, g) for g in inner),
-                   overshoot, creep, jump,
-                   scale * (inner_atom + mix.sum(axis=1)), scale[:, None] * mix)
+        return cls(node, direction, tuple(decay), overshoot, creep, jump)
+
+    def touch(self, u: SampledFunction, c_b, buffer: np.ndarray | None = None) -> list:
+        """creep_j c_b + jump_j I_alpha of u, one per rate r_j, for u's limit
+        ``c_b`` at the barrier; ``buffer`` as in ``ExpIntegral``."""
+        coefficients = [a * c_b for a in self.creep]
+        if self.overshoot is not None:
+            overshoot = self.overshoot(u, buffer)
+            coefficients = [c + b * overshoot for c, b in zip(coefficients, self.jump)]
+        return coefficients
 
     def add_band(self, values: np.ndarray, coefficients, sign: float,
                  buffer: np.ndarray | None = None) -> None:
@@ -567,10 +560,7 @@ def _closed_first_touch(forms: BarrierForms, u: SampledFunction) -> SampledFunct
     grid, node, direction = u.grid, forms.node, forms.direction
     full = u.full()
     c_b = _boundary_value(full, node, direction)
-    coefficients = [a * c_b for a in forms.creep]
-    if forms.overshoot is not None:
-        overshoot = forms.overshoot(u)
-        coefficients = [c + b * overshoot for c, b in zip(coefficients, forms.jump)]
+    coefficients = forms.touch(u, c_b)
     dtype = np.result_type(full, *coefficients)
     full = full.astype(dtype, copy=False)
     full[..., node] = c_b
@@ -585,27 +575,23 @@ def sweep_step(plan: OperatorPlan, u: SampledFunction, out: np.ndarray | None = 
     """E^side 1_band E^other u on a rational head's rows, by one transform.
 
     The band is below h+ for a "plus" plan and above h- for a "minus" one;
-    the plan is a ``product`` plan, which applies E = phi+ phi-.  Below h+
-    the value is E u less sum_j w_j exp(-r_j (h+ - x)) J_j (see
-    ``BarrierForms``), above h+ it is 0, and the node takes the mid-value.
-    The integrals J read u before E is applied, so ``out`` may be
-    ``u.values``; ``out`` and ``scratch`` are as in ``apply_multiplier``,
-    and ``buffer``, of the rows' shape and the result's dtype, takes the
-    integrals' and the correction's products when given.
+    the plan is a ``product`` plan, which applies E = phi+ phi-.  Since
+    E+ 1_[h+,inf) E- = E+ 1_[h+,inf) (E+)^{-1} E, the value below h+ is E u
+    less the first touch of E u (see ``BarrierForms``), above h+ it is 0,
+    and the node takes the mid-value.  E's kernel is a density on every
+    rational head, so E u is continuous and its sample at the barrier node
+    is its limit c_b there.  ``out`` and ``scratch`` are as in
+    ``apply_multiplier``, and ``buffer``, of the rows' shape and the
+    result's dtype, takes the overshoot's and the correction's products
+    when given.
     """
     if not plan.product:
         raise ValueError("the sweep step applies a plan of E = phi+ phi-")
     forms = plan.forms
     node, direction = forms.node, forms.direction
-    beyond = [f(u, buffer) for f in forms.beyond]
-    band = [f(u, buffer) for f in forms.band]
-    coefficients = []
-    for j, a in enumerate(beyond):
-        c = forms.sweep_beyond[j] * a
-        for k, b in enumerate(band):
-            c = c + forms.sweep_band[j, k] * b
-        coefficients.append(c)
     e = apply_multiplier(u, plan, out=out, scratch=scratch)
+    c_b = e.values[..., node] + (e.c_lo if node < e.grid.ref_index else e.c_hi)
+    coefficients = forms.touch(e, c_b, buffer)
     full = e.full(out=e.values)
     v = SampledFunction.beyond(e.grid, full, e.c_lo, e.c_hi, node, -direction, 0.5, out=full)
     forms.add_band(v.values, coefficients, -1.0, buffer)

@@ -259,8 +259,8 @@ def test_kobol_price_thread_independent():
 
 
 @pytest.mark.parametrize("backend, reprs", [
-    ("gwr", ["0.8333571515758889", "0.5899875087015153"]),
-    ("sinh", ["0.8333321696402147", "0.5899988976519344"]),
+    ("gwr", ["0.8334105919857702", "0.5901368628460758"]),
+    ("sinh", ["0.8333856523703198", "0.5901487694948392"]),
 ])
 def test_kou_memory_price_bits_are_pinned(backend, reprs):
     # every history's price of the coupled Kou chain, bit for bit, at either
@@ -340,6 +340,21 @@ def test_mc_refuses_a_regime_it_cannot_walk(tmp_path, capsys, monkeypatch):
     assert (rc, out, drawn) == (2, "", [])
     assert len(err) == 1 and err[0].startswith("config error: regime 1 ")
     assert "KoBoL" in err[0], err
+
+
+# a history of the wrong length or a regime count off the chain's m: one
+# config error line and exit 2 from price, which the problem itself raises
+@pytest.mark.parametrize("field, value", [
+    ("initialHistory", [1]), ("initialHistory", [1, 2, 1]),
+    ("regimes", TWO_REGIME_DOC["regimes"][:1]),
+], ids=["short_history", "long_history", "one_regime"])
+def test_price_refuses_a_problem_off_its_chain(tmp_path, capsys, field, value):
+    doc = copy.deepcopy(TWO_REGIME_DOC)
+    doc[field] = value
+    rc, out = _run_cli(tmp_path, doc, "price", "--threads", "1")
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
 # settings the estimator cannot run, or that JSON spells with the wrong

@@ -108,6 +108,18 @@ def test_v0_rejects_bad_q():
         solve_v0(chain, np.zeros(2), np.ones(2), -1.0)  # |q + Lambda| = 0
 
 
+@pytest.mark.parametrize("m, labels", [(2, (1, 2, 1)), (2, (2,)), (3, (1, 2, 3))],
+                         ids=["m2_long", "m2_short", "m3_long"])
+def test_problem_refuses_a_history_of_the_wrong_length(m, labels):
+    # on N = 1 a history lists 2 states; one of 1 or 3 would encode silently
+    # on m = 2 and index past the chain on m = 3
+    chain = MemoryChain.from_constant(m, 1, 0.5)
+    with pytest.raises(ValueError, match="N\\+1=2"):
+        BarrierProblem(regimes=(RegimeSpec(BM, 0.0, 1.0),) * m, chain=chain,
+                       lower=-1.0, upper=1.0, spot=0.0, maturity=1.0,
+                       initial_history=HistoryIndex(labels))
+
+
 # -- single-regime transform oracle --------------------------------------
 
 def test_brownian_transform_matches_cosh_oracle():
@@ -196,9 +208,9 @@ def test_kou_chain_transform_bits_are_pinned():
     # order of the sweeps' floating-point operations shows here
     pricer = kou_chain_pricer()
     pinned = {
-        2.0: ["(0.41131339279918744+0j)", "(0.3369566738175358+0j)"],
-        3.0 + 2.0j: ["(0.2266494281422946-0.12917181181272006j)",
-                     "(0.20470099420498022-0.10007539844528507j)"],
+        2.0: ["(0.4113140611831739+0j)", "(0.3369581265462236+0j)"],
+        3.0 + 2.0j: ["(0.22664948189290476-0.1291720277536771j)",
+                     "(0.20470139291743886-0.10007593701290257j)"],
     }
     for q, reprs in pinned.items():
         assert [repr(complex(v)) for v in at_spot(pricer, q)] == reprs
@@ -363,9 +375,10 @@ def test_head_constants_leave_the_limit_unchanged(monkeypatch):
     # lambda_s, but each head's discrete operators do: taking every head back
     # to lambda0 moves kou_memory's transform by the grid's error, not by the
     # sweeps' tolerances (1e-10 and 1e-8 of max|G|/|q|).  At the spot the gap
-    # reads 4.7e-7 / 2.8e-7 (real / complex q) at M = 2^12 and 1.2e-7 /
-    # 7.2e-8 at 2^13: it falls 4x per doubling of M, towards one limit.
-    # Checked: at most 2e-7 at 2^13, and at least 3x smaller than at 2^12
+    # reads 2.0e-8 / 1.3e-8 (real / complex q) at M = 2^12, 7.2e-9 / 4.6e-9
+    # at 2^13 and 2.1e-9 / 1.4e-9 at 2^14, the same at tolerances of 1e-13
+    # and 1e-12: it falls 2.7x and then 3.4x per doubling of M, towards one
+    # limit.  Checked: at most 2e-8 at 2^13, and at least 3x smaller at 2^14
     def spot_values(m_power, q, constants):
         chain = MemoryChain(2, 1, np.array([[0.8], [1.6]]))
         if constants == "lambda0":
@@ -380,8 +393,8 @@ def test_head_constants_leave_the_limit_unchanged(monkeypatch):
     for q in (2.0 * math.log(2.0) / 0.5, 3.0 + 2.0j):
         gaps = [np.max(np.abs(spot_values(m_power, q, "heads")
                               - spot_values(m_power, q, "lambda0")))
-                for m_power in (12, 13)]
-        assert gaps[1] <= 2e-7 and gaps[0] >= 3.0 * gaps[1]
+                for m_power in (13, 14)]
+        assert gaps[0] <= 2e-8 and gaps[0] >= 3.0 * gaps[1]
 
 
 def test_monotone_inner_iterates(kou_memory_field):
